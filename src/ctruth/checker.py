@@ -4,7 +4,12 @@ A check pulls finitely many items, validates their shape, enforces the
 output discipline (equal or extending inputs demand the same outputs),
 rejects any pair whose asserted content is refutable within the budget,
 and then walks the statement's input space to see whether every demand
-the budget can express has been answered.  The three outcomes:
+the budget can express has been answered.  The discipline is checked in
+one indexed pass: each pair is inserted into a trie keyed on its tokens
+and compared only with the pairs whose inputs agree with its own.
+Content is judged under an integer environment binding the pair's
+tokens, never by substituting unary numerals, so a check costs close to
+linear time in the number of pairs.  The three outcomes:
 
     accepted_up_to   no fault found and all bounded demands answered
     rejected         a pair is malformed, conflicting, or provably wrong
@@ -14,14 +19,25 @@ Rejection is sound: it needs a definite refutation, never a timeout.
 Acceptance is always relative to the stated budget.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import vm
 from .formula import (
     FALSE,
+    And,
+    Atom,
+    Box,
+    Exists,
+    Forall,
     Formula,
     Implies,
+    Not,
+    Or,
+    classify,
+    conj_all,
     eval3,
+    eval_term,
+    instantiate,
     numeral,
     print_formula,
     subst_term,
@@ -41,8 +57,8 @@ from .witness import (
     ShapeMismatch,
     TRIVIAL,
     WitnessStream,
+    content_parts,
     is_pair,
-    pair_complete,
     semantic_content,
     serialize_item,
     serialize_token,
@@ -124,61 +140,87 @@ def _pending(budget, path):
 
 
 # ---------------------------------------------------------------------------
-# output discipline along the joint spine
+# output discipline: one indexed pass along the joint spine
 
 
-def _joint_conflict(f: Formula, p: IOPair, q: IOPair):
-    """None, or the discipline broken by q against p.
+class _Node:
+    """A trie node at one slot of the spine.  `children` are keyed by
+    the token a pair gives at the slot; an output node also keeps the
+    first pair that reached it and that pair's token (None: silent)."""
 
-    Walks both pairs along the statement jointly while their inputs
-    agree (prefix inputs may extend one another).  Wherever inputs have
-    agreed, the outputs must be the same tokens; a pair falling silent
-    at an output slot where the other speaks breaks the rule too, since
-    giving too little output cannot be repaired by a later pair.
+    __slots__ = ("children", "first", "out")
+
+    def __init__(self):
+        self.children = {}
+        self.first = None
+        self.out = None
+
+
+def _first_conflict(f: Formula, pairs) -> tuple:
+    """(j, i, kind) for the first shaped pair j that breaks the output
+    discipline against an earlier pair, i being the least such; None
+    when the pairs keep it.
+
+    Where two pairs' inputs agree (a prefix input may extend the other
+    pair's), their outputs must be the same tokens, and a pair falling
+    silent at an output slot where the other speaks breaks the rule
+    too, since giving too little output cannot be repaired by a later
+    pair.  The kind is "monotonicity" when the agreement needed a
+    prefix extension, else "functionality".
+
+    Each pair walks the statement once, inserting itself into a trie
+    keyed on its tokens.  It is compared only with the trie nodes whose
+    pairs agree with it so far: the node its own tokens reach and, at
+    prefix slots, siblings its prefix extends or is extended by.  All
+    pairs at an output node agree, since an earlier disagreement would
+    have been reported, so the node's first pair stands for them all.
     """
-    if (not p.inputs and not p.outputs) or (not q.inputs and not q.outputs):
-        return None  # the trivial pair asserts nothing
-    ins_p, outs_p = list(p.inputs), list(p.outputs)
-    ins_q, outs_q = list(q.inputs), list(q.outputs)
-    g = f
-    extended = False
-    while True:
-        s = slot(g)
-        kind = s[0]
-        if kind == END:
-            return None
-        if kind in (IN_NUM, IN_SEL, IN_PREFIX):
-            if not ins_p or not ins_q:
-                return None  # one pair stops demanding; nothing to compare
-            a, b = ins_p.pop(0), ins_q.pop(0)
-            if kind == IN_PREFIX:
-                if a != b:
-                    if a.extends(b) or b.extends(a):
-                        extended = True
-                    else:
-                        return None
-                g = s[2]
-            elif a != b:
-                return None
-            elif kind == IN_NUM:
-                g = s[2]  # slot kinds below do not depend on the value
-            else:
-                g = s[1 + a.choice]
-            continue
-        # an output slot, inputs in agreement so far
-        if not outs_p and not outs_q:
-            return None
-        if not outs_p or not outs_q:
-            return "monotonicity" if extended else "functionality"
-        a, b = outs_p.pop(0), outs_q.pop(0)
-        if a != b:
-            return "monotonicity" if extended else "functionality"
-        if kind == OUT_NUM:
-            g = s[2]
-        elif kind == OUT_SEL:
-            g = s[1 + a.choice]
-        else:  # OUT_CODE ends the pair
-            return None
+    root = _Node()
+    for j, p in enumerate(pairs):
+        if not p.inputs and not p.outputs:
+            continue  # the trivial pair asserts nothing
+        ins, outs = iter(p.inputs), iter(p.outputs)
+        own = root  # the node p's own tokens reach
+        frontier = [(root, False)]  # agreeing nodes, and whether via an extension
+        hit = None
+        g = f
+        while True:
+            s = slot(g)
+            kind = s[0]
+            if kind == END:
+                break
+            is_input = kind in (IN_NUM, IN_SEL, IN_PREFIX)
+            tok = next(ins if is_input else outs, None)
+            if tok is None and is_input:
+                break  # the pair stops demanding; nothing to compare
+            if not is_input and own.first is None:
+                own.first, own.out = j, tok
+            after = []
+            for node, ext in frontier:
+                if not is_input and node.out != tok:
+                    if hit is None or node.first < hit[0]:
+                        hit = (node.first, "monotonicity" if ext else "functionality")
+                elif kind == IN_PREFIX:
+                    for key, child in node.children.items():
+                        if key == tok:
+                            after.append((child, ext))
+                        elif key.extends(tok) or tok.extends(key):
+                            after.append((child, True))
+                else:
+                    child = node.children.get(tok)
+                    if child is not None:
+                        after.append((child, ext))
+            if tok is None or kind == OUT_CODE:
+                break  # silent, or past a code: the pair ends here
+            if tok not in own.children:
+                own.children[tok] = _Node()
+                after.append((own.children[tok], False))
+            own = own.children[tok]
+            frontier = after
+            g = s[1 + tok.choice] if kind in (IN_SEL, OUT_SEL) else s[2]
+        if hit is not None:
+            return (j,) + hit
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -188,93 +230,77 @@ _REJ = "rej"
 _PEND = "pend"
 
 
-@dataclass
-class _Cursor:
-    pair: IOPair  # as originally seen, for reporting
-    ins: list
-    outs: list
-
-
-def _walk(g, cursors, path, budget, probes):
+def _walk(g, env, cursors, path, budget, probes):
     """First unmet demand or definite fault under g, else None.
 
-    Returns (_PEND, path) or (_REJ, pair, reason).  `cursors` are the
-    pairs still walking this subtree, already past `path`'s tokens.
+    Returns (_PEND, path) or (_REJ, pair, reason).  `env` holds the
+    values of g's instantiated variables; `cursors` are (pair, inputs,
+    outputs) for the pairs still walking this subtree, the token
+    sequences already past `path`.
     """
     s = slot(g)
     kind = s[0]
     if kind == END:
         return None if cursors else (_PEND, path)
-    if kind == IN_NUM:
-        _, var, body = s
-        for n in range(budget.numeral_bound + 1):
-            tok = Numeral(n)
-            branch = [
-                _Cursor(c.pair, c.ins[1:], c.outs)
-                for c in cursors
-                if c.ins and c.ins[0] == tok
-            ]
+    if kind in (IN_NUM, IN_SEL):
+        branches = {}
+        for pair, ins, outs in cursors:
+            if ins:
+                branches.setdefault(ins[0], []).append((pair, ins[1:], outs))
+        if kind == IN_NUM:
+            _, var, body = s
+            choices = (
+                (Numeral(n), body, {**env, var: n}) for n in range(budget.numeral_bound + 1)
+            )
+        else:
+            choices = ((Selector(c), s[1 + c], env) for c in (0, 1))
+        for tok, sub, sub_env in choices:
+            branch = branches.get(tok)
             if not branch:
                 return (_PEND, path + [tok])
-            r = _walk(subst_term(body, var, numeral(n)), branch, path + [tok], budget, probes)
-            if r:
-                return r
-        return None
-    if kind == IN_SEL:
-        for choice in (0, 1):
-            tok = Selector(choice)
-            branch = [
-                _Cursor(c.pair, c.ins[1:], c.outs)
-                for c in cursors
-                if c.ins and c.ins[0] == tok
-            ]
-            if not branch:
-                return (_PEND, path + [tok])
-            r = _walk(s[1 + choice], branch, path + [tok], budget, probes)
+            r = _walk(sub, sub_env, branch, path + [tok], budget, probes)
             if r:
                 return r
         return None
     if kind == IN_PREFIX:
-        ante, cons = s[1], s[2]
+        ante = instantiate(s[1], env)
         for probe in probes:
             if probe.formula != ante:
                 continue
             observed = Prefix(probe.stream.pull(budget.pull_limit))
             branch = [
-                _Cursor(c.pair, c.ins[1:], c.outs)
-                for c in cursors
-                if c.ins and isinstance(c.ins[0], Prefix) and observed.extends(c.ins[0])
+                (pair, ins[1:], outs)
+                for pair, ins, outs in cursors
+                if ins and isinstance(ins[0], Prefix) and observed.extends(ins[0])
             ]
             if not branch:
                 return (_PEND, path + [observed])
-            r = _walk(cons, branch, path + [observed], budget, probes)
+            r = _walk(s[2], env, branch, path + [observed], budget, probes)
             if r:
                 return r
         return None  # no probe, no demand to meet
     # output slots: follow the stream's own (unique) choice
-    speaking = [c for c in cursors if c.outs]
+    speaking = [c for c in cursors if c[2]]
     if not speaking:
         return (_PEND, path)
-    tok = speaking[0].outs[0]
+    tok = speaking[0][2][0]
+    if kind == OUT_CODE:
+        # decode, run, and check the emitted stream against the body
+        try:
+            prog = vm.godel_decode(tok.value)
+        except vm.DecodeError as e:
+            return (_REJ, speaking[0][0], f"code does not decode: {e}")
+        inner = vm.run_stream(prog, {}, budget.vm_steps)
+        v = check_witness(inner, instantiate(s[1], env), budget)
+        if v.status == "rejected":
+            return (_REJ, speaking[0][0], f"decoded program fails: {v.line()}")
+        if v.status == "pending":
+            return (_PEND, list(v.missing) if v.missing else path)
+        return None
+    branch = [(pair, ins, outs[1:]) for pair, ins, outs in speaking]
     if kind == OUT_NUM:
-        _, var, body = s
-        branch = [_Cursor(c.pair, c.ins, c.outs[1:]) for c in speaking]
-        return _walk(subst_term(body, var, numeral(tok.value)), branch, path, budget, probes)
-    if kind == OUT_SEL:
-        branch = [_Cursor(c.pair, c.ins, c.outs[1:]) for c in speaking]
-        return _walk(s[1 + tok.choice], branch, path, budget, probes)
-    # OUT_CODE: decode, run, and check the emitted stream against the body
-    try:
-        prog = vm.godel_decode(tok.value)
-    except vm.DecodeError as e:
-        return (_REJ, speaking[0].pair, f"code does not decode: {e}")
-    inner = vm.run_stream(prog, {}, budget.vm_steps)
-    v = check_witness(inner, s[1], budget)
-    if v.status == "rejected":
-        return (_REJ, speaking[0].pair, f"decoded program fails: {v.line()}")
-    if v.status == "pending":
-        return (_PEND, list(v.missing) if v.missing else path)
-    return None
+        return _walk(s[2], {**env, s[1]: tok.value}, branch, path, budget, probes)
+    return _walk(s[1 + tok.choice], env, branch, path, budget, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +312,6 @@ _DECISION_ALLOWANCE = 200_000
 
 def _decision_cost(f: Formula, budget: Budget) -> int:
     """Upper bound on the points eval3 would visit deciding f."""
-    from .formula import And, Atom, Box, Exists, Forall, Not, Or
-
     if isinstance(f, Atom):
         return 1
     if isinstance(f, (Not, Box)):
@@ -299,53 +323,57 @@ def _decision_cost(f: Formula, budget: Budget) -> int:
     return 1 + (bound + 1) * inner
 
 
-def _refuted(content: Formula, budget: Budget) -> bool:
-    """Definite refutation of a pair's content, declined when deciding
-    it would blow the enumeration allowance.  Declining keeps the
-    checker sound: it only ever rejects on a decision it completed."""
-    if _decision_cost(content, budget) > _DECISION_ALLOWANCE:
+def _refuted(f: Formula, p: IOPair, budget: Budget) -> bool:
+    """Definite refutation of a shaped pair's content, declined when
+    deciding it would blow the enumeration allowance.  Declining keeps
+    the checker sound: it only ever rejects on a decision it completed.
+
+    The content is judged under its integer environment; substituting
+    the values would keep its shape, and so its decision cost.
+    """
+    hyps, rest, env = content_parts(f, p)
+    claim = Implies(conj_all(hyps), rest) if hyps else rest
+    if _decision_cost(claim, budget) > _DECISION_ALLOWANCE:
         return False
-    return eval3(content, {}, budget.numeral_bound, budget.search_bound) is FALSE
+    return eval3(claim, env, budget.numeral_bound, budget.search_bound) is FALSE
 
 
 def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Verdict:
     """Judge a stream against a statement within the given budget."""
     items = w.pull(budget.pull_limit)
-    pairs = []
+    raws, pairs = [], []
     for item in items:
         if not is_pair(item):
             continue
         try:
-            pairs.append((item, shape_check(f, item)))
+            pairs.append(shape_check(f, item))
         except ShapeMismatch as e:
             return _rejected(budget, item, str(e))
+        raws.append(item)
 
-    # output discipline, pairwise in scan order
-    for j in range(len(pairs)):
-        for i in range(j):
-            kind = _joint_conflict(f, pairs[i][1], pairs[j][1])
-            if kind:
-                return _rejected(budget, pairs[j][0], kind, conflict=pairs[i][0])
+    hit = _first_conflict(f, pairs)
+    if hit:
+        j, i, kind = hit
+        return _rejected(budget, raws[j], kind, conflict=raws[i])
 
     # per-pair content, rejected only on a definite refutation
-    for raw, p in pairs:
-        content = semantic_content(f, p)
-        if _refuted(content, budget):
-            return _rejected(budget, raw, content)
+    for raw, p in zip(raws, pairs):
+        if _refuted(f, p, budget):
+            return _rejected(budget, raw, semantic_content(f, p))
         if isinstance(f, Implies) and p.inputs and isinstance(p.inputs[0], Prefix):
             lead = p.inputs[0]
+            rest = IOPair(p.inputs[1:], p.outputs)
             for probe in probes:
                 if not probe.trusted or probe.formula != f.left:
                     continue
                 observed = Prefix(probe.stream.pull(len(lead.items)))
                 if not observed.extends(lead):
                     continue
-                rest = semantic_content(f.right, IOPair(p.inputs[1:], p.outputs))
-                if _refuted(rest, budget):
-                    return _rejected(budget, raw, rest)
+                if _refuted(f.right, rest, budget):
+                    return _rejected(budget, raw, semantic_content(f.right, rest))
 
-    cursors = [_Cursor(raw, list(p.inputs), list(p.outputs)) for raw, p in pairs]
-    r = _walk(f, cursors, [], budget, list(probes))
+    cursors = [(raw, p.inputs, p.outputs) for raw, p in zip(raws, pairs)]
+    r = _walk(f, {}, cursors, [], budget, list(probes))
     if r is None:
         return _accepted(budget)
     if r[0] == _PEND:
@@ -395,8 +423,6 @@ def synthesize_sigma03(f: Formula, budget: Budget) -> WitnessStream:
     the trivial pair.  Raises SynthesisFailed when some search runs out
     of budget, and ValueError outside the recognized shape.
     """
-    from .formula import classify
-
     if not classify(f).sigma03_shape:
         raise ValueError("statement is not in the recognized low-complexity shape")
     suffixes = _synth(f, budget)
@@ -413,8 +439,6 @@ def synthesize_sigma03(f: Formula, budget: Budget) -> WitnessStream:
 
 def _desk_true(f: Formula, budget: Budget) -> bool:
     """Bounded classical truth: the decision the synthesizer trusts."""
-    from .formula import And, Atom, Box, Exists, Forall, Not, Or, eval_term
-
     if isinstance(f, Atom):
         a, b = eval_term(f.left, {}), eval_term(f.right, {})
         return a == b if f.rel == "=" else a < b

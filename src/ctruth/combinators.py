@@ -14,6 +14,7 @@ from .witness import (
     Numeral,
     Prefix,
     Selector,
+    ShapeMismatch,
     TRIVIAL,
     WS,
     WitnessStream,
@@ -30,7 +31,7 @@ from .witness import (
 def _shape_or_none(f: Formula, p: IOPair):
     try:
         return shape_check(f, p)
-    except ValueError:
+    except ShapeMismatch:
         return None
 
 

@@ -93,14 +93,14 @@ def numeral(n: int) -> Term:
 
 def numeral_value(t: Term):
     """The natural n if t is a canonical numeral shape, else None."""
+    n = 0
+    while isinstance(t, Add) and isinstance(t.right, One):
+        n += 1
+        t = t.left
     if isinstance(t, Zero):
-        return 0
+        return n
     if isinstance(t, One):
-        return 1
-    if isinstance(t, Add) and isinstance(t.right, One):
-        v = numeral_value(t.left)
-        if v is not None:
-            return v + 1
+        return n + 1
     return None
 
 
@@ -479,42 +479,60 @@ def free_vars(f: Formula) -> set:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subst_term(t: Term, var: str, repl: Term) -> Term:
+def _subst_term(t: Term, repl: dict) -> Term:
     # returns t itself when nothing was replaced, sparing the rebuild
     if isinstance(t, Var):
-        return repl if t.name == var else t
+        return repl.get(t.name, t)
     if isinstance(t, (Zero, One)):
         return t
-    left = _subst_term(t.left, var, repl)
-    right = _subst_term(t.right, var, repl)
+    left = _subst_term(t.left, repl)
+    right = _subst_term(t.right, repl)
     if left is t.left and right is t.right:
         return t
     return Add(left, right) if isinstance(t, Add) else Mul(left, right)
 
 
-def subst_term(f: Formula, var: str, repl: Term) -> Formula:
-    """Replace free occurrences of var by a closed term."""
+def _subst(f: Formula, repl: dict) -> Formula:
+    # simultaneous: an inserted term is never walked again
     if isinstance(f, Atom):
-        left = _subst_term(f.left, var, repl)
-        right = _subst_term(f.right, var, repl)
+        left = _subst_term(f.left, repl)
+        right = _subst_term(f.right, repl)
         if left is f.left and right is f.right:
             return f
         return Atom(f.rel, left, right)
     if isinstance(f, (Not, Box)):
-        body = subst_term(f.body, var, repl)
+        body = _subst(f.body, repl)
         return f if body is f.body else type(f)(body)
     if isinstance(f, (And, Or, Implies)):
-        left = subst_term(f.left, var, repl)
-        right = subst_term(f.right, var, repl)
+        left = _subst(f.left, repl)
+        right = _subst(f.right, repl)
         if left is f.left and right is f.right:
             return f
         return type(f)(left, right)
     if isinstance(f, (Forall, Exists)):
-        if f.var == var:
-            return f
-        body = subst_term(f.body, var, repl)
+        if f.var in repl:
+            repl = {v: t for v, t in repl.items() if v != f.var}
+            if not repl:
+                return f
+        body = _subst(f.body, repl)
         return f if body is f.body else type(f)(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def subst_term(f: Formula, var: str, repl: Term) -> Formula:
+    """Replace free occurrences of var by a closed term."""
+    return _subst(f, {var: repl})
+
+
+def instantiate(f: Formula, env: dict) -> Formula:
+    """Replace each free variable env binds by the numeral of its value.
+
+    One simultaneous pass, so a large numeral is built once and never
+    walked; f itself comes back when env touches none of its variables.
+    """
+    if not env:
+        return f
+    return _subst(f, {var: numeral(value) for var, value in env.items()})
 
 
 def substitute(f: Formula, var: str, n: int) -> Formula:

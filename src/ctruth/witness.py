@@ -27,8 +27,7 @@ from .formula import (
     Not,
     Or,
     conj_all,
-    subst_term,
-    numeral,
+    instantiate,
 )
 
 
@@ -427,55 +426,50 @@ def semantic_content(f: Formula, p: IOPair) -> Formula:
     plus the contents of its own pairs as hypotheses.  A partial pair's
     conclusion is the untouched remainder of the statement.
     """
-    p = shape_check(f, p)
-    hyps: list = []
-    concl = _content(f, list(p.inputs), list(p.outputs), hyps, ())
+    hyps, rest, env = content_parts(f, shape_check(f, p))
+    concl = instantiate(rest, env)
     if not hyps:
         return concl
     return Implies(conj_all(hyps), concl)
 
 
-def _apply_env(f, env):
-    # innermost binding first, so a shadowed name resolves to it
-    for var, value in reversed(env):
-        f = subst_term(f, var, numeral(value))
-    return f
+def content_parts(f: Formula, p: IOPair):
+    """A shaped pair's semantic content in parts: (hyps, rest, env).
 
-
-def _content(f, ins, outs, hyps, env):
-    """Walks the spine with instantiations kept in env and applied only
-    to the pieces that leave the walk, which stay small."""
-    kind = slot(f)[0]
-    if kind == END:
-        return _apply_env(f, env)
-    if kind in (IN_NUM, IN_SEL, IN_PREFIX):
-        if not ins:
-            return _apply_env(f, env)
-        tok = ins[0]
-        if kind == IN_NUM:
-            _, var, body = slot(f)
-            return _content(body, ins[1:], outs, hyps, env + ((var, tok.value),))
-        if kind == IN_SEL:
-            side = slot(f)[1 + tok.choice]
-            return _content(side, ins[1:], outs, hyps, env)
-        ante = _apply_env(slot(f)[1], env)
-        hyps.append(ante)
-        for it in tok.items:
-            if is_pair(it):
-                hyps.append(semantic_content(ante, it))
-        return _content(slot(f)[2], ins[1:], outs, hyps, env)
-    if not outs:
-        return _apply_env(f, env)
-    tok = outs[0]
-    if kind == OUT_NUM:
-        _, var, body = slot(f)
-        return _content(body, ins, outs[1:], hyps, env + ((var, tok.value),))
-    if kind == OUT_SEL:
-        side = slot(f)[1 + tok.choice]
-        return _content(side, ins, outs[1:], hyps, env)
-    # OUT_CODE: the specific code is not arithmetized; the claim is that
-    # some mechanical witness exists, i.e. the boxed body itself.
-    return _apply_env(f, env)
+    `rest` is the part of the statement the pair's tokens reach, still
+    open; `env` maps its instantiated variables to their values; `hyps`
+    are the closed hypotheses its prefix inputs contribute.  The content
+    is `rest` under `env`, implied by the conjunction of `hyps` if any.
+    Judging `rest` under `env` leaves large numerals as integers.
+    """
+    hyps: list = []
+    env: dict = {}
+    ins, outs = iter(p.inputs), iter(p.outputs)
+    g = f
+    while True:
+        s = slot(g)
+        kind = s[0]
+        if kind in (IN_NUM, IN_SEL, IN_PREFIX):
+            tok = next(ins, None)
+        elif kind in (OUT_NUM, OUT_SEL):
+            tok = next(outs, None)
+        else:
+            # END, or OUT_CODE: the specific code is not arithmetized;
+            # the claim is that some mechanical witness exists, i.e. the
+            # boxed body itself.
+            return hyps, g, env
+        if tok is None:
+            return hyps, g, env
+        if kind in (IN_NUM, OUT_NUM):
+            env[s[1]] = tok.value
+            g = s[2]
+        elif kind in (IN_SEL, OUT_SEL):
+            g = s[1 + tok.choice]
+        else:
+            ante = instantiate(s[1], env)
+            hyps.append(ante)
+            hyps.extend(semantic_content(ante, it) for it in tok.items if is_pair(it))
+            g = s[2]
 
 
 # ---------------------------------------------------------------------------

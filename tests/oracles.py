@@ -208,6 +208,71 @@ def _paths(f, table, domain):
 
 
 # ---------------------------------------------------------------------------
+# output discipline, pair against pair
+#
+# The brute-force scan the checker's indexed pass must agree with: every
+# pair against every earlier one, walking the statement jointly.
+
+
+def _prefix_extends(a, b):
+    return a.items[: len(b.items)] == b.items
+
+
+def joint_conflict(f, p, q):
+    """None, or the discipline shaped pair q breaks against p.
+
+    Wherever the inputs have agreed (a prefix may extend the other), the
+    outputs must be the same tokens; one pair silent at an output slot
+    where the other speaks breaks the rule too.
+    """
+    if (not p.inputs and not p.outputs) or (not q.inputs and not q.outputs):
+        return None  # the trivial pair asserts nothing
+    ins_p, outs_p = list(p.inputs), list(p.outputs)
+    ins_q, outs_q = list(q.inputs), list(q.outputs)
+    g = f
+    extended = False
+    while True:
+        if isinstance(g, (Forall, And, Implies)):
+            if not ins_p or not ins_q:
+                return None
+            a, b = ins_p.pop(0), ins_q.pop(0)
+            if isinstance(g, Implies):
+                if a != b:
+                    if not (_prefix_extends(a, b) or _prefix_extends(b, a)):
+                        return None
+                    extended = True
+                g = g.right
+            elif a != b:
+                return None
+            else:
+                g = g.body if isinstance(g, Forall) else (g.left, g.right)[a.choice]
+            continue
+        if isinstance(g, (Exists, Or, Box)):
+            if not outs_p and not outs_q:
+                return None
+            if not outs_p or not outs_q or outs_p[0] != outs_q[0]:
+                return "monotonicity" if extended else "functionality"
+            a = outs_p.pop(0)
+            outs_q.pop(0)
+            if isinstance(g, Box):
+                return None
+            g = g.body if isinstance(g, Exists) else (g.left, g.right)[a.choice]
+            continue
+        return None  # an atom or a negation ends the walk
+
+
+def first_conflict(f, pairs):
+    """(j, i, kind) for the first j in scan order breaking the discipline
+    against some earlier i, the least such i; else None."""
+    for j in range(len(pairs)):
+        for i in range(j):
+            kind = joint_conflict(f, pairs[i], pairs[j])
+            if kind:
+                return j, i, kind
+    return None
+
+
+# ---------------------------------------------------------------------------
 # small judges for the other criteria
 
 

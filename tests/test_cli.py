@@ -52,6 +52,16 @@ def test_check_names_the_corrupted_pair(capsys):
     assert "rejected" in out and "(2:5)" in out
 
 
+def test_check_large_numeral_is_refuted(tmp_path, capsys):
+    wit = tmp_path / "big.wit"
+    wit.write_text("(1:5000)\n")
+    rpt = tmp_path / "big.txt"
+    code, out = run(capsys, "check", "--formula", fx("formulas", "doubling.fml"),
+                    "--witness", str(wit), "--report", str(rpt))
+    assert code == 1
+    assert rpt.read_text().splitlines()[-1] == "VERDICT rejected pair=(1:5000) reason=5000=2*1"
+
+
 def test_check_missing_file_is_usage_error(capsys):
     code, out = run(capsys, "check", "--formula", "/no/such.fml",
                     "--witness", fx("witnesses", "doubling.wit"))

@@ -40,6 +40,13 @@ def test_project_forall_missing_instance_is_silent():
     assert _pairs(project_forall(w, DOUBLING, 5)) == [TRIVIAL]
 
 
+def test_project_forall_malformed_pair_is_whitespace():
+    # (1,2:) gives an input past the output the statement wants next
+    w = WitnessStream.from_text("(:) (1,2:) (1:2)")
+    got = project_forall(w, DOUBLING, 1).pull(8)
+    assert got == (TRIVIAL, WS, IOPair((), (Numeral(2),)))
+
+
 def test_apply_implication_fires_on_observed_prefix():
     # the transformer answers once its expected antecedent prefix shows up
     ante = WitnessStream.from_text("(:2)")

@@ -23,6 +23,7 @@ from ctruth.formula import (
     classify,
     eval3,
     free_vars,
+    instantiate,
     numeral,
     numeral_value,
     parse,
@@ -43,6 +44,16 @@ def test_numerals_are_left_leaning_one_chains():
     # the decimal literal and the explicit sum build the same tree
     assert parse("3=2+1") == parse("3=3")
     assert parse("4=2+2") != parse("4=4")
+
+
+def test_large_numerals_read_and_substitute_without_recursion():
+    assert numeral_value(numeral(5000)) == 5000
+    assert numeral_value(Add(numeral(3), Var("x"))) is None
+    f = parse("E x. x=2*y", free=("y",))
+    got = instantiate(f, {"y": 5000, "x": 1})
+    assert print_formula(got) == "E x. x=2*5000"
+    # nothing to replace: the formula itself comes back
+    assert instantiate(f, {"z": 3}) is f
 
 
 def test_parse_precedence():
