@@ -27,7 +27,6 @@ from .formula import (
     And,
     Atom,
     Box,
-    Exists,
     Forall,
     Formula,
     Implies,
@@ -35,12 +34,10 @@ from .formula import (
     Or,
     classify,
     conj_all,
+    eval2,
     eval3,
-    eval_term,
     instantiate,
-    numeral,
     print_formula,
-    subst_term,
 )
 from .witness import (
     END,
@@ -425,7 +422,7 @@ def synthesize_sigma03(f: Formula, budget: Budget) -> WitnessStream:
     """
     if not classify(f).sigma03_shape:
         raise ValueError("statement is not in the recognized low-complexity shape")
-    suffixes = _synth(f, budget)
+    suffixes = _synth(f, {}, budget)
     if suffixes is EXHAUSTED:
         raise SynthesisFailed(
             f"no witness found within numerals<={budget.search_bound}: {print_formula(f)}"
@@ -437,44 +434,23 @@ def synthesize_sigma03(f: Formula, budget: Budget) -> WitnessStream:
     return WitnessStream.from_items(items)
 
 
-def _desk_true(f: Formula, budget: Budget) -> bool:
-    """Bounded classical truth: the decision the synthesizer trusts."""
-    if isinstance(f, Atom):
-        a, b = eval_term(f.left, {}), eval_term(f.right, {})
-        return a == b if f.rel == "=" else a < b
-    if isinstance(f, Not):
-        return not _desk_true(f.body, budget)
-    if isinstance(f, And):
-        return _desk_true(f.left, budget) and _desk_true(f.right, budget)
-    if isinstance(f, Or):
-        return _desk_true(f.left, budget) or _desk_true(f.right, budget)
-    if isinstance(f, Implies):
-        return (not _desk_true(f.left, budget)) or _desk_true(f.right, budget)
-    if isinstance(f, Forall):
-        return all(
-            _desk_true(subst_term(f.body, f.var, numeral(n)), budget)
-            for n in range(budget.numeral_bound + 1)
-        )
-    if isinstance(f, Exists):
-        return any(
-            _desk_true(subst_term(f.body, f.var, numeral(n)), budget)
-            for n in range(budget.search_bound + 1)
-        )
-    if isinstance(f, Box):
-        return _desk_true(f.body, budget)
-    raise TypeError(f"not a statement: {f!r}")
+def _synth(g: Formula, env: dict, budget: Budget):
+    """The (inputs, outputs) token suffixes answering g, or EXHAUSTED.
 
-
-def _synth(g: Formula, budget: Budget):
+    env holds the values of g's instantiated variables; truth is
+    eval2's, with universals up to the numeral bound and existentials
+    up to the search bound.
+    """
+    bounds = (budget.numeral_bound, budget.search_bound)
     s = slot(g)
     kind = s[0]
     if kind == END:
-        return [((), ())] if _desk_true(g, budget) else EXHAUSTED
+        return [((), ())] if eval2(g, env, *bounds) else EXHAUSTED
     if kind == IN_NUM:
         _, var, body = s
         out = []
         for n in range(budget.numeral_bound + 1):
-            sub = _synth(subst_term(body, var, numeral(n)), budget)
+            sub = _synth(body, {**env, var: n}, budget)
             if sub is EXHAUSTED:
                 return EXHAUSTED
             out.extend(((Numeral(n),) + i, o) for i, o in sub)
@@ -482,7 +458,7 @@ def _synth(g: Formula, budget: Budget):
     if kind == IN_SEL:
         out = []
         for choice in (0, 1):
-            sub = _synth(s[1 + choice], budget)
+            sub = _synth(s[1 + choice], env, budget)
             if sub is EXHAUSTED:
                 return EXHAUSTED
             out.extend(((Selector(choice),) + i, o) for i, o in sub)
@@ -492,10 +468,10 @@ def _synth(g: Formula, budget: Budget):
     if kind == OUT_NUM:
         _, var, body = s
         for v in range(budget.search_bound + 1):
-            inst = subst_term(body, var, numeral(v))
-            if not _desk_true(inst, budget):
+            inst_env = {**env, var: v}
+            if not eval2(body, inst_env, *bounds):
                 continue
-            sub = _synth(inst, budget)
+            sub = _synth(body, inst_env, budget)
             if sub is EXHAUSTED:
                 continue
             return [(i, (Numeral(v),) + o) for i, o in sub]
@@ -503,16 +479,16 @@ def _synth(g: Formula, budget: Budget):
     if kind == OUT_SEL:
         for choice in (0, 1):
             side = s[1 + choice]
-            if not _desk_true(side, budget):
+            if not eval2(side, env, *bounds):
                 continue
-            sub = _synth(side, budget)
+            sub = _synth(side, env, budget)
             if sub is EXHAUSTED:
                 continue
             return [(i, (Selector(choice),) + o) for i, o in sub]
         return EXHAUSTED
     # OUT_CODE: bake the body's witness into a literal emitter program
     body = s[1]
-    sub = _synth(body, budget)
+    sub = _synth(body, env, budget)
     if sub is EXHAUSTED:
         return EXHAUSTED
     inner = []

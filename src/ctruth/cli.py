@@ -34,10 +34,6 @@ class UsageError(Exception):
     """Bad flags or unreadable files; exits with status 2."""
 
 
-class CommandFailed(Exception):
-    """The pipeline ran and came out negative; exits with status 1."""
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -79,6 +75,7 @@ _PARSE_ERRORS = (
     ShapeMismatch,
     vm.VMError,
     ValueError,
+    RecursionError,  # deeply nested input, such as a large literal in a formula
 )
 
 
@@ -345,9 +342,6 @@ def run(config: RunConfig):
     except UsageError as e:
         out.append(f"USAGE {e}")
         code = 2
-    except CommandFailed as e:
-        out.append(f"ERROR {e}")
-        code = 1
     except _PARSE_ERRORS as e:
         out.append(f"ERROR {e}")
         code = 1

@@ -28,10 +28,6 @@ class UnboundVariable(Exception):
         self.name = name
 
 
-class VarNotFree(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # terms
 
@@ -299,7 +295,7 @@ class _Parser:
             if self._peek() == "<":
                 self._advance()
                 bound_term = self.term()
-                if name in _term_vars(bound_term):
+                if name in term_vars(bound_term):
                     raise ParseError(f"bound of {name} mentions {name}", self._here())
             if self._peek() == ".":
                 self._advance()
@@ -457,17 +453,18 @@ def print_formula(f: Formula) -> str:
 # structural helpers
 
 
-def _term_vars(t: Term) -> set:
+def term_vars(t: Term) -> set:
+    """The variables occurring in a term."""
     if isinstance(t, (Zero, One)):
         return set()
     if isinstance(t, Var):
         return {t.name}
-    return _term_vars(t.left) | _term_vars(t.right)
+    return term_vars(t.left) | term_vars(t.right)
 
 
 def free_vars(f: Formula) -> set:
     if isinstance(f, Atom):
-        return _term_vars(f.left) | _term_vars(f.right)
+        return term_vars(f.left) | term_vars(f.right)
     if isinstance(f, Not):
         return free_vars(f.body)
     if isinstance(f, Box):
@@ -479,14 +476,14 @@ def free_vars(f: Formula) -> set:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subst_term(t: Term, repl: dict) -> Term:
-    # returns t itself when nothing was replaced, sparing the rebuild
+def term_subst(t: Term, repl: dict) -> Term:
+    """Replace each variable repl maps; t itself when none occurs."""
     if isinstance(t, Var):
         return repl.get(t.name, t)
     if isinstance(t, (Zero, One)):
         return t
-    left = _subst_term(t.left, repl)
-    right = _subst_term(t.right, repl)
+    left = term_subst(t.left, repl)
+    right = term_subst(t.right, repl)
     if left is t.left and right is t.right:
         return t
     return Add(left, right) if isinstance(t, Add) else Mul(left, right)
@@ -495,8 +492,8 @@ def _subst_term(t: Term, repl: dict) -> Term:
 def _subst(f: Formula, repl: dict) -> Formula:
     # simultaneous: an inserted term is never walked again
     if isinstance(f, Atom):
-        left = _subst_term(f.left, repl)
-        right = _subst_term(f.right, repl)
+        left = term_subst(f.left, repl)
+        right = term_subst(f.right, repl)
         if left is f.left and right is f.right:
             return f
         return Atom(f.rel, left, right)
@@ -533,17 +530,6 @@ def instantiate(f: Formula, env: dict) -> Formula:
     if not env:
         return f
     return _subst(f, {var: numeral(value) for var, value in env.items()})
-
-
-def substitute(f: Formula, var: str, n: int) -> Formula:
-    """Substitute the numeral for n at every free occurrence of var.
-
-    Raises VarNotFree when var has no free occurrence (guards against
-    silently dropped instantiations).
-    """
-    if var not in free_vars(f):
-        raise VarNotFree(f"{var} is not free in {print_formula(f)}")
-    return subst_term(f, var, numeral(n))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +602,7 @@ def bounded_pattern(f: Formula):
             isinstance(g, Atom)
             and g.rel == "<"
             and g.left == Var(f.var)
-            and f.var not in _term_vars(g.right)
+            and f.var not in term_vars(g.right)
         ):
             return f.var, g.right, f.body.right
     if isinstance(f, Forall) and isinstance(f.body, Implies):
@@ -625,7 +611,7 @@ def bounded_pattern(f: Formula):
             isinstance(g, Atom)
             and g.rel == "<"
             and g.left == Var(f.var)
-            and f.var not in _term_vars(g.right)
+            and f.var not in term_vars(g.right)
         ):
             return f.var, g.right, f.body.right
     return None
@@ -714,29 +700,43 @@ def eval_term(t: Term, env: dict) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_bool(f: Formula, env: dict, domain: int) -> bool:
-    """Exact truth over the finite domain {0..domain-1}.
+def eval2(f: Formula, env: dict, forall_bound: int, exists_bound: int) -> bool:
+    """Classical truth with every quantifier bounded: a universal ranges
+    over 0..forall_bound, an existential over 0..exists_bound.
 
-    Box is read as its body here: over a decidable bounded domain a true
-    body always has a mechanical witness at this scale.
+    env binds the free variables to naturals.  Box is read as its body:
+    over a bounded domain a true body always has a mechanical witness.
+    This is the decision the synthesizer trusts.
     """
     if isinstance(f, Atom):
         a, b = eval_term(f.left, env), eval_term(f.right, env)
         return a == b if f.rel == "=" else a < b
     if isinstance(f, Not):
-        return not eval_bool(f.body, env, domain)
+        return not eval2(f.body, env, forall_bound, exists_bound)
     if isinstance(f, Box):
-        return eval_bool(f.body, env, domain)
+        return eval2(f.body, env, forall_bound, exists_bound)
     if isinstance(f, And):
-        return eval_bool(f.left, env, domain) and eval_bool(f.right, env, domain)
+        return eval2(f.left, env, forall_bound, exists_bound) and eval2(
+            f.right, env, forall_bound, exists_bound
+        )
     if isinstance(f, Or):
-        return eval_bool(f.left, env, domain) or eval_bool(f.right, env, domain)
+        return eval2(f.left, env, forall_bound, exists_bound) or eval2(
+            f.right, env, forall_bound, exists_bound
+        )
     if isinstance(f, Implies):
-        return (not eval_bool(f.left, env, domain)) or eval_bool(f.right, env, domain)
+        return (not eval2(f.left, env, forall_bound, exists_bound)) or eval2(
+            f.right, env, forall_bound, exists_bound
+        )
     if isinstance(f, Forall):
-        return all(eval_bool(f.body, {**env, f.var: k}, domain) for k in range(domain))
+        return all(
+            eval2(f.body, {**env, f.var: k}, forall_bound, exists_bound)
+            for k in range(forall_bound + 1)
+        )
     if isinstance(f, Exists):
-        return any(eval_bool(f.body, {**env, f.var: k}, domain) for k in range(domain))
+        return any(
+            eval2(f.body, {**env, f.var: k}, forall_bound, exists_bound)
+            for k in range(exists_bound + 1)
+        )
     raise TypeError(f"not a formula: {f!r}")
 
 

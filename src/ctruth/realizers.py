@@ -18,10 +18,10 @@ induction with content, search) compile to stream transformations.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import vm
-from .checker import Budget, _desk_true, _synth, EXHAUSTED
+from .checker import Budget, _synth, EXHAUSTED
 from .combinators import apply_implication, decompose, project_forall
 from .formula import (
     Add,
@@ -39,14 +39,18 @@ from .formula import (
     Term,
     Var,
     Zero,
+    eval2,
     eval_term,
     free_vars,
+    instantiate,
     numeral,
     numeral_value,
     parse,
     parse_term,
     print_formula,
     subst_term,
+    term_subst,
+    term_vars,
 )
 from .witness import (
     END,
@@ -186,6 +190,38 @@ Proof = (
     Ax,
 )
 
+# The subproof fields of each constructor, with the number of hypotheses
+# each field binds; Hyp and Ax have none.  Every generic walk over proofs
+# goes through this table.
+_SUBPROOFS = {
+    Lam: {"body": 1},
+    App: {"fn": 0, "arg": 0},
+    Pair: {"left": 0, "right": 0},
+    Fst: {"arg": 0},
+    Snd: {"arg": 0},
+    Inl: {"arg": 0},
+    Inr: {"arg": 0},
+    Case: {"scrut": 0, "left": 1, "right": 1},
+    Gen: {"body": 0},
+    Inst: {"fn": 0},
+    Exi: {"body": 0},
+    Ind: {"base": 0, "step": 1},
+    Markov: {"body": 0},
+}
+
+# the fields holding a formula or a term, which first-order substitution
+# reaches; Gen and Ind bind their variable over everything below them
+_FORMULAS = {Lam: "ante", Inl: "other", Inr: "other", Exi: "target", Ind: "motive"}
+_TERMS = {Inst: "term", Exi: "term"}
+
+
+def _map(p, fn):
+    """p rebuilt with each subproof c replaced by fn(c, binds)."""
+    kids = _SUBPROOFS.get(type(p))
+    if not kids:
+        return p
+    return replace(p, **{name: fn(getattr(p, name), binds) for name, binds in kids.items()})
+
 
 _AXIOM_TEXT = {
     "refl": "A x. x=x",
@@ -210,14 +246,6 @@ AXIOMS = {name: parse(text) for name, text in _AXIOM_TEXT.items()}
 # typing
 
 
-def _term_vars(t: Term) -> set:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Add, Mul)):
-        return _term_vars(t.left) | _term_vars(t.right)
-    return set()
-
-
 def _binder_vars(f: Formula) -> set:
     if isinstance(f, (Forall, Exists)):
         return {f.var} | _binder_vars(f.body)
@@ -229,7 +257,7 @@ def _binder_vars(f: Formula) -> set:
 
 
 def _no_capture(body: Formula, t: Term):
-    hit = _binder_vars(body) & _term_vars(t)
+    hit = _binder_vars(body) & term_vars(t)
     if hit:
         raise ProofError(f"instantiation would capture {sorted(hit)}")
 
@@ -246,7 +274,7 @@ def _quantifier_free(f: Formula) -> bool:
 
 def _absurd_atom(f: Formula) -> bool:
     """A closed atom that evaluates false (the stand-in for absurdity)."""
-    if not isinstance(f, Atom) or _term_vars(f.left) | _term_vars(f.right):
+    if not isinstance(f, Atom) or term_vars(f.left) | term_vars(f.right):
         return False
     a, b = eval_term(f.left, {}), eval_term(f.right, {})
     return not (a == b if f.rel == "=" else a < b)
@@ -367,37 +395,7 @@ def infer(p, hyps: tuple = ()) -> Formula:
 def _shift(p, d: int, cutoff: int = 0):
     if isinstance(p, Hyp):
         return Hyp(p.index + d) if p.index >= cutoff else p
-    if isinstance(p, Lam):
-        return Lam(p.ante, _shift(p.body, d, cutoff + 1))
-    if isinstance(p, App):
-        return App(_shift(p.fn, d, cutoff), _shift(p.arg, d, cutoff))
-    if isinstance(p, Pair):
-        return Pair(_shift(p.left, d, cutoff), _shift(p.right, d, cutoff))
-    if isinstance(p, Fst):
-        return Fst(_shift(p.arg, d, cutoff))
-    if isinstance(p, Snd):
-        return Snd(_shift(p.arg, d, cutoff))
-    if isinstance(p, Inl):
-        return Inl(_shift(p.arg, d, cutoff), p.other)
-    if isinstance(p, Inr):
-        return Inr(p.other, _shift(p.arg, d, cutoff))
-    if isinstance(p, Case):
-        return Case(
-            _shift(p.scrut, d, cutoff),
-            _shift(p.left, d, cutoff + 1),
-            _shift(p.right, d, cutoff + 1),
-        )
-    if isinstance(p, Gen):
-        return Gen(p.var, _shift(p.body, d, cutoff))
-    if isinstance(p, Inst):
-        return Inst(_shift(p.fn, d, cutoff), p.term)
-    if isinstance(p, Exi):
-        return Exi(p.target, p.term, _shift(p.body, d, cutoff))
-    if isinstance(p, Ind):
-        return Ind(p.var, p.motive, _shift(p.base, d, cutoff), _shift(p.step, d, cutoff + 1))
-    if isinstance(p, Markov):
-        return Markov(_shift(p.body, d, cutoff))
-    return p
+    return _map(p, lambda c, binds: _shift(c, d, cutoff + binds))
 
 
 def _hsubst(p, j: int, q):
@@ -406,152 +404,49 @@ def _hsubst(p, j: int, q):
         if p.index == j:
             return _shift(q, j)
         return Hyp(p.index - 1) if p.index > j else p
-    if isinstance(p, Lam):
-        return Lam(p.ante, _hsubst(p.body, j + 1, q))
-    if isinstance(p, App):
-        return App(_hsubst(p.fn, j, q), _hsubst(p.arg, j, q))
-    if isinstance(p, Pair):
-        return Pair(_hsubst(p.left, j, q), _hsubst(p.right, j, q))
-    if isinstance(p, Fst):
-        return Fst(_hsubst(p.arg, j, q))
-    if isinstance(p, Snd):
-        return Snd(_hsubst(p.arg, j, q))
-    if isinstance(p, Inl):
-        return Inl(_hsubst(p.arg, j, q), p.other)
-    if isinstance(p, Inr):
-        return Inr(p.other, _hsubst(p.arg, j, q))
-    if isinstance(p, Case):
-        return Case(
-            _hsubst(p.scrut, j, q),
-            _hsubst(p.left, j + 1, q),
-            _hsubst(p.right, j + 1, q),
-        )
-    if isinstance(p, Gen):
-        return Gen(p.var, _hsubst(p.body, j, q))
-    if isinstance(p, Inst):
-        return Inst(_hsubst(p.fn, j, q), p.term)
-    if isinstance(p, Exi):
-        return Exi(p.target, p.term, _hsubst(p.body, j, q))
-    if isinstance(p, Ind):
-        return Ind(p.var, p.motive, _hsubst(p.base, j, q), _hsubst(p.step, j + 1, q))
-    if isinstance(p, Markov):
-        return Markov(_hsubst(p.body, j, q))
-    return p
-
-
-def _tsubst(t: Term, var: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.name == var else t
-    if isinstance(t, Add):
-        return Add(_tsubst(t.left, var, repl), _tsubst(t.right, var, repl))
-    if isinstance(t, Mul):
-        return Mul(_tsubst(t.left, var, repl), _tsubst(t.right, var, repl))
-    return t
+    return _map(p, lambda c, binds: _hsubst(c, j + binds, q))
 
 
 def _psubst(p, var: str, t: Term):
     """Substitute a term for a free first-order variable across a proof."""
-    if isinstance(p, Hyp):
-        return p
-    if isinstance(p, Lam):
-        return Lam(subst_term(p.ante, var, t), _psubst(p.body, var, t))
-    if isinstance(p, App):
-        return App(_psubst(p.fn, var, t), _psubst(p.arg, var, t))
-    if isinstance(p, Pair):
-        return Pair(_psubst(p.left, var, t), _psubst(p.right, var, t))
-    if isinstance(p, Fst):
-        return Fst(_psubst(p.arg, var, t))
-    if isinstance(p, Snd):
-        return Snd(_psubst(p.arg, var, t))
-    if isinstance(p, Inl):
-        return Inl(_psubst(p.arg, var, t), subst_term(p.other, var, t))
-    if isinstance(p, Inr):
-        return Inr(subst_term(p.other, var, t), _psubst(p.arg, var, t))
-    if isinstance(p, Case):
-        return Case(
-            _psubst(p.scrut, var, t),
-            _psubst(p.left, var, t),
-            _psubst(p.right, var, t),
-        )
-    if isinstance(p, Gen):
+    if isinstance(p, (Gen, Ind)):
         if p.var == var:
             return p
-        if p.var in _term_vars(t):
+        if p.var in term_vars(t):
             raise ProofError(f"substitution would capture {p.var}")
-        return Gen(p.var, _psubst(p.body, var, t))
-    if isinstance(p, Inst):
-        return Inst(_psubst(p.fn, var, t), _tsubst(p.term, var, t))
-    if isinstance(p, Exi):
-        return Exi(
-            subst_term(p.target, var, t),
-            _tsubst(p.term, var, t),
-            _psubst(p.body, var, t),
-        )
-    if isinstance(p, Ind):
-        if p.var == var:
-            return p
-        if p.var in _term_vars(t):
-            raise ProofError(f"substitution would capture {p.var}")
-        return Ind(
-            p.var,
-            subst_term(p.motive, var, t),
-            _psubst(p.base, var, t),
-            _psubst(p.step, var, t),
-        )
-    if isinstance(p, Markov):
-        return Markov(_psubst(p.body, var, t))
-    return p
+    q = _map(p, lambda c, _: _psubst(c, var, t))
+    changes = {}
+    name = _FORMULAS.get(type(p))
+    if name:
+        changes[name] = subst_term(getattr(p, name), var, t)
+    name = _TERMS.get(type(p))
+    if name:
+        changes[name] = term_subst(getattr(p, name), {var: t})
+    return replace(q, **changes) if changes else q
 
 
 def _step(p):
-    """One bottom-up rewrite pass."""
-    if isinstance(p, App):
-        fn, arg = _step(p.fn), _step(p.arg)
-        if isinstance(fn, Lam):
-            return _hsubst(fn.body, 0, arg)
-        return App(fn, arg)
-    if isinstance(p, Fst):
-        a = _step(p.arg)
-        return a.left if isinstance(a, Pair) else Fst(a)
-    if isinstance(p, Snd):
-        a = _step(p.arg)
-        return a.right if isinstance(a, Pair) else Snd(a)
-    if isinstance(p, Case):
-        s = _step(p.scrut)
-        if isinstance(s, Inl):
-            return _hsubst(_step(p.left), 0, s.arg)
-        if isinstance(s, Inr):
-            return _hsubst(_step(p.right), 0, s.arg)
-        return Case(s, _step(p.left), _step(p.right))
-    if isinstance(p, Inst):
-        fn = _step(p.fn)
-        if isinstance(fn, Gen):
-            return _psubst(fn.body, fn.var, p.term)
-        if isinstance(fn, Ind):
-            n = numeral_value(p.term)
-            if n is not None:
-                cur = fn.base
-                for k in range(n):
-                    step_k = _psubst(fn.step, fn.var, numeral(k))
-                    cur = _hsubst(step_k, 0, cur)
-                return cur
-        return Inst(fn, p.term)
-    if isinstance(p, Lam):
-        return Lam(p.ante, _step(p.body))
-    if isinstance(p, Pair):
-        return Pair(_step(p.left), _step(p.right))
-    if isinstance(p, Inl):
-        return Inl(_step(p.arg), p.other)
-    if isinstance(p, Inr):
-        return Inr(p.other, _step(p.arg))
-    if isinstance(p, Gen):
-        return Gen(p.var, _step(p.body))
-    if isinstance(p, Exi):
-        return Exi(p.target, p.term, _step(p.body))
-    if isinstance(p, Ind):
-        return Ind(p.var, p.motive, _step(p.base), _step(p.step))
-    if isinstance(p, Markov):
-        return Markov(_step(p.body))
+    """One bottom-up rewrite pass: every subproof, then a redex at p."""
+    p = _map(p, lambda c, _: _step(c))
+    if isinstance(p, App) and isinstance(p.fn, Lam):
+        return _hsubst(p.fn.body, 0, p.arg)
+    if isinstance(p, Fst) and isinstance(p.arg, Pair):
+        return p.arg.left
+    if isinstance(p, Snd) and isinstance(p.arg, Pair):
+        return p.arg.right
+    if isinstance(p, Case) and isinstance(p.scrut, Inl):
+        return _hsubst(p.left, 0, p.scrut.arg)
+    if isinstance(p, Case) and isinstance(p.scrut, Inr):
+        return _hsubst(p.right, 0, p.scrut.arg)
+    if isinstance(p, Inst) and isinstance(p.fn, Gen):
+        return _psubst(p.fn.body, p.fn.var, p.term)
+    if isinstance(p, Inst) and isinstance(p.fn, Ind):
+        ind, n = p.fn, numeral_value(p.term)
+        if n is not None:
+            cur = ind.base
+            for k in range(n):
+                cur = _hsubst(_psubst(ind.step, ind.var, numeral(k)), 0, cur)
+            return cur
     return p
 
 
@@ -599,11 +494,12 @@ def _effective(f: Formula) -> bool:
     return False
 
 
-def _enum_tokens(f: Formula, k: int):
+def _enum_tokens(f: Formula, k: int, env: dict):
     """Decode index k into the k-th answered pair of f, or None.
 
     Input slots branch on k; a decided disjunction contributes the true
-    side's selector as output.  Returns (input tokens, output tokens).
+    side's selector as output.  env holds the values of f's instantiated
+    variables.  Returns (input tokens, output tokens).
     """
     s = slot(f)
     kind = s[0]
@@ -611,19 +507,18 @@ def _enum_tokens(f: Formula, k: int):
         return ([], []) if k == 0 else None
     if kind == IN_NUM:
         v, rest = vm.uncantor(k)
-        sub = _enum_tokens(subst_term(s[2], s[1], numeral(v)), rest)
+        sub = _enum_tokens(s[2], rest, {**env, s[1]: v})
         return None if sub is None else ([Numeral(v)] + sub[0], sub[1])
     if kind == IN_SEL:
         side = s[1 + (k % 2)]
-        sub = _enum_tokens(side, k // 2)
+        sub = _enum_tokens(side, k // 2, env)
         return None if sub is None else ([Selector(k % 2)] + sub[0], sub[1])
     if kind == IN_PREFIX:
-        sub = _enum_tokens(s[2], k)
+        sub = _enum_tokens(s[2], k, env)
         return None if sub is None else ([Prefix(())] + sub[0], sub[1])
     # OUT_SEL over a decidable matrix: assert the side that holds
-    tiny = Budget(pull_limit=0, numeral_bound=0, vm_steps=0)
-    choice = 0 if _desk_true(s[1], tiny) else 1
-    sub = _enum_tokens(s[1 + choice], k)
+    choice = 0 if eval2(s[1], env, 0, 0) else 1
+    sub = _enum_tokens(s[1 + choice], k, env)
     return None if sub is None else (sub[0], [Selector(choice)] + sub[1])
 
 
@@ -632,7 +527,7 @@ def _enum_stream(f: Formula) -> WitnessStream:
         if slot(f)[0] in (IN_NUM, IN_SEL, IN_PREFIX):
             yield TRIVIAL
         for k in itertools.count():
-            toks = _enum_tokens(f, k)
+            toks = _enum_tokens(f, k, {})
             yield WS if toks is None else IOPair(tuple(toks[0]), tuple(toks[1]))
 
     return WitnessStream(items)
@@ -681,11 +576,10 @@ def _vm_valid(f: Formula, i: int) -> str:
 def _enum_code(f: Formula) -> vm.WCode:
     item = f"(if {_vm_valid(f, 0)} (+ 1 (cantor {_vm_ins(f, 0)} 0)) 0)"
     lead = "(emit 1) " if slot(f)[0] != END else ""
-    text = (
-        "(prog (def cantor (a b) (+ (div (* (+ a b) (+ (+ a b) 1)) 2) b))"
+    return vm.program(
+        f"(prog {vm.CANTOR}"
         f" (seq {lead}(set k0 0) (while 1 (seq (emit {item}) (set k0 (+ k0 1))))))"
     )
-    return vm.program(text)
 
 
 # ---------------------------------------------------------------------------
@@ -736,12 +630,6 @@ def _interleave_tagged(left: WitnessStream, right: WitnessStream) -> WitnessStre
 # compilation to streams
 
 
-def _close(f: Formula, env: dict) -> Formula:
-    for name, val in env.items():
-        f = subst_term(f, name, numeral(val))
-    return f
-
-
 def _realize(p, ctx, env):
     """A witness stream (or, for implications, a stream transformer).
 
@@ -749,7 +637,7 @@ def _realize(p, ctx, env):
     with the statement as written (open); env carries the numeric values
     of the first-order variables currently generalized over.
     """
-    target = _close(infer(p, tuple(f for f, _ in ctx)), env)
+    target = instantiate(infer(p, tuple(f for f, _ in ctx)), env)
     if _effective(target):
         return _enum_stream(target)
     if isinstance(p, Hyp):
@@ -771,10 +659,10 @@ def _realize(p, ctx, env):
     if isinstance(p, Pair):
         return _interleave_tagged(_stream(p.left, ctx, env), _stream(p.right, ctx, env))
     if isinstance(p, Fst):
-        whole = _close(infer(p.arg, tuple(f for f, _ in ctx)), env)
+        whole = instantiate(infer(p.arg, tuple(f for f, _ in ctx)), env)
         return decompose(_stream(p.arg, ctx, env), whole)[0]
     if isinstance(p, Snd):
-        whole = _close(infer(p.arg, tuple(f for f, _ in ctx)), env)
+        whole = instantiate(infer(p.arg, tuple(f for f, _ in ctx)), env)
         return decompose(_stream(p.arg, ctx, env), whole)[1]
     if isinstance(p, Inl):
         return _map_stream(_stream(p.arg, ctx, env), lambda it: _prepend_out(Selector(0), it))
@@ -785,7 +673,7 @@ def _realize(p, ctx, env):
     if isinstance(p, Gen):
         return _dovetail(lambda n: _stream(p.body, ctx, {**env, p.var: n}))
     if isinstance(p, Inst):
-        whole = _close(infer(p.fn, tuple(f for f, _ in ctx)), env)
+        whole = instantiate(infer(p.fn, tuple(f for f, _ in ctx)), env)
         v = eval_term(p.term, env)
         return project_forall(_stream(p.fn, ctx, env), whole, v)
     if isinstance(p, Exi):
@@ -846,7 +734,7 @@ def _realize_ind(p: Ind, ctx, env) -> WitnessStream:
 
 
 def _realize_case(p: Case, ctx, env) -> WitnessStream:
-    whole = _close(infer(p.scrut, tuple(f for f, _ in ctx)), env)
+    whole = instantiate(infer(p.scrut, tuple(f for f, _ in ctx)), env)
     scrut = _stream(p.scrut, ctx, env)
 
     def items():
@@ -904,11 +792,11 @@ def _search_stream(ex: Exists) -> WitnessStream:
 
     def items():
         for v in itertools.count():
-            inst = subst_term(ex.body, ex.var, numeral(v))
-            if not _desk_true(inst, tiny):
+            env = {ex.var: v}
+            if not eval2(ex.body, env, tiny.numeral_bound, tiny.search_bound):
                 yield WS
                 continue
-            sub = _synth(inst, tiny)
+            sub = _synth(ex.body, env, tiny)
             if sub is EXHAUSTED:
                 yield WS
                 continue
@@ -917,22 +805,6 @@ def _search_stream(ex: Exists) -> WitnessStream:
             return
 
     return WitnessStream(items)
-
-
-def _vm_term(t: Term, var: str) -> str:
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Var):
-        if t.name != var:
-            raise ExtractionError(f"term mentions {t.name}, only {var} is available")
-        return var
-    if isinstance(t, Add):
-        return f"(+ {_vm_term(t.left, var)} {_vm_term(t.right, var)})"
-    if isinstance(t, Mul):
-        return f"(* {_vm_term(t.left, var)} {_vm_term(t.right, var)})"
-    raise ExtractionError(f"no machine form for {t!r}")
 
 
 def _search_code(ex: Exists):
@@ -944,8 +816,8 @@ def _search_code(ex: Exists):
     if not isinstance(body, Atom):
         return None
     try:
-        a = _vm_term(body.left, ex.var)
-        b = _vm_term(body.right, ex.var)
+        a = _vm_term_env(body.left, {ex.var: ex.var})
+        b = _vm_term_env(body.right, {ex.var: ex.var})
     except ExtractionError:
         return None
     test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
@@ -953,7 +825,7 @@ def _search_code(ex: Exists):
         test = f"(- 1 {test})"
     x = ex.var
     return vm.program(
-        "(prog (def cantor (a b) (+ (div (* (+ a b) (+ (+ a b) 1)) 2) b))"
+        f"(prog {vm.CANTOR}"
         f" (seq (set {x} 0)"
         f" (while (= {test} 0) (seq (emit 0) (set {x} (+ {x} 1))))"
         f" (emit (+ 1 (cantor 0 (+ 1 (cantor (* 3 {x}) 0)))))))"
@@ -974,8 +846,8 @@ def _search_code(ex: Exists):
 # enumerator regardless of how they were proved.
 
 _CODE_PRELUDE = (
-    "(def cantor (a b) (+ (div (* (+ a b) (+ (+ a b) 1)) 2) b)) "
-    "(def prein (t e) (if e (+ 1 (cantor (+ 1 (cantor t (fst (- e 1)))) (snd (- e 1)))) 0)) "
+    vm.CANTOR
+    + " (def prein (t e) (if e (+ 1 (cantor (+ 1 (cantor t (fst (- e 1)))) (snd (- e 1)))) 0)) "
     "(def preout (t e) (if e (+ 1 (cantor (fst (- e 1)) (+ 1 (cantor t (snd (- e 1)))))) 0))"
 )
 
@@ -983,31 +855,8 @@ _CODE_PRELUDE = (
 def _uses_hyp(p, j: int) -> bool:
     if isinstance(p, Hyp):
         return p.index == j
-    if isinstance(p, Lam):
-        return _uses_hyp(p.body, j + 1)
-    if isinstance(p, App):
-        return _uses_hyp(p.fn, j) or _uses_hyp(p.arg, j)
-    if isinstance(p, Pair):
-        return _uses_hyp(p.left, j) or _uses_hyp(p.right, j)
-    if isinstance(p, (Fst, Snd, Inl, Inr)):
-        return _uses_hyp(p.arg, j)
-    if isinstance(p, Markov):
-        return _uses_hyp(p.body, j)
-    if isinstance(p, Case):
-        return (
-            _uses_hyp(p.scrut, j)
-            or _uses_hyp(p.left, j + 1)
-            or _uses_hyp(p.right, j + 1)
-        )
-    if isinstance(p, Gen):
-        return _uses_hyp(p.body, j)
-    if isinstance(p, Inst):
-        return _uses_hyp(p.fn, j)
-    if isinstance(p, Exi):
-        return _uses_hyp(p.body, j)
-    if isinstance(p, Ind):
-        return _uses_hyp(p.base, j) or _uses_hyp(p.step, j + 1)
-    return False
+    kids = _SUBPROOFS.get(type(p), {})
+    return any(_uses_hyp(getattr(p, name), j + binds) for name, binds in kids.items())
 
 
 def _vm_term_env(t: Term, env: dict) -> str:
@@ -1168,13 +1017,13 @@ def decider_code(matrix: Formula, var: str) -> vm.WCode:
         body, negated = body.body, True
     if not isinstance(body, Atom):
         raise ExtractionError("only atoms and their negations decide this way")
-    a = _vm_term(body.left, var)
-    b = _vm_term(body.right, var)
+    a = _vm_term_env(body.left, {var: var})
+    b = _vm_term_env(body.right, {var: var})
     test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
     if negated:
         test = f"(- 1 {test})"
     return vm.program(
-        "(prog (def cantor (a b) (+ (div (* (+ a b) (+ (+ a b) 1)) 2) b))"
+        f"(prog {vm.CANTOR}"
         f" (seq (emit 1) (set {var} 0) (while 1 (seq"
         f" (emit (+ 1 (cantor (+ 1 (cantor (* 3 {var}) 0))"
         f" (+ 1 (cantor (if {test} 1 4) 0)))))"

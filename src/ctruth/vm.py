@@ -244,9 +244,6 @@ class VM:
         except _OutOfSteps:
             return
 
-    def run_all(self) -> list:
-        return list(self.items())
-
     def _query(self, name: str):
         stream = self.inputs.get(name)
         if stream is None:
@@ -357,9 +354,12 @@ def run_stream(program: WCode, inputs=None, step_budget: int = 10000) -> Witness
 # ---------------------------------------------------------------------------
 # library programs
 
+# the Cantor pairing function, as every generated program defines it
+CANTOR = "(def cantor (a b) (+ (div (* (+ a b) (+ (+ a b) 1)) 2) b))"
+
 _PRELUDE = (
-    "(def cantor (a b) (+ (div (* (+ a b) (+ (+ a b) 1)) 2) b)) "
-    "(def lone (t) (+ 1 (cantor t 0))) "
+    CANTOR
+    + " (def lone (t) (+ 1 (cantor t 0))) "
     "(def ltwo (s t) (+ 1 (cantor s (+ 1 (cantor t 0))))) "
     "(def mkpair (ins outs) (+ 1 (cantor ins outs)))"
 )

@@ -141,9 +141,6 @@ class WitnessStream:
     def copy(self) -> "WitnessStream":
         return WitnessStream(self._buf)
 
-    def to_text(self, k: int) -> str:
-        return serialize_items(self.pull(k))
-
     @classmethod
     def from_items(cls, items) -> "WitnessStream":
         return cls(tuple(items))
@@ -470,163 +467,3 @@ def content_parts(f: Formula, p: IOPair):
             hyps.append(ante)
             hyps.extend(semantic_content(ante, it) for it in tok.items if is_pair(it))
             g = s[2]
-
-
-# ---------------------------------------------------------------------------
-# stream discipline
-
-
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    ok: bool
-    kind: str = ""
-    first: IOPair = None
-    second: IOPair = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _inputs_compare(a: tuple, b: tuple):
-    """None if incomparable; else -1, 0, 1 for a<b, a==b, a>b (extension)."""
-    if len(a) != len(b):
-        return None
-    direction = 0
-    for x, y in zip(a, b):
-        if isinstance(x, Prefix) and isinstance(y, Prefix):
-            if x == y:
-                continue
-            if y.extends(x):
-                d = -1
-            elif x.extends(y):
-                d = 1
-            else:
-                return None
-            if direction == 0:
-                direction = d
-            elif direction != d:
-                return None
-            continue
-        if x != y:
-            return None
-    return direction
-
-
-def check_monotone(w: WitnessStream, budget: int) -> MonotoneVerdict:
-    """Scan the first `budget` items for output-uniqueness violations.
-
-    Functionality: equal inputs must give identical outputs.  Monotone
-    extension: enlarging a prefix token while keeping everything else
-    must preserve the output exactly.  Reports the first offending pair
-    of pairs in scan order.
-    """
-    seen: list = []
-    for item in w.pull(budget):
-        if not is_pair(item):
-            continue
-        for prev in seen:
-            cmp = _inputs_compare(prev.inputs, item.inputs)
-            if cmp is None:
-                continue
-            if prev.outputs != item.outputs:
-                kind = "functionality" if cmp == 0 else "monotonicity"
-                return MonotoneVerdict(False, kind, prev, item)
-        seen.append(item)
-    return MonotoneVerdict(True)
-
-
-# ---------------------------------------------------------------------------
-# response trees
-
-PENDING = object()
-
-
-@dataclass
-class ResponseNode:
-    output: object  # tuple of tokens, or PENDING
-    children: dict
-
-    def as_dict(self):
-        return {
-            "output": None if self.output is PENDING else self.output,
-            "children": {str(k): v.as_dict() for k, v in self.children.items()},
-        }
-
-
-def _input_options(f, budget, prefix_pool, index):
-    kind = slot(f)[0]
-    if kind == END:
-        return []
-    if kind == IN_NUM:
-        return [(Numeral(n), slot(f)[2]) for n in range(budget)]
-    if kind == IN_SEL:
-        return [(Selector(0), slot(f)[1]), (Selector(1), slot(f)[2])]
-    if kind == IN_PREFIX:
-        opts = [(tok, slot(f)[2]) for tok in prefix_pool.get(index, ())]
-        return opts
-    if kind == OUT_SEL:
-        # which side continues depends on the witness's own choice; follow both
-        return _input_options(slot(f)[1], budget, prefix_pool, index) + _input_options(
-            slot(f)[2], budget, prefix_pool, index
-        )
-    if kind in (OUT_NUM, OUT_CODE):
-        body = slot(f)[2] if kind == OUT_NUM else slot(f)[1]
-        return _input_options(body, budget, prefix_pool, index)
-    return []
-
-
-def response_tree(w: WitnessStream, f: Formula, depth: int, budget: int) -> ResponseNode:
-    """Tabulate the stream's answers for all short inputs.
-
-    Inputs of token-length <= depth are enumerated with numerals below
-    `budget` (prefix slots branch over the prefixes the stream itself
-    mentions); each is looked up among the pulled pairs, missing answers
-    are recorded as pending.  The scan horizon is (budget+1) items per
-    enumerated input plus slack, keeping the walk finite.
-    """
-    # first pass: count inputs to fix a deterministic pull horizon
-    def count(g, d):
-        if d == 0:
-            return 1
-        opts = _input_options(g, budget, {}, 0)
-        return 1 + sum(count(body, d - 1) for _, body in opts)
-
-    horizon = (budget + 1) * (count(f, depth) + 1)
-    items = w.pull(horizon)
-    pairs = [it for it in items if is_pair(it)]
-
-    prefix_pool: dict = {}
-    for p in pairs:
-        for idx, tok in enumerate(p.inputs):
-            if isinstance(tok, Prefix):
-                prefix_pool.setdefault(idx, [])
-                if tok not in prefix_pool[idx]:
-                    prefix_pool[idx].append(tok)
-
-    by_input: dict = {}
-    for p in pairs:
-        by_input.setdefault(p.inputs, p.outputs)
-
-    def build(g, path, d):
-        out = by_input.get(tuple(path), PENDING)
-        children = {}
-        if d > 0:
-            for tok, body in _input_options(g, budget, prefix_pool, len(path)):
-                children[tok] = build(body, path + [tok], d - 1)
-        return ResponseNode(out, children)
-
-    return build(f, [], depth)
-
-
-def tree_paths(node: ResponseNode):
-    """All root-to-node input paths with recorded outputs, as pairs."""
-    acc = []
-
-    def rec(n, path):
-        if n.output is not PENDING:
-            acc.append(IOPair(tuple(path), tuple(n.output)))
-        for tok, child in n.children.items():
-            rec(child, path + [tok])
-
-    rec(node, [])
-    return acc

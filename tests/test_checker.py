@@ -58,8 +58,15 @@ def test_wrong_content_rejected():
 
 
 def test_functionality_conflict_rejected():
-    v = _check("(:) (0:0) (0:1)", DOUBLING)
-    assert v.status == "rejected"
+    extending = parse("(E x. x=5) -> (E x. x=9)")
+    for text, f, kind in [
+        ("(:) (0:0) (0:1)", DOUBLING, "functionality"),
+        # the second pair's prefix extends the first's, its answer differs
+        ('(:) ("":9) ("(:5)":8)', extending, "monotonicity"),
+    ]:
+        v = _check(text, f)
+        assert v.status == "rejected", text
+        assert v.line().endswith(f"reason={kind}"), text
 
 
 def test_shape_error_rejected():

@@ -21,6 +21,7 @@ from ctruth.formula import (
     Var,
     Zero,
     classify,
+    eval2,
     eval3,
     free_vars,
     instantiate,
@@ -192,3 +193,9 @@ def test_print_parse_round_trip(f):
 @settings(max_examples=60, deadline=None)
 def test_printing_is_stable(f):
     assert print_formula(parse(print_formula(f))) == print_formula(f)
+
+
+@given(_sentences(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_eval2_is_truth_over_the_bounded_domain(f, k):
+    assert eval2(f, {}, k, k) == holds(f, {}, range(k + 1))

@@ -3,16 +3,30 @@ from pathlib import Path
 import pytest
 
 from ctruth.checker import Budget, Probe, check_realizability, check_witness
-from ctruth.formula import parse
+from ctruth.formula import Add, One, Var, numeral, parse
 from ctruth.realizers import (
     AXIOMS,
+    App,
+    Ax,
+    Case,
     ExtractionError,
+    Fst,
+    Gen,
+    Hyp,
+    Ind,
+    Inl,
+    Inr,
+    Inst,
+    Lam,
+    Pair,
     ProofError,
+    Snd,
     decider_code,
     extract,
     identity_code,
     infer,
     markov_realizer,
+    normalize,
     parse_proof_text,
     search_realizer,
     ti_realizer,
@@ -50,6 +64,98 @@ def test_proof_errors():
         parse_proof_text("E x. x=1\n(exi {E x. x=1} {2} (ax refl))")
     with pytest.raises(ProofError):
         parse_proof_text("0=0\n(app (ax refl) (ax refl))")
+
+
+_A, _B = parse("0=0"), parse("1=1")
+_AA = parse("0=0 \\/ 0=0")
+_N1 = Add(Var("n"), One())
+
+
+def _refl(t):
+    return Inst(Ax("refl"), t)
+
+
+def _grow(t, hyp):
+    # from 0<t and t<t+1 conclude 0<t+1
+    trans = Inst(Inst(Inst(Ax("lt_trans"), numeral(0)), t), Add(t, One()))
+    return App(App(trans, hyp), Inst(Ax("lt_succ"), t))
+
+
+_IND = Ind(
+    "n", parse("0<n+1", free=("n",)), Inst(Ax("lt_succ"), numeral(0)), _grow(_N1, Hyp(0))
+)
+_AB = parse("0=0 \\/ 1=1")
+_FLIP = Ind(
+    "n",
+    _AB,
+    Inl(_refl(numeral(0)), _B),
+    Case(Hyp(0), Inr(_A, _refl(numeral(1))), Inl(_refl(numeral(0)), _B)),
+)
+
+# one redex per rewrite rule, several under binders so that the de
+# Bruijn shifting of substituted proofs is exercised
+_REDEXES = [
+    (  # beta under a Lam, the argument naming the outer hypothesis
+        "beta",
+        Lam(_A, App(Lam(_A, Lam(_B, Pair(Hyp(1), Hyp(2)))), Hyp(0))),
+        Lam(_A, Lam(_B, Pair(Hyp(1), Hyp(1)))),
+    ),
+    (  # beta into both Case branches: the argument shifts past their binder
+        "beta_into_case",
+        Lam(_AA, App(
+            Lam(_A, Case(Hyp(1), Pair(Hyp(0), Hyp(1)), Pair(Hyp(1), Hyp(0)))),
+            Case(Hyp(0), Hyp(0), Hyp(0)),
+        )),
+        Lam(_AA, Case(
+            Hyp(0),
+            Pair(Hyp(0), Case(Hyp(1), Hyp(0), Hyp(0))),
+            Pair(Case(Hyp(1), Hyp(0), Hyp(0)), Hyp(0)),
+        )),
+    ),
+    (  # beta into an induction step, past its binder
+        "beta_into_ind",
+        Lam(_A, App(Lam(_A, Ind("n", _A, Hyp(0), Hyp(1))), Hyp(0))),
+        Lam(_A, Ind("n", _A, Hyp(0), Hyp(1))),
+    ),
+    (  # projections under both Case binders
+        "fst_snd",
+        Lam(_AA, Case(Hyp(0), Fst(Pair(Hyp(0), Hyp(1))), Snd(Pair(Hyp(1), Hyp(0))))),
+        Lam(_AA, Case(Hyp(0), Hyp(0), Hyp(0))),
+    ),
+    (
+        "case_inl",
+        Lam(_A, Case(Inl(Hyp(0), _B), Pair(Hyp(0), Hyp(1)), Pair(Hyp(1), Hyp(1)))),
+        Lam(_A, Pair(Hyp(0), Hyp(0))),
+    ),
+    (
+        "case_inr",
+        Lam(_A, Case(
+            Inr(_B, _refl(numeral(2))), Pair(_refl(numeral(2)), Hyp(1)), Pair(Hyp(0), Hyp(1))
+        )),
+        Lam(_A, Pair(_refl(numeral(2)), Hyp(0))),
+    ),
+    (
+        "inst_gen",
+        Inst(Gen("y", _refl(Var("y"))), numeral(4)),
+        _refl(numeral(4)),
+    ),
+    (  # beta under the Ind binder, consuming the induction hypothesis
+        "under_ind",
+        Ind("n", _IND.motive, _IND.base, App(Lam(_IND.motive, _grow(_N1, Hyp(0))), Hyp(0))),
+        _IND,
+    ),
+    (  # unrolling an instance of induction: each step flips the disjunct
+        "inst_ind",
+        Inst(_FLIP, numeral(3)),
+        Inr(_A, _refl(numeral(1))),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,proof,normal", _REDEXES, ids=[r[0] for r in _REDEXES])
+def test_normalize_pins_each_rewrite_rule(name, proof, normal):
+    assert normalize(proof) == normal
+    assert infer(normal) == infer(proof)
 
 
 def test_extract_enumerates_demand_only_statements():

@@ -13,7 +13,6 @@ from ctruth.witness import (
     Whitespace,
     WitnessStream,
     WitnessTextError,
-    check_monotone,
     pair_complete,
     semantic_content,
     serialize_item,
@@ -105,13 +104,6 @@ def test_stream_pull_is_stable_and_extending():
     again = w.pull(4)
     assert again[:2] == first
     assert w.copy().pull(4) == again
-
-
-def test_check_monotone_flags_conflicts():
-    ok = WitnessStream.from_text("(:) (0:0) (1:2)")
-    assert check_monotone(ok, 8).ok
-    clash = WitnessStream.from_text("(0:0) (0:1)")
-    assert not check_monotone(clash, 8).ok
 
 
 _token = st.one_of(
