@@ -48,10 +48,9 @@ def project_forall(w: WitnessStream, f: Formula, n: int) -> WitnessStream:
     def gen():
         i = 0
         while True:
-            got = src.pull(i + 1)
-            if len(got) <= i:
+            item = src.at(i)
+            if item is None:
                 return
-            item = got[i]
             i += 1
             if not is_pair(item):
                 yield WS
@@ -77,27 +76,37 @@ def apply_implication(w: WitnessStream, x: WitnessStream) -> WitnessStream:
     by the antecedent items seen so far sheds that token and is
     emitted, then the round closes with one whitespace item.  The
     result is total whatever the sources are.
+
+    Pair i is first seen in round i + 1, and a lead of L items can be
+    answered from round L on.  Since x only grows, whether it answers
+    is fixed by round max(i + 1, L), so each pair is judged once, in
+    that round; a round emits its pairs in index order.
     """
     wsrc = w.copy()
     xsrc = x.copy()
 
     def gen():
-        emitted = set()
+        later = {}  # round -> the pairs to judge then, in index order
         r = 0
         while True:
-            observed = Prefix(xsrc.pull(r))
-            seen = wsrc.pull(r)
-            for i, item in enumerate(seen):
-                if i in emitted or not is_pair(item):
-                    continue
+            due = later.pop(r, [])
+            item = wsrc.at(r - 1) if r else None
+            if is_pair(item):
                 if not item.inputs and not item.outputs:
-                    emitted.add(i)
+                    due.append(item)
+                elif item.inputs and isinstance(item.inputs[0], Prefix):
+                    answerable = len(item.inputs[0].items)
+                    if answerable <= r:
+                        due.append(item)
+                    else:
+                        later.setdefault(answerable, []).append(item)
+            for item in due:
+                if not item.inputs:
                     yield TRIVIAL
                     continue
-                if item.inputs and isinstance(item.inputs[0], Prefix):
-                    if observed.extends(item.inputs[0]):
-                        emitted.add(i)
-                        yield IOPair(item.inputs[1:], item.outputs)
+                lead = item.inputs[0]
+                if Prefix(xsrc.pull(len(lead.items))).extends(lead):
+                    yield IOPair(item.inputs[1:], item.outputs)
             yield WS
             r += 1
 
@@ -119,10 +128,9 @@ def decompose(w: WitnessStream, f: Formula):
         def gen():
             i = 0
             while True:
-                got = src.pull(i + 1)
-                if len(got) <= i:
+                item = src.at(i)
+                if item is None:
                     return
-                item = got[i]
                 i += 1
                 if not is_pair(item):
                     yield WS
@@ -161,16 +169,13 @@ def compose(left: WitnessStream, right: WitnessStream) -> WitnessStream:
     def gen():
         i = 0
         while True:
-            lg = lsrc.pull(i + 1)
-            rg = rsrc.pull(i + 1)
-            if len(lg) <= i and len(rg) <= i:
+            left_item, right_item = lsrc.at(i), rsrc.at(i)
+            if left_item is None and right_item is None:
                 return
-            if len(lg) > i and is_pair(lg[i]):
-                yield tag(0, lg[i])
-            if len(rg) > i and is_pair(rg[i]):
-                p = rg[i]
-                if p.inputs or p.outputs:
-                    yield tag(1, p)
+            if is_pair(left_item):
+                yield tag(0, left_item)
+            if is_pair(right_item) and (right_item.inputs or right_item.outputs):
+                yield tag(1, right_item)
             i += 1
 
     return WitnessStream(gen)

@@ -216,11 +216,15 @@ _TERMS = {Inst: "term", Exi: "term"}
 
 
 def _map(p, fn):
-    """p rebuilt with each subproof c replaced by fn(c, binds)."""
-    kids = _SUBPROOFS.get(type(p))
-    if not kids:
-        return p
-    return replace(p, **{name: fn(getattr(p, name), binds) for name, binds in kids.items()})
+    """p rebuilt with each subproof c replaced by fn(c, binds); p itself
+    when fn gives back every c."""
+    changes = {}
+    for name, binds in _SUBPROOFS.get(type(p), {}).items():
+        c = getattr(p, name)
+        d = fn(c, binds)
+        if d is not c:
+            changes[name] = d
+    return replace(p, **changes) if changes else p
 
 
 _AXIOM_TEXT = {
@@ -276,8 +280,7 @@ def _absurd_atom(f: Formula) -> bool:
     """A closed atom that evaluates false (the stand-in for absurdity)."""
     if not isinstance(f, Atom) or term_vars(f.left) | term_vars(f.right):
         return False
-    a, b = eval_term(f.left, {}), eval_term(f.right, {})
-    return not (a == b if f.rel == "=" else a < b)
+    return not eval2(f, {}, 0, 0)
 
 
 def infer(p, hyps: tuple = ()) -> Formula:
@@ -407,14 +410,13 @@ def _hsubst(p, j: int, q):
     return _map(p, lambda c, binds: _hsubst(c, j + binds, q))
 
 
-def _psubst(p, var: str, t: Term):
-    """Substitute a term for a free first-order variable across a proof."""
-    if isinstance(p, (Gen, Ind)):
-        if p.var == var:
-            return p
-        if p.var in term_vars(t):
-            raise ProofError(f"substitution would capture {p.var}")
-    q = _map(p, lambda c, _: _psubst(c, var, t))
+def _psubst(p, var: str, t: Term, depth: int = 0):
+    """Substitute a term for a free first-order variable across a proof;
+    p itself when var does not occur free in it.  depth counts the
+    hypotheses bound between the top of the substitution and p."""
+    if isinstance(p, (Gen, Ind)) and p.var == var:
+        return p
+    q = _map(p, lambda c, binds: _psubst(c, var, t, depth + binds))
     changes = {}
     name = _FORMULAS.get(type(p))
     if name:
@@ -422,7 +424,33 @@ def _psubst(p, var: str, t: Term):
     name = _TERMS.get(type(p))
     if name:
         changes[name] = term_subst(getattr(p, name), {var: t})
-    return replace(q, **changes) if changes else q
+    # a substitution gives back its input when var does not occur in it
+    changes = {k: v for k, v in changes.items() if v is not getattr(p, k)}
+    if changes:
+        q = replace(q, **changes)
+    if isinstance(p, (Gen, Ind)) and p.var in term_vars(t) and _reaches_scope(p, q, depth):
+        raise ProofError(f"substitution would capture {p.var}")
+    return q
+
+
+# the fields a Gen or Ind binds its variable over
+_SCOPE = {Gen: ("body",), Ind: ("motive", "step")}
+
+
+def _reaches_scope(p, q, depth: int) -> bool:
+    """Whether var may occur free in the scope of binder p, which the
+    substitution rebuilt as q: a field there changed, or the scope uses
+    one of the depth hypotheses bound inside the substitution, whose
+    statements may mention var.  Hypotheses bound further out cannot in
+    a well-typed proof: _step substitutes for the variable of the Gen it
+    instantiates, which they lie outside, or a closed numeral."""
+    kids = _SUBPROOFS[type(p)]
+    for name in _SCOPE[type(p)]:
+        if getattr(q, name) is not getattr(p, name):
+            return True
+        if name in kids and _uses_hyp(getattr(p, name), kids[name], depth):
+            return True
+    return False
 
 
 def _step(p):
@@ -602,10 +630,10 @@ def _map_stream(src: WitnessStream, fn) -> WitnessStream:
     def items():
         i = 0
         while True:
-            got = src.pull(i + 1)
-            if len(got) <= i:
+            item = src.at(i)
+            if item is None:
                 return
-            yield fn(got[i])
+            yield fn(item)
             i += 1
 
     return WitnessStream(items)
@@ -615,12 +643,11 @@ def _interleave_tagged(left: WitnessStream, right: WitnessStream) -> WitnessStre
     def items():
         i = 0
         while True:
-            lg = left.pull(i + 1)
-            rg = right.pull(i + 1)
-            if len(lg) <= i and len(rg) <= i:
+            left_item, right_item = left.at(i), right.at(i)
+            if left_item is None and right_item is None:
                 return
-            yield _prepend_in(Selector(0), lg[i]) if len(lg) > i else WS
-            yield _prepend_in(Selector(1), rg[i]) if len(rg) > i else WS
+            yield WS if left_item is None else _prepend_in(Selector(0), left_item)
+            yield WS if right_item is None else _prepend_in(Selector(1), right_item)
             i += 1
 
     return WitnessStream(items)
@@ -777,10 +804,10 @@ def _realize_case(p: Case, ctx, env) -> WitnessStream:
         out = _stream(branch, [(side_formula, side)] + ctx, env)
         i = 0
         while True:
-            got = out.pull(i + 1)
-            if len(got) <= i:
+            item = out.at(i)
+            if item is None:
                 return
-            yield got[i]
+            yield item
             i += 1
 
     return WitnessStream(items)
@@ -852,11 +879,12 @@ _CODE_PRELUDE = (
 )
 
 
-def _uses_hyp(p, j: int) -> bool:
+def _uses_hyp(p, j: int, n: int = 1) -> bool:
+    """Whether p uses one of the hypotheses j, ..., j + n - 1."""
     if isinstance(p, Hyp):
-        return p.index == j
+        return j <= p.index < j + n
     kids = _SUBPROOFS.get(type(p), {})
-    return any(_uses_hyp(getattr(p, name), j + binds) for name, binds in kids.items())
+    return any(_uses_hyp(getattr(p, name), j + binds, n) for name, binds in kids.items())
 
 
 def _vm_term_env(t: Term, env: dict) -> str:

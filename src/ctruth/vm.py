@@ -249,11 +249,11 @@ class VM:
         if stream is None:
             return 0
         i = self.cursors[name]
-        got = stream.pull(i + 1)
-        if len(got) <= i:
+        item = stream.at(i)
+        if item is None:
             return 0  # exhausted inputs read as whitespace
         self.cursors[name] = i + 1
-        return encode_item(got[i])
+        return encode_item(item)
 
     def _eval(self, x, env):
         self._tick()

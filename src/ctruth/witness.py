@@ -131,6 +131,12 @@ class WitnessStream:
         self._buf.fill(k)
         return tuple(self._buf.memo[:k])
 
+    def at(self, i: int):
+        """Item i, or None when the stream ends before it."""
+        self._buf.fill(i + 1)
+        memo = self._buf.memo
+        return memo[i] if i < len(memo) else None
+
     def pairs(self, k: int) -> list:
         return [it for it in self.pull(k) if is_pair(it)]
 

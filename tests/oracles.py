@@ -23,7 +23,16 @@ from ctruth.formula import (
     Var,
     Zero,
 )
-from ctruth.witness import IOPair, Numeral, Selector, TRIVIAL
+from ctruth.witness import (
+    IOPair,
+    Numeral,
+    Prefix,
+    Selector,
+    TRIVIAL,
+    WS,
+    WitnessStream,
+    is_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +72,50 @@ def holds(f, env, domain):
         return all(holds(f.body, {**env, f.var: n}, domain) for n in domain)
     if isinstance(f, Exists):
         return any(holds(f.body, {**env, f.var: n}, domain) for n in domain)
+    raise TypeError(f)
+
+
+def eval3(f, env, forall_bound, exists_bound):
+    """Three-valued truth with bounded searches: True and False are
+    certain, None is inconclusive.  A universal is only ever refuted,
+    an existential only ever confirmed, and box only passes on its
+    body's certain falsity.  Both sides of a connective are evaluated."""
+    def ev(g, env):
+        return eval3(g, env, forall_bound, exists_bound)
+
+    if isinstance(f, Atom):
+        a, b = term_value(f.left, env), term_value(f.right, env)
+        return a == b if f.rel == "=" else a < b
+    if isinstance(f, Not):
+        v = ev(f.body, env)
+        return None if v is None else (not v)
+    if isinstance(f, Box):
+        return False if ev(f.body, env) is False else None
+    if isinstance(f, And):
+        a, b = ev(f.left, env), ev(f.right, env)
+        if a is False or b is False:
+            return False
+        return True if a is True and b is True else None
+    if isinstance(f, Or):
+        a, b = ev(f.left, env), ev(f.right, env)
+        if a is True or b is True:
+            return True
+        return False if a is False and b is False else None
+    if isinstance(f, Implies):
+        a, b = ev(f.left, env), ev(f.right, env)
+        if a is False or b is True:
+            return True
+        return False if a is True and b is False else None
+    if isinstance(f, Forall):
+        for n in range(forall_bound + 1):
+            if ev(f.body, {**env, f.var: n}) is False:
+                return False
+        return None
+    if isinstance(f, Exists):
+        for n in range(exists_bound + 1):
+            if ev(f.body, {**env, f.var: n}) is True:
+                return True
+        return None
     raise TypeError(f)
 
 
@@ -343,3 +396,35 @@ def is_tautology(f):
         if not _prop_eval(f, dict(zip(leaves, bits))):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# transformer application, round by round
+
+
+def apply_implication(w, x):
+    """The round scan: in round r, every pair among w's first r items not
+    yet emitted is emitted, in index order, when it is trivial or its
+    leading prefix is extended by x's first r items; then one
+    whitespace closes the round."""
+    wsrc, xsrc = w.copy(), x.copy()
+
+    def gen():
+        emitted = set()
+        r = 0
+        while True:
+            observed = Prefix(xsrc.pull(r))
+            for i, item in enumerate(wsrc.pull(r)):
+                if i in emitted or not is_pair(item):
+                    continue
+                if not item.inputs and not item.outputs:
+                    emitted.add(i)
+                    yield TRIVIAL
+                elif item.inputs and isinstance(item.inputs[0], Prefix):
+                    if observed.extends(item.inputs[0]):
+                        emitted.add(i)
+                        yield IOPair(item.inputs[1:], item.outputs)
+            yield WS
+            r += 1
+
+    return WitnessStream(gen)

@@ -62,15 +62,19 @@ def test_check_large_numeral_is_refuted(tmp_path, capsys):
     assert rpt.read_text().splitlines()[-1] == "VERDICT rejected pair=(1:5000) reason=5000=2*1"
 
 
-def test_check_large_literal_in_formula_is_an_error(tmp_path, capsys):
+def test_check_large_literal_in_formula_gets_a_verdict(tmp_path, capsys):
     fml = tmp_path / "big.fml"
     fml.write_text("E x. x=3000\n")
-    wit = tmp_path / "big.wit"
-    wit.write_text("(:3000)\n")
-    code, out = run(capsys, "check", "--formula", str(fml), "--witness", str(wit))
-    assert code == 1
-    assert out.splitlines()[-1].startswith("ERROR")
-    assert "Traceback" not in out
+    for answer, want_code, want in [
+        (3000, 0, "VERDICT accepted_up_to pulls=32 numerals=8"),
+        (2999, 1, "VERDICT rejected pair=(:2999) reason=2999=3000"),
+    ]:
+        wit = tmp_path / f"big{answer}.wit"
+        wit.write_text(f"(:{answer})\n")
+        code, out = run(capsys, "check", "--formula", str(fml), "--witness", str(wit))
+        assert code == want_code
+        assert out.splitlines()[-1] == want
+        assert "Traceback" not in out
 
 
 def test_check_missing_file_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ctruth.combinators import (
     apply_implication,
@@ -21,6 +22,8 @@ from ctruth.witness import (
     WitnessStream,
     serialize_items,
 )
+
+import oracles
 
 DOUBLING = parse("A x. E y. y=2*x")
 
@@ -105,6 +108,53 @@ def test_normalize_strict_stalls_at_gaps():
     w = WitnessStream.from_text("(:) (0:0) (2:4)")
     got = normalize_strict(w, DOUBLING)
     assert serialize_items(got.pull(8)) == "(:) (0:0)"
+
+
+_ITEMS = st.sampled_from(
+    [TRIVIAL, WS, IOPair((), (Numeral(2),)), IOPair((Numeral(1),), ()), IOPair((), (Numeral(0),))]
+)
+
+
+@st.composite
+def _transformer_runs(draw):
+    """An argument, a transformer whose leads are prefixes of it or not,
+    some of them longer than the argument, and how far to pull."""
+    arg = draw(st.lists(_ITEMS, max_size=8))
+    lead = st.one_of(
+        st.integers(min_value=0, max_value=10).map(lambda n: tuple(arg[:n])),
+        st.lists(_ITEMS, max_size=10).map(tuple),
+    )
+    pair = st.builds(
+        lambda lead, x, y: IOPair((Prefix(lead), Numeral(x)), (Numeral(y),)),
+        lead, st.integers(0, 2), st.integers(0, 2),
+    )
+    other = st.sampled_from([TRIVIAL, WS, IOPair((), (Numeral(2),)), IOPair((Numeral(0),), ())])
+    w = draw(st.lists(st.one_of(pair, other), max_size=14))
+    return w, arg, draw(st.integers(min_value=0, max_value=60))
+
+
+def _counted(items, pulled):
+    def gen():
+        for it in items:
+            pulled[0] += 1
+            yield it
+    return WitnessStream(gen)
+
+
+@given(_transformer_runs())
+# pair 0 waits for a two-item lead, so it is judged in round 2 along
+# with the trivial pair 1, and comes out first
+@example(([IOPair((Prefix((TRIVIAL, WS)), Numeral(0)), (Numeral(1),)), TRIVIAL],
+          [TRIVIAL, WS], 8))
+@settings(max_examples=300, deadline=None)
+def test_apply_implication_matches_the_round_scan(run):
+    w, arg, k = run
+    pulled, scanned = [0], [0]
+    got = apply_implication(WitnessStream.from_items(w), _counted(arg, pulled)).pull(k)
+    want = oracles.apply_implication(WitnessStream.from_items(w), _counted(arg, scanned)).pull(k)
+    assert got == want
+    # the argument is pulled no further than the scan pulls it
+    assert pulled[0] <= scanned[0]
 
 
 def test_normalize_strict_drops_bare_trivial_on_output_root():

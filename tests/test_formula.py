@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctruth.formula import (
     Add,
@@ -23,6 +23,7 @@ from ctruth.formula import (
     classify,
     eval2,
     eval3,
+    eval_term,
     free_vars,
     instantiate,
     numeral,
@@ -32,8 +33,10 @@ from ctruth.formula import (
     print_formula,
     print_term,
     subst_term,
+    term_subst,
 )
 
+import oracles
 from oracles import holds
 
 
@@ -55,6 +58,26 @@ def test_large_numerals_read_and_substitute_without_recursion():
     assert print_formula(got) == "E x. x=2*5000"
     # nothing to replace: the formula itself comes back
     assert instantiate(f, {"z": 3}) is f
+
+
+def test_large_literals_evaluate_and_substitute_without_recursion():
+    big = numeral(5000)
+    assert eval_term(big, {}) == 5000
+    assert eval_term(Add(Var("x"), big), {"x": 2}) == 5002
+    assert term_subst(big, {"x": One()}) is big
+    f = parse("E x. x=3000")
+    assert eval3(f, {}, 0, 3000) is TRUE
+    assert eval3(f, {}, 0, 2999) is UNKNOWN
+    assert eval2(f, {}, 0, 2999) is False
+    assert print_formula(subst_term(f.body, "x", numeral(2999))) == "2999=3000"
+    # a run of +1 steps over a variable is walked in a loop, too
+    t = Var("y")
+    for _ in range(5000):
+        t = Add(t, One())
+    assert eval_term(t, {"y": 2}) == 5002
+    assert eval2(Atom("=", t, numeral(5002)), {"y": 2}, 0, 0) is True
+    assert term_subst(t, {"x": One()}) is t
+    assert numeral_value(term_subst(t, {"y": numeral(3)})) == 5003
 
 
 def test_parse_precedence():
@@ -199,3 +222,51 @@ def test_printing_is_stable(f):
 @settings(max_examples=150, deadline=None)
 def test_eval2_is_truth_over_the_bounded_domain(f, k):
     assert eval2(f, {}, k, k) == holds(f, {}, range(k + 1))
+
+
+@st.composite
+def _open_sentences(draw):
+    """A sentence over some free names, and an env binding them."""
+    free = draw(st.sets(st.sampled_from(_NAMES)))
+    env = {name: draw(st.integers(min_value=0, max_value=5)) for name in sorted(free)}
+    return draw(_sentences(frozenset(free))), env
+
+
+_BOUNDS = st.integers(min_value=0, max_value=3)
+
+
+@given(_open_sentences(), _BOUNDS, _BOUNDS)
+# the inner binder shadows the outer x, whose value the right conjunct
+# must see again: with x=0 the body holds and the universal stays open
+@example((parse("A x. ((E x. x=1) /\\ x=0)"), {}), 0, 1)
+@example((parse("(E x. x=2) /\\ x=1", free=("x",)), {"x": 1}), 0, 2)
+@settings(max_examples=150, deadline=None)
+def test_eval3_agrees_with_the_interpreter(case, forall_bound, exists_bound):
+    f, env = case
+    before = dict(env)
+    want = oracles.eval3(f, env, forall_bound, exists_bound)
+    assert eval3(f, env, forall_bound, exists_bound) is want
+    assert env == before
+
+
+@given(_sentences())
+@settings(max_examples=100, deadline=None)
+def test_compiled_form_bakes_in_no_bound_or_mode(f):
+    # one formula object, run in both modes at two bound pairs in turn
+    for fb, eb in ((1, 3), (3, 1)):
+        assert eval3(f, {}, fb, eb) is oracles.eval3(f, {}, fb, eb)
+        assert eval2(f, {}, fb, fb) == holds(f, {}, range(fb + 1))
+
+
+def test_eval3_judges_both_sides_and_eval2_short_circuits():
+    f = parse("0=1 /\\ y=0", free=("y",))
+    with pytest.raises(UnboundVariable, match="y"):
+        eval3(f, {}, 1, 1)
+    assert eval2(f, {}, 1, 1) is False
+    # the first unbound name met, left to right
+    with pytest.raises(UnboundVariable, match="x"):
+        eval3(parse("x=y", free=("x", "y")), {}, 0, 0)
+    # a binder's value does not outlive its scope
+    g = parse("(E x. x=1) /\\ x=0", free=("x",))
+    with pytest.raises(UnboundVariable, match="x"):
+        eval2(g, {}, 1, 1)

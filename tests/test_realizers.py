@@ -21,6 +21,7 @@ from ctruth.realizers import (
     Pair,
     ProofError,
     Snd,
+    _psubst,
     decider_code,
     extract,
     identity_code,
@@ -156,6 +157,44 @@ _REDEXES = [
 def test_normalize_pins_each_rewrite_rule(name, proof, normal):
     assert normalize(proof) == normal
     assert infer(normal) == infer(proof)
+
+
+def test_instantiation_past_a_binder_it_does_not_reach_normalizes():
+    # x is instantiated at y, and the inner Gen binds y, but x does not
+    # occur below that binder, so nothing is captured
+    ante = parse("(A y. y=y) -> 0=0")
+    inner = Gen("y", Inst(Ax("refl"), Var("y")))
+    p = Lam(ante, Gen("y", Inst(Gen("x", App(Hyp(0), inner)), Var("y"))))
+    normal = normalize(p)
+    assert normal == Lam(ante, Gen("y", App(Hyp(0), inner)))
+    assert infer(normal) == infer(p) == parse("((A y. y=y) -> 0=0) -> A y. 0=0")
+    # the inner Gen uses a hypothesis bound outside the instantiated Gen,
+    # whose statement cannot mention x
+    ante = parse("(A y. 0=0) -> 0=0")
+    inner = Gen("y", Hyp(1))
+    p = Lam(parse("0=0"), Lam(ante, Gen("y", Inst(Gen("x", App(Hyp(0), inner)), Var("y")))))
+    normal = normalize(p)
+    assert normal == Lam(parse("0=0"), Lam(ante, Gen("y", App(Hyp(0), inner))))
+    assert infer(normal) == infer(p)
+
+
+def test_substitution_under_a_binder_that_would_capture_is_refused():
+    # x occurs free under the Gen binding y: substituting y for it captures
+    with pytest.raises(ProofError, match="capture y"):
+        _psubst(Gen("y", Inst(Ax("refl"), Var("x"))), "x", Var("y"))
+    with pytest.raises(ProofError, match="capture y"):
+        normalize(Inst(Gen("x", Gen("y", Inst(Ax("refl"), Var("x")))), Var("y")))
+    # x reaches the inner Gen only through the hypothesis x=x, which is
+    # bound inside the instantiated Gen: no field under the binder changes
+    x, y = Var("x"), Var("y")
+    h = parse("A z. ((A y. z=z) -> 0=0)")
+    body = Lam(parse("x=x", free=("x",)), App(Inst(Hyp(1), x), Gen("y", Hyp(0))))
+    p = Lam(h, Gen("y", Inst(Gen("x", body), y)))
+    assert infer(p) == parse("A z. ((A y. z=z) -> 0=0) -> A y. (y=y -> 0=0)")
+    with pytest.raises(ProofError, match="capture y"):
+        normalize(p)
+    with pytest.raises(ProofError, match="capture y"):
+        _psubst(body, "x", y)
 
 
 def test_extract_enumerates_demand_only_statements():
