@@ -35,6 +35,28 @@ def _shape_or_none(f: Formula, p: IOPair):
         return None
 
 
+def select(w: WitnessStream, f: Formula, keep) -> WitnessStream:
+    """Each pair of w shaped against f and replaced by keep(pair).
+
+    Whitespace stands wherever keep gives None, where a pair does not
+    fit f and where w has whitespace; the trivial pair stays trivial,
+    since it commits to nothing.
+    """
+
+    def gen():
+        for item in w:
+            p = _shape_or_none(f, item) if is_pair(item) else None
+            if p is None:
+                yield WS
+            elif not p.inputs and not p.outputs:
+                yield TRIVIAL
+            else:
+                kept = keep(p)
+                yield WS if kept is None else kept
+
+    return WitnessStream(gen)
+
+
 def project_forall(w: WitnessStream, f: Formula, n: int) -> WitnessStream:
     """Specialize a universal witness at the numeral n.
 
@@ -43,29 +65,14 @@ def project_forall(w: WitnessStream, f: Formula, n: int) -> WitnessStream:
     """
     if not isinstance(f, Forall):
         raise TypeError("project_forall wants a universally quantified formula")
-    src = w.copy()
+    return select(w, f, lambda p: _shed(p, Numeral(n)))
 
-    def gen():
-        i = 0
-        while True:
-            item = src.at(i)
-            if item is None:
-                return
-            i += 1
-            if not is_pair(item):
-                yield WS
-                continue
-            p = _shape_or_none(f, item)
-            if p is None:
-                yield WS
-            elif not p.inputs and not p.outputs:
-                yield TRIVIAL
-            elif p.inputs and p.inputs[0] == Numeral(n):
-                yield IOPair(p.inputs[1:], p.outputs)
-            else:
-                yield WS
 
-    return WitnessStream(gen)
+def _shed(p: IOPair, lead):
+    """p without its first input when that input is lead, else None."""
+    if p.inputs[:1] == (lead,):
+        return IOPair(p.inputs[1:], p.outputs)
+    return None
 
 
 def apply_implication(w: WitnessStream, x: WitnessStream) -> WitnessStream:
@@ -122,32 +129,9 @@ def decompose(w: WitnessStream, f: Formula):
     """
     if not isinstance(f, And):
         raise TypeError("decompose wants a conjunction")
-    src = w.copy()
-
-    def side(which):
-        def gen():
-            i = 0
-            while True:
-                item = src.at(i)
-                if item is None:
-                    return
-                i += 1
-                if not is_pair(item):
-                    yield WS
-                    continue
-                p = _shape_or_none(f, item)
-                if p is None:
-                    yield WS
-                elif not p.inputs and not p.outputs:
-                    yield TRIVIAL
-                elif p.inputs and p.inputs[0] == Selector(which):
-                    yield IOPair(p.inputs[1:], p.outputs)
-                else:
-                    yield WS
-
-        return WitnessStream(gen)
-
-    return side(0), side(1)
+    left = select(w, f, lambda p: _shed(p, Selector(0)))
+    right = select(w, f, lambda p: _shed(p, Selector(1)))
+    return left, right
 
 
 def compose(left: WitnessStream, right: WitnessStream) -> WitnessStream:

@@ -456,7 +456,10 @@ def print_formula(f: Formula) -> str:
 
 
 def term_vars(t: Term) -> set:
-    """The variables occurring in a term."""
+    """The variables occurring in a term; a run of `+1` steps is walked
+    in a loop."""
+    while isinstance(t, Add) and isinstance(t.right, One):
+        t = t.left
     if isinstance(t, (Zero, One)):
         return set()
     if isinstance(t, Var):

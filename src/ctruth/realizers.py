@@ -18,16 +18,15 @@ induction with content, search) compile to stream transformations.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import vm
 from .checker import Budget, _synth, EXHAUSTED
-from .combinators import apply_implication, decompose, project_forall
+from .combinators import apply_implication, decompose, project_forall, select
 from .formula import (
     Add,
     And,
     Atom,
-    Box,
     Exists,
     Forall,
     Formula,
@@ -62,6 +61,7 @@ from .witness import (
     OUT_SEL,
     Prefix,
     Selector,
+    ShapeMismatch,
     TRIVIAL,
     WS,
     WitnessStream,
@@ -250,18 +250,20 @@ AXIOMS = {name: parse(text) for name, text in _AXIOM_TEXT.items()}
 # typing
 
 
-def _binder_vars(f: Formula) -> set:
+def _binders_over(f: Formula, var: str, bound: frozenset) -> set:
+    """The variables bound above a free occurrence of var in f, besides
+    those in bound."""
+    if isinstance(f, Atom):
+        return set(bound) if var in term_vars(f.left) | term_vars(f.right) else set()
     if isinstance(f, (Forall, Exists)):
-        return {f.var} | _binder_vars(f.body)
+        return set() if f.var == var else _binders_over(f.body, var, bound | {f.var})
     if isinstance(f, (And, Or, Implies)):
-        return _binder_vars(f.left) | _binder_vars(f.right)
-    if isinstance(f, (Not, Box)):
-        return _binder_vars(f.body)
-    return set()
+        return _binders_over(f.left, var, bound) | _binders_over(f.right, var, bound)
+    return _binders_over(f.body, var, bound)  # Not, Box
 
 
-def _no_capture(body: Formula, t: Term):
-    hit = _binder_vars(body) & term_vars(t)
+def _no_capture(body: Formula, var: str, t: Term):
+    hit = _binders_over(body, var, frozenset()) & term_vars(t)
     if hit:
         raise ProofError(f"instantiation would capture {sorted(hit)}")
 
@@ -292,6 +294,8 @@ def infer(p, hyps: tuple = ()) -> Formula:
         if not 0 <= p.index < len(hyps):
             raise ProofError(f"hypothesis {p.index} is not in scope")
         return hyps[p.index]
+    if isinstance(p, (Gen, Ind)) and any(p.var in free_vars(h) for h in hyps):
+        raise ProofError(f"{p.var} is free in an open hypothesis")
     if isinstance(p, Lam):
         return Implies(p.ante, infer(p.body, (p.ante,) + hyps))
     if isinstance(p, App):
@@ -306,16 +310,11 @@ def infer(p, hyps: tuple = ()) -> Formula:
         return ft.right
     if isinstance(p, Pair):
         return And(infer(p.left, hyps), infer(p.right, hyps))
-    if isinstance(p, Fst):
+    if isinstance(p, (Fst, Snd)):
         t = infer(p.arg, hyps)
         if not isinstance(t, And):
             raise ProofError("projecting a non-conjunction")
-        return t.left
-    if isinstance(p, Snd):
-        t = infer(p.arg, hyps)
-        if not isinstance(t, And):
-            raise ProofError("projecting a non-conjunction")
-        return t.right
+        return t.left if isinstance(p, Fst) else t.right
     if isinstance(p, Inl):
         return Or(infer(p.arg, hyps), p.other)
     if isinstance(p, Inr):
@@ -330,20 +329,17 @@ def infer(p, hyps: tuple = ()) -> Formula:
             raise ProofError("case branches prove different statements")
         return lt
     if isinstance(p, Gen):
-        for h in hyps:
-            if p.var in free_vars(h):
-                raise ProofError(f"{p.var} is free in an open hypothesis")
         return Forall(p.var, infer(p.body, hyps))
     if isinstance(p, Inst):
         t = infer(p.fn, hyps)
         if not isinstance(t, Forall):
             raise ProofError("instantiating a non-universal")
-        _no_capture(t.body, p.term)
+        _no_capture(t.body, t.var, p.term)
         return subst_term(t.body, t.var, p.term)
     if isinstance(p, Exi):
         if not isinstance(p.target, Exists):
             raise ProofError("existential introduction needs an existential target")
-        _no_capture(p.target.body, p.term)
+        _no_capture(p.target.body, p.target.var, p.term)
         want = subst_term(p.target.body, p.target.var, p.term)
         got = infer(p.body, hyps)
         if got != want:
@@ -352,9 +348,6 @@ def infer(p, hyps: tuple = ()) -> Formula:
             )
         return p.target
     if isinstance(p, Ind):
-        for h in hyps:
-            if p.var in free_vars(h):
-                raise ProofError(f"{p.var} is free in an open hypothesis")
         want0 = subst_term(p.motive, p.var, numeral(0))
         got0 = infer(p.base, hyps)
         if got0 != want0:
@@ -627,16 +620,7 @@ def _prepend_out(tok, item):
 
 
 def _map_stream(src: WitnessStream, fn) -> WitnessStream:
-    def items():
-        i = 0
-        while True:
-            item = src.at(i)
-            if item is None:
-                return
-            yield fn(item)
-            i += 1
-
-    return WitnessStream(items)
+    return WitnessStream(lambda: map(fn, src))
 
 
 def _interleave_tagged(left: WitnessStream, right: WitnessStream) -> WitnessStream:
@@ -664,7 +648,7 @@ def _realize(p, ctx, env):
     with the statement as written (open); env carries the numeric values
     of the first-order variables currently generalized over.
     """
-    target = instantiate(infer(p, tuple(f for f, _ in ctx)), env)
+    target = _statement(p, ctx, env)
     if _effective(target):
         return _enum_stream(target)
     if isinstance(p, Hyp):
@@ -685,24 +669,19 @@ def _realize(p, ctx, env):
         return apply_implication(fn, arg)
     if isinstance(p, Pair):
         return _interleave_tagged(_stream(p.left, ctx, env), _stream(p.right, ctx, env))
-    if isinstance(p, Fst):
-        whole = instantiate(infer(p.arg, tuple(f for f, _ in ctx)), env)
-        return decompose(_stream(p.arg, ctx, env), whole)[0]
-    if isinstance(p, Snd):
-        whole = instantiate(infer(p.arg, tuple(f for f, _ in ctx)), env)
-        return decompose(_stream(p.arg, ctx, env), whole)[1]
-    if isinstance(p, Inl):
-        return _map_stream(_stream(p.arg, ctx, env), lambda it: _prepend_out(Selector(0), it))
-    if isinstance(p, Inr):
-        return _map_stream(_stream(p.arg, ctx, env), lambda it: _prepend_out(Selector(1), it))
+    if isinstance(p, (Fst, Snd)):
+        left, right = decompose(_stream(p.arg, ctx, env), _statement(p.arg, ctx, env))
+        return left if isinstance(p, Fst) else right
+    if isinstance(p, (Inl, Inr)):
+        side = Selector(0 if isinstance(p, Inl) else 1)
+        return _map_stream(_stream(p.arg, ctx, env), lambda it: _prepend_out(side, it))
     if isinstance(p, Case):
         return _realize_case(p, ctx, env)
     if isinstance(p, Gen):
         return _dovetail(lambda n: _stream(p.body, ctx, {**env, p.var: n}))
     if isinstance(p, Inst):
-        whole = instantiate(infer(p.fn, tuple(f for f, _ in ctx)), env)
         v = eval_term(p.term, env)
-        return project_forall(_stream(p.fn, ctx, env), whole, v)
+        return project_forall(_stream(p.fn, ctx, env), _statement(p.fn, ctx, env), v)
     if isinstance(p, Exi):
         v = eval_term(p.term, env)
         return _map_stream(
@@ -714,6 +693,11 @@ def _realize(p, ctx, env):
         ex = target
         return _search_stream(ex)
     raise ExtractionError(f"no compilation for this stuck form: {type(p).__name__}")
+
+
+def _statement(p, ctx, env) -> Formula:
+    """What p proves under the hypotheses of ctx, closed by env."""
+    return instantiate(infer(p, tuple(f for f, _ in ctx)), env)
 
 
 def _stream(p, ctx, env) -> WitnessStream:
@@ -735,80 +719,54 @@ def _dovetail(instantiate) -> WitnessStream:
     def items():
         for k in itertools.count():
             n, r = vm.uncantor(k)
-            got = inst(n).pull(r + 1)
-            yield _prepend_in(Numeral(n), got[r]) if len(got) > r else WS
+            item = inst(n).at(r)
+            yield WS if item is None else _prepend_in(Numeral(n), item)
 
     return WitnessStream(items)
 
 
 def _realize_ind(p: Ind, ctx, env) -> WitnessStream:
-    cores: dict = {}
+    cores = []  # cores[k] realizes the motive at k
 
     def core(n: int) -> WitnessStream:
-        if n in cores:
-            return cores[n]
-        for k in range(n + 1):
-            if k in cores:
-                continue
+        for k in range(len(cores), n + 1):
             if k == 0:
-                cores[0] = _stream(p.base, ctx, env)
+                cores.append(_stream(p.base, ctx, env))
             else:
                 hyp_ctx = [(p.motive, cores[k - 1])] + ctx
-                cores[k] = _stream(p.step, hyp_ctx, {**env, p.var: k - 1})
+                cores.append(_stream(p.step, hyp_ctx, {**env, p.var: k - 1}))
         return cores[n]
 
     return _dovetail(core)
 
 
 def _realize_case(p: Case, ctx, env) -> WitnessStream:
-    whole = instantiate(infer(p.scrut, tuple(f for f, _ in ctx)), env)
+    whole = _statement(p.scrut, ctx, env)
     scrut = _stream(p.scrut, ctx, env)
 
     def items():
-        choice = None
-        r = 0
-        while choice is None:
-            got = scrut.pull(r + 1)
-            if len(got) <= r:
-                if scrut.exhausted_at(r + 1):
-                    return  # the scrutinee never commits; nothing to emit
-                continue
-            item = got[r]
-            r += 1
+        for item in scrut:
             if is_pair(item):
                 try:
                     norm = shape_check(whole, item)
-                except Exception:
+                except ShapeMismatch:
                     norm = None
                 if norm is not None and norm.outputs:
                     choice = norm.outputs[0].choice
                     break
             yield WS
+        else:
+            return  # the scrutinee never commits; nothing to emit
 
-        def project(it):
-            if not is_pair(it):
-                return WS
-            try:
-                norm = shape_check(whole, it)
-            except Exception:
-                return WS
-            if norm.outputs and norm.outputs[0] == Selector(choice):
-                return IOPair(norm.inputs, norm.outputs[1:])
-            if not norm.inputs and not norm.outputs:
-                return TRIVIAL
-            return WS
+        def chosen(q):
+            if q.outputs[:1] == (Selector(choice),):
+                return IOPair(q.inputs, q.outputs[1:])
+            return None
 
-        side = _map_stream(scrut.copy(), project)
+        side = select(scrut, whole, chosen)
         branch = p.left if choice == 0 else p.right
         side_formula = slot(whole)[1 + choice]
-        out = _stream(branch, [(side_formula, side)] + ctx, env)
-        i = 0
-        while True:
-            item = out.at(i)
-            if item is None:
-                return
-            yield item
-            i += 1
+        yield from _stream(branch, [(side_formula, side)] + ctx, env)
 
     return WitnessStream(items)
 
@@ -834,22 +792,26 @@ def _search_stream(ex: Exists) -> WitnessStream:
     return WitnessStream(items)
 
 
-def _search_code(ex: Exists):
-    """Machine code for the search, for atomic or negated-atomic matrices."""
-    body = ex.body
-    negated = False
+def _atom_test(matrix: Formula, var: str) -> str:
+    """A machine expression in var that is 1 where an atomic or
+    negated-atomic matrix holds and 0 where it fails."""
+    body, negated = matrix, False
     if isinstance(body, Not):
         body, negated = body.body, True
     if not isinstance(body, Atom):
-        return None
+        raise ExtractionError("only atoms and their negations decide this way")
+    a = _vm_term_env(body.left, {var: var})
+    b = _vm_term_env(body.right, {var: var})
+    test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
+    return f"(- 1 {test})" if negated else test
+
+
+def _search_code(ex: Exists):
+    """Machine code for the search, for atomic or negated-atomic matrices."""
     try:
-        a = _vm_term_env(body.left, {ex.var: ex.var})
-        b = _vm_term_env(body.right, {ex.var: ex.var})
+        test = _atom_test(ex.body, ex.var)
     except ExtractionError:
         return None
-    test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
-    if negated:
-        test = f"(- 1 {test})"
     x = ex.var
     return vm.program(
         f"(prog {vm.CANTOR}"
@@ -1040,16 +1002,7 @@ def search_realizer(ex: Exists) -> Extraction:
 def decider_code(matrix: Formula, var: str) -> vm.WCode:
     """Code answering every n with a selector: (n : 0) when the atomic
     (or negated-atomic) property holds there, (n : 1) when it fails."""
-    body, negated = matrix, False
-    if isinstance(body, Not):
-        body, negated = body.body, True
-    if not isinstance(body, Atom):
-        raise ExtractionError("only atoms and their negations decide this way")
-    a = _vm_term_env(body.left, {var: var})
-    b = _vm_term_env(body.right, {var: var})
-    test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
-    if negated:
-        test = f"(- 1 {test})"
+    test = _atom_test(matrix, var)
     return vm.program(
         f"(prog {vm.CANTOR}"
         f" (seq (emit 1) (set {var} 0) (while 1 (seq"
@@ -1089,16 +1042,8 @@ def markov_realizer(decider, nonempty_evidence=None, vm_steps: int = 10000) -> W
         # past every refusal, until the candidate itself gets a yes
         target = 0
         verdicts = {}
-        r = 0
-        while True:
-            got = src.pull(r + 1)
-            if len(got) <= r:
-                if src.exhausted_at(r + 1):
-                    return  # the decider fell silent; nothing to assert
-                yield WS
-                continue
-            seen = verdict_of(got[r])
-            r += 1
+        for item in src:
+            seen = verdict_of(item)
             if seen is not None:
                 verdicts.setdefault(seen[0], seen[1])
                 while verdicts.get(target) == 1:
@@ -1106,17 +1051,10 @@ def markov_realizer(decider, nonempty_evidence=None, vm_steps: int = 10000) -> W
                 if verdicts.get(target) == 0:
                     break
             yield WS
+        else:
+            return  # the decider fell silent; nothing to assert
         tag = Numeral(target)
-        k = 0
-        while True:
-            got = src.pull(k + 1)
-            if len(got) <= k:
-                if src.exhausted_at(k + 1):
-                    return
-                yield WS
-                continue
-            item = got[k]
-            k += 1
+        for item in src:
             if not (is_pair(item) and item.inputs[:1] == (tag,)):
                 yield WS
             elif item.outputs and item.outputs[0] == Selector(0):
@@ -1178,9 +1116,11 @@ def parse_proof_text(text: str):
     Proof syntax: (hyp N), (lam {A} p), (app p q), (pair p q), (fst p),
     (snd p), (inl p {B}), (inr {A} p), (case p l r), (gen x p),
     (inst p {t}), (exi {E} {t} p), (ind x {B} base step), (markov p),
-    (ax name).  Braces hold formula or term text; names bound by gen or
-    ind are in scope inside the braces.  The parsed proof is checked to
-    prove the stated line.
+    (ax name): the head is the constructor's name in lower case, then
+    its fields in order.  Braces hold formula or term text; the name
+    bound by gen is in scope in its body, the one bound by ind in its
+    motive and step.  The parsed proof is checked to prove the stated
+    line.
     """
     lines = text.strip().splitlines()
     if not lines:
@@ -1223,83 +1163,45 @@ def _proof_tokens(text: str):
     return toks
 
 
-def _expect_brace(toks, pos):
-    if pos >= len(toks) or not isinstance(toks[pos], tuple):
-        raise ProofError(f"expected {{...}} at token {pos}")
-    return toks[pos][1], pos + 1
+# the proof forms by head word; a form's fields are read in order
+_FORMS = {cls.__name__.lower(): cls for cls in Proof}
+
+
+def _token(toks, pos):
+    if pos >= len(toks):
+        raise ProofError("unexpected end of proof")
+    return toks[pos]
 
 
 def _parse_proof(toks, pos, bound):
-    if pos >= len(toks):
-        raise ProofError("unexpected end of proof")
-    t = toks[pos]
-    if t != "(":
-        raise ProofError(f"expected ( at token {pos}, found {t!r}")
-    head = toks[pos + 1]
-    pos += 2
-    if head == "hyp":
-        idx = int(toks[pos])
-        node, pos = Hyp(idx), pos + 1
-    elif head == "lam":
-        text, pos = _expect_brace(toks, pos)
-        ante = parse(text, free=bound)
-        body, pos = _parse_proof(toks, pos, bound)
-        node = Lam(ante, body)
-    elif head == "app":
-        fn, pos = _parse_proof(toks, pos, bound)
-        arg, pos = _parse_proof(toks, pos, bound)
-        node = App(fn, arg)
-    elif head == "pair":
-        a, pos = _parse_proof(toks, pos, bound)
-        b, pos = _parse_proof(toks, pos, bound)
-        node = Pair(a, b)
-    elif head == "fst":
-        a, pos = _parse_proof(toks, pos, bound)
-        node = Fst(a)
-    elif head == "snd":
-        a, pos = _parse_proof(toks, pos, bound)
-        node = Snd(a)
-    elif head == "inl":
-        a, pos = _parse_proof(toks, pos, bound)
-        text, pos = _expect_brace(toks, pos)
-        node = Inl(a, parse(text, free=bound))
-    elif head == "inr":
-        text, pos = _expect_brace(toks, pos)
-        a, pos = _parse_proof(toks, pos, bound)
-        node = Inr(parse(text, free=bound), a)
-    elif head == "case":
-        s, pos = _parse_proof(toks, pos, bound)
-        l, pos = _parse_proof(toks, pos, bound)
-        r, pos = _parse_proof(toks, pos, bound)
-        node = Case(s, l, r)
-    elif head == "gen":
-        var = toks[pos]
-        body, pos = _parse_proof(toks, pos + 1, bound + (var,))
-        node = Gen(var, body)
-    elif head == "inst":
-        fn, pos = _parse_proof(toks, pos, bound)
-        text, pos = _expect_brace(toks, pos)
-        node = Inst(fn, parse_term(text, free=bound))
-    elif head == "exi":
-        ftext, pos = _expect_brace(toks, pos)
-        ttext, pos = _expect_brace(toks, pos)
-        body, pos = _parse_proof(toks, pos, bound)
-        node = Exi(parse(ftext, free=bound), parse_term(ttext, free=bound), body)
-    elif head == "ind":
-        var = toks[pos]
-        pos += 1
-        mtext, pos = _expect_brace(toks, pos)
-        motive = parse(mtext, free=bound + (var,))
-        base, pos = _parse_proof(toks, pos, bound)
-        step, pos = _parse_proof(toks, pos, bound + (var,))
-        node = Ind(var, motive, base, step)
-    elif head == "markov":
-        a, pos = _parse_proof(toks, pos, bound)
-        node = Markov(a)
-    elif head == "ax":
-        node, pos = Ax(toks[pos]), pos + 1
-    else:
+    """Read one (head field ...) form: a "Proof" field is a subproof, a
+    Formula or Term field a {...} brace, an int field a hypothesis index
+    and a str field a bare name.  A Gen or Ind variable is in scope over
+    that form's _SCOPE fields."""
+    if _token(toks, pos) != "(":
+        raise ProofError(f"expected ( at token {pos}, found {toks[pos]!r}")
+    head = _token(toks, pos + 1)
+    cls = _FORMS.get(head)
+    if cls is None:
         raise ProofError(f"unknown proof form {head!r}")
+    pos += 2
+    values = {}
+    for field in fields(cls):
+        scope = bound + (values["var"],) if field.name in _SCOPE.get(cls, ()) else bound
+        if field.type == "Proof":
+            values[field.name], pos = _parse_proof(toks, pos, scope)
+            continue
+        if field.type in (Formula, Term):
+            if pos >= len(toks) or not isinstance(toks[pos], tuple):
+                raise ProofError(f"expected {{...}} at token {pos}")
+            read = parse if field.type is Formula else parse_term
+            values[field.name] = read(toks[pos][1], free=scope)
+        else:
+            tok = _token(toks, pos)
+            if not isinstance(tok, str) or tok in ("(", ")"):
+                raise ProofError(f"expected {field.name} at token {pos}")
+            values[field.name] = field.type(tok)  # int for an index, str for a name
+        pos += 1
     if pos >= len(toks) or toks[pos] != ")":
         raise ProofError(f"expected ) after {head} at token {pos}")
-    return node, pos + 1
+    return cls(**values), pos + 1

@@ -195,6 +195,29 @@ def _validate_program(expr):
             raise VMError("bad definition (want (def name (params) body))")
         if not isinstance(d[1], str) or not isinstance(d[2], list):
             raise VMError("bad definition header")
+        _validate_form(d[3])
+    _validate_form(expr[-1])
+
+
+# the argument count of each built-in form; seq takes any number
+_ARITY = {"fst": 1, "snd": 1, "emit": 1, "query": 1, "if": 3, "let": 3}
+_ARITY.update(dict.fromkeys(("+", "-", "*", "div", "mod", "<", "=", "pair", "set", "while"), 2))
+
+
+def _validate_form(x):
+    """Every form starts with a name and gives a built-in its argument count."""
+    if not isinstance(x, list):
+        return
+    if not x:
+        raise VMError("empty form")
+    head = x[0]
+    if not isinstance(head, str):
+        raise VMError(f"a form starts with a name, not {print_sexpr(head)}")
+    if head in _ARITY and len(x) - 1 != _ARITY[head]:
+        raise VMError(f"{head} wants {_ARITY[head]} arguments")
+    # the first argument of let, set and query is a name, not a form
+    for e in x[2:] if head in ("let", "set", "query") else x[1:]:
+        _validate_form(e)
 
 
 def godel_encode(text: str) -> int:

@@ -137,12 +137,15 @@ class WitnessStream:
         memo = self._buf.memo
         return memo[i] if i < len(memo) else None
 
+    def __iter__(self):
+        """The items from the first on, read lazily through at."""
+        i = 0
+        while (item := self.at(i)) is not None:
+            yield item
+            i += 1
+
     def pairs(self, k: int) -> list:
         return [it for it in self.pull(k) if is_pair(it)]
-
-    def exhausted_at(self, k: int) -> bool:
-        self._buf.fill(k)
-        return self._buf.done and len(self._buf.memo) <= k
 
     def copy(self) -> "WitnessStream":
         return WitnessStream(self._buf)

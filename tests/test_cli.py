@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from ctruth.cli import main
+from ctruth.vm import godel_encode
 
 from conftest import FIXTURES
 
@@ -135,6 +136,34 @@ def test_extract_realizability_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert "VERDICT accepted_up_to" in out
+
+
+def test_malformed_proofs_and_programs_exit_one(tmp_path, capsys):
+    prf = tmp_path / "cut.prf"
+    prf.write_text("0=0\n(\n")
+    code, out = run(capsys, "extract", "--proof", str(prf))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR unexpected end of proof"
+    assert "Traceback" not in out
+
+    fml = tmp_path / "succ.fml"
+    fml.write_text("A x. E y. y=x+1\n")
+    for bad in ["(prog (+ 1))", "(prog ((+ 1 2) 3))"]:
+        wc = tmp_path / "bad.wc"
+        wc.write_text(bad + "\n")
+        code, out = run(capsys, "realizability", "--formula", str(fml), "--code", str(wc))
+        assert code == 1
+        assert out.splitlines()[-1].startswith("ERROR ")
+        assert "Traceback" not in out
+
+    boxed = tmp_path / "box.fml"
+    boxed.write_text("box E x. x=1\n")
+    wit = tmp_path / "box.wit"
+    wit.write_text(f"(:{godel_encode('(prog (+ 1))')})\n")
+    code, out = run(capsys, "check", "--formula", str(boxed), "--witness", str(wit))
+    assert code == 1
+    assert "code does not decode" in out.splitlines()[-1]
+    assert "Traceback" not in out
 
 
 def test_apply_and_project(tmp_path, capsys):

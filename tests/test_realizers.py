@@ -3,12 +3,13 @@ from pathlib import Path
 import pytest
 
 from ctruth.checker import Budget, Probe, check_realizability, check_witness
-from ctruth.formula import Add, One, Var, numeral, parse
+from ctruth.formula import Add, One, UnboundVariable, Var, numeral, parse
 from ctruth.realizers import (
     AXIOMS,
     App,
     Ax,
     Case,
+    Exi,
     ExtractionError,
     Fst,
     Gen,
@@ -18,6 +19,7 @@ from ctruth.realizers import (
     Inr,
     Inst,
     Lam,
+    Markov,
     Pair,
     ProofError,
     Snd,
@@ -34,7 +36,7 @@ from ctruth.realizers import (
 )
 from ctruth.combinators import apply_implication
 from ctruth.vm import run_stream
-from ctruth.witness import IOPair, Numeral, Selector, TRIVIAL, WitnessStream
+from ctruth.witness import IOPair, Numeral, Selector, TRIVIAL, WS, WitnessStream
 
 from conftest import FIXTURES
 from oracles import is_linear_extension, least_satisfying
@@ -65,6 +67,52 @@ def test_proof_errors():
         parse_proof_text("E x. x=1\n(exi {E x. x=1} {2} (ax refl))")
     with pytest.raises(ProofError):
         parse_proof_text("0=0\n(app (ax refl) (ax refl))")
+    for truncated in ["0=0\n(", "0=0\n(gen", "0=0\n(ax", "0=0\n(hyp", "0=0\n(hyp {0})"]:
+        with pytest.raises(ProofError):
+            parse_proof_text(truncated)
+
+
+def test_proof_text_follows_the_constructor_fields():
+    # all 15 forms; the variable of gen and ind is in scope over the body,
+    # the motive and the step, and not over the base
+    text = """((E x. x=17) /\\ (0=0 \\/ ~(0=0))) /\\ ((A x. x=x) /\\ (A n. (n=0 \\/ E y. y+1=n)))
+    (pair
+      (pair
+        (markov (lam {A x. (x=17 -> 0=1)} (app (inst (hyp 0) {17}) (inst (ax refl) {17}))))
+        (case (inst (inst (ax eq_dec) {0}) {0}) (inl (hyp 0) {~(0=0)}) (inr {0=0} (hyp 0))))
+      (pair
+        (gen x (fst (pair (inst (ax refl) {x}) (ax refl))))
+        (snd (pair (ax refl)
+          (ind n {n=0 \\/ E y. y+1=n}
+            (inl (inst (ax refl) {0}) {E y. y+1=0})
+            (inr {n+1=0} (exi {E y. y+1=n+1} {n} (inst (ax refl) {n+1}))))))))"""
+    n = ("n",)
+    search = Markov(
+        Lam(
+            parse("A x. (x=17 -> 0=1)"),
+            App(Inst(Hyp(0), numeral(17)), Inst(Ax("refl"), numeral(17))),
+        )
+    )
+    split = Case(
+        Inst(Inst(Ax("eq_dec"), numeral(0)), numeral(0)),
+        Inl(Hyp(0), parse("~(0=0)")),
+        Inr(parse("0=0"), Hyp(0)),
+    )
+    gen = Gen("x", Fst(Pair(Inst(Ax("refl"), Var("x")), Ax("refl"))))
+    ind = Ind(
+        "n",
+        parse("n=0 \\/ E y. y+1=n", free=n),
+        Inl(Inst(Ax("refl"), numeral(0)), parse("E y. y+1=0")),
+        Inr(
+            parse("n+1=0", free=n),
+            Exi(parse("E y. y+1=n+1", free=n), Var("n"), Inst(Ax("refl"), _N1)),
+        ),
+    )
+    stmt, proof = parse_proof_text(text)
+    assert proof == Pair(Pair(search, split), Pair(gen, Snd(Pair(Ax("refl"), ind))))
+    assert stmt == infer(proof)
+    with pytest.raises(UnboundVariable, match="unbound variable: n"):
+        parse_proof_text("A n. n=n\n(ind n {n=n} (inst (ax refl) {n}) (inst (ax refl) {n+1}))")
 
 
 _A, _B = parse("0=0"), parse("1=1")
@@ -274,6 +322,32 @@ def test_markov_realizer_stays_quiet_without_witness():
     items = [IOPair((Numeral(n),), (Selector(1),)) for n in range(6)]
     w = markov_realizer(WitnessStream.from_items(items))
     assert [p for p in w.pull(32) if isinstance(p, IOPair) and p.outputs] == []
+    assert w.pull(32) == (WS,) * 6
+
+
+def test_case_split_realizer_follows_the_committed_side():
+    a = parse("E x. x=1 \\/ E x. x=2")
+    swap = Lam(a, Case(Hyp(0), Inr(parse("E x. x=2"), Hyp(0)), Inl(Hyp(0), parse("E x. x=1"))))
+    ex = extract(swap)
+    # two uncommitted items, then the right disjunct with 2: the stream
+    # echoes the wait, then replays the right side as the new left side
+    out = ex.apply(WitnessStream.from_text("_ _ (:1,2)"))
+    assert out.pull(64) == (WS, WS, WS, WS, IOPair((), (Selector(0), Numeral(2))))
+    # a scrutinee that never commits yields one whitespace per item, then ends
+    assert ex.apply(WitnessStream.from_text("_ _ _")).pull(64) == (WS, WS, WS)
+
+
+def test_instantiation_capture_looks_at_occurrences_of_the_variable():
+    x, y = "x", "y"
+    vacuous = Inst(Gen(x, Gen(y, Inst(Ax("refl"), numeral(0)))), Var(y))
+    assert infer(vacuous) == parse("A y. 0=0")
+    assert infer(normalize(vacuous)) == parse("A y. 0=0")
+    capturing = Inst(Gen(x, Gen(y, Inst(Ax("refl"), Var(x)))), Var(y))
+    with pytest.raises(ProofError, match=r"instantiation would capture \['y'\]"):
+        infer(capturing)
+    # an inner binder of x hides the occurrence from the instantiation
+    shadowed = Inst(Gen(x, Gen(y, Gen(x, Inst(Ax("refl"), Var(x))))), Var(y))
+    assert infer(shadowed) == parse("A y. A x. x=x")
 
 
 class _Node:

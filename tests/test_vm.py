@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctruth.witness import IOPair, Numeral, Prefix, Selector, TRIVIAL, WS, WitnessStream
 from ctruth.vm import (
+    DecodeError,
     VMError,
     cantor,
     decode_item,
@@ -54,9 +55,12 @@ def test_program_parses_and_prints():
 
 
 def test_bad_programs_rejected():
-    for bad in ["(prog)", "(prog (emit 1) extra)", "(prog (frob 1))", "(seq)"]:
+    for bad in ["(prog)", "(prog (emit 1) extra)", "(prog (frob 1))", "(seq)",
+                "(prog (+ 1))", "(prog ((+ 1 2) 3))", "(prog (seq (emit (+ 1))))"]:
         with pytest.raises(VMError):
             run_stream(program(bad), {}, 100).pull(1)
+    with pytest.raises(DecodeError):
+        godel_decode(godel_encode("(prog (+ 1))"))
 
 
 def test_emit_loop_and_arithmetic():
