@@ -9,7 +9,10 @@ one indexed pass: each pair is inserted into a trie keyed on its tokens
 and compared only with the pairs whose inputs agree with its own.
 Content is judged under an integer environment binding the pair's
 tokens, never by substituting unary numerals, so a check costs close to
-linear time in the number of pairs.  The three outcomes:
+linear time in the number of pairs.  A refutation is costed on the
+statement's spine before any of its content is built, so a decision
+the allowance declines builds nothing.  Every walk reads the spine
+record memoized on each formula node (witness.slot).  The three outcomes:
 
     accepted_up_to   no fault found and all bounded demands answered
     rejected         a pair is malformed, conflicting, or provably wrong
@@ -54,6 +57,7 @@ from .witness import (
     ShapeMismatch,
     TRIVIAL,
     WitnessStream,
+    content,
     content_parts,
     is_pair,
     semantic_content,
@@ -231,9 +235,9 @@ def _walk(g, env, cursors, path, budget, probes):
     """First unmet demand or definite fault under g, else None.
 
     Returns (_PEND, path) or (_REJ, pair, reason).  `env` holds the
-    values of g's instantiated variables; `cursors` are (pair, inputs,
-    outputs) for the pairs still walking this subtree, the token
-    sequences already past `path`.
+    values of g's instantiated variables; `cursors` are (pair, i, o)
+    for the shaped pairs still walking this subtree, i and o being the
+    offsets of their first input and output token past `path`.
     """
     s = slot(g)
     kind = s[0]
@@ -241,9 +245,9 @@ def _walk(g, env, cursors, path, budget, probes):
         return None if cursors else (_PEND, path)
     if kind in (IN_NUM, IN_SEL):
         branches = {}
-        for pair, ins, outs in cursors:
-            if ins:
-                branches.setdefault(ins[0], []).append((pair, ins[1:], outs))
+        for pair, i, o in cursors:
+            if i < len(pair.inputs):
+                branches.setdefault(pair.inputs[i], []).append((pair, i + 1, o))
         if kind == IN_NUM:
             _, var, body = s
             choices = (
@@ -266,9 +270,9 @@ def _walk(g, env, cursors, path, budget, probes):
                 continue
             observed = Prefix(probe.stream.pull(budget.pull_limit))
             branch = [
-                (pair, ins[1:], outs)
-                for pair, ins, outs in cursors
-                if ins and isinstance(ins[0], Prefix) and observed.extends(ins[0])
+                (pair, i + 1, o)
+                for pair, i, o in cursors
+                if i < len(pair.inputs) and observed.extends(pair.inputs[i])
             ]
             if not branch:
                 return (_PEND, path + [observed])
@@ -277,24 +281,25 @@ def _walk(g, env, cursors, path, budget, probes):
                 return r
         return None  # no probe, no demand to meet
     # output slots: follow the stream's own (unique) choice
-    speaking = [c for c in cursors if c[2]]
+    speaking = [(pair, i, o) for pair, i, o in cursors if o < len(pair.outputs)]
     if not speaking:
         return (_PEND, path)
-    tok = speaking[0][2][0]
+    first, _, o = speaking[0]
+    tok = first.outputs[o]
     if kind == OUT_CODE:
         # decode, run, and check the emitted stream against the body
         try:
             prog = vm.godel_decode(tok.value)
         except vm.DecodeError as e:
-            return (_REJ, speaking[0][0], f"code does not decode: {e}")
+            return (_REJ, first, f"code does not decode: {e}")
         inner = vm.run_stream(prog, {}, budget.vm_steps)
         v = check_witness(inner, instantiate(s[1], env), budget)
         if v.status == "rejected":
-            return (_REJ, speaking[0][0], f"decoded program fails: {v.line()}")
+            return (_REJ, first, f"decoded program fails: {v.line()}")
         if v.status == "pending":
             return (_PEND, list(v.missing) if v.missing else path)
         return None
-    branch = [(pair, ins, outs[1:]) for pair, ins, outs in speaking]
+    branch = [(pair, i, o + 1) for pair, i, o in speaking]
     if kind == OUT_NUM:
         return _walk(s[2], {**env, s[1]: tok.value}, branch, path, budget, probes)
     return _walk(s[1 + tok.choice], env, branch, path, budget, probes)
@@ -308,16 +313,32 @@ _DECISION_ALLOWANCE = 200_000
 
 
 def _decision_cost(f: Formula, budget: Budget) -> int:
-    """Upper bound on the points eval3 would visit deciding f."""
+    """Upper bound on the points eval3 would visit deciding f, memoized
+    on f per (numeral_bound, search_bound)."""
+    key = (budget.numeral_bound, budget.search_bound)
+    if f._costs is None:
+        object.__setattr__(f, "_costs", {})
+    elif key in f._costs:
+        return f._costs[key]
     if isinstance(f, Atom):
-        return 1
-    if isinstance(f, (Not, Box)):
-        return 1 + _decision_cost(f.body, budget)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + _decision_cost(f.left, budget) + _decision_cost(f.right, budget)
-    bound = budget.numeral_bound if isinstance(f, Forall) else budget.search_bound
-    inner = _decision_cost(f.body, budget)
-    return 1 + (bound + 1) * inner
+        cost = 1
+    elif isinstance(f, (Not, Box)):
+        cost = 1 + _decision_cost(f.body, budget)
+    elif isinstance(f, (And, Or, Implies)):
+        cost = 1 + _decision_cost(f.left, budget) + _decision_cost(f.right, budget)
+    else:
+        bound = budget.numeral_bound if isinstance(f, Forall) else budget.search_bound
+        cost = 1 + (bound + 1) * _decision_cost(f.body, budget)
+    f._costs[key] = cost
+    return cost
+
+
+def _content_cost(parts, budget: Budget) -> int:
+    """_decision_cost of the claim content_parts' parts stand for, read
+    off the uninstantiated spine: instantiating keeps a formula's shape,
+    and k hypotheses add k - 1 conjunctions and one implication."""
+    hyps, rest, _ = parts
+    return _decision_cost(rest, budget) + sum(1 + _content_cost(h, budget) for h in hyps)
 
 
 def _refuted(f: Formula, p: IOPair, budget: Budget) -> bool:
@@ -325,13 +346,14 @@ def _refuted(f: Formula, p: IOPair, budget: Budget) -> bool:
     deciding it would blow the enumeration allowance.  Declining keeps
     the checker sound: it only ever rejects on a decision it completed.
 
-    The content is judged under its integer environment; substituting
-    the values would keep its shape, and so its decision cost.
+    The claim is costed on the spine before any of it is built, and its
+    conclusion is judged under its integer environment.
     """
-    hyps, rest, env = content_parts(f, p)
-    claim = Implies(conj_all(hyps), rest) if hyps else rest
-    if _decision_cost(claim, budget) > _DECISION_ALLOWANCE:
+    parts = content_parts(f, p)
+    if _content_cost(parts, budget) > _DECISION_ALLOWANCE:
         return False
+    hyps, rest, env = parts
+    claim = Implies(conj_all(map(content, hyps)), rest) if hyps else rest
     return eval3(claim, env, budget.numeral_bound, budget.search_bound) is FALSE
 
 
@@ -369,13 +391,13 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
                 if _refuted(f.right, rest, budget):
                     return _rejected(budget, raw, semantic_content(f.right, rest))
 
-    cursors = [(raw, p.inputs, p.outputs) for raw, p in zip(raws, pairs)]
-    r = _walk(f, {}, cursors, [], budget, list(probes))
+    r = _walk(f, {}, [(p, 0, 0) for p in pairs], [], budget, list(probes))
     if r is None:
         return _accepted(budget)
     if r[0] == _PEND:
         return _pending(budget, r[1])
-    return _rejected(budget, r[1], r[2])
+    raw = next(raw for raw, p in zip(raws, pairs) if p is r[1])
+    return _rejected(budget, raw, r[2])
 
 
 def check_code(code, f: Formula, budget: Budget, inputs=None, probes=()) -> Verdict:

@@ -25,7 +25,7 @@ from .checker import (
     synthesize_sigma03,
 )
 from .combinators import apply_implication, project_forall
-from .formula import ParseError, parse, print_formula
+from .formula import ParseError, UnboundVariable, parse, print_formula
 from .realizers import ExtractionError, ProofError, extract, parse_proof_text
 from .witness import ShapeMismatch, WitnessStream, WitnessTextError, serialize_items
 
@@ -69,6 +69,7 @@ MACHINES = {
 
 _PARSE_ERRORS = (
     ParseError,
+    UnboundVariable,
     WitnessTextError,
     ProofError,
     ExtractionError,

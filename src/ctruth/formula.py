@@ -109,6 +109,9 @@ def numeral_value(t: Term):
 class Formula:
     # eval3's and eval2's closures for this node, filled in by _compile
     _compiled: list = field(default=None, init=False, repr=False, compare=False)
+    # witness.slot's spine record and checker._decision_cost's costs by bounds
+    _spine: tuple = field(default=None, init=False, repr=False, compare=False)
+    _costs: dict = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -196,10 +196,6 @@ def consequent_formula(tree, labels):
     return exists("s", exists("u", exists("b", exists("c", matrix))))
 
 
-def game_formula(tree, labels):
-    return Implies(antecedent_formula(tree, labels), consequent_formula(tree, labels))
-
-
 def _or_path(n_disjuncts: int, index: int):
     """Selector outputs reaching a disjunct of a left-folded chain."""
     if n_disjuncts <= 1:
@@ -568,13 +564,6 @@ def dichotomy_row(tree, horizon=10000, budget=None):
 # implication chains and their propositional shadow
 
 
-def chain_link_formula(i: int):
-    y = Var("y")
-    return Implies(
-        exists("y", eq(y, _num(i))), exists("y", eq(y, _num(i + 1)))
-    )
-
-
 def chain_link_witness(i: int, fake_antecedent=None) -> WitnessStream:
     """A witness for the i-th link.  With fake_antecedent set, the link
     listens for the wrong answer and never fires on honest input."""
@@ -714,19 +703,6 @@ def prop3_duality(length: int, break_at=None, budget=None):
 
 # ---------------------------------------------------------------------------
 # descending-branch encoding
-
-
-def leaf_table(s_term, tree):
-    leaves = [
-        n
-        for n in tree.sorted_nodes()
-        if n + (0,) not in tree.nodes and n + (1,) not in tree.nodes
-    ]
-    return disj_all(eq(s_term, _num(seq_code(n))) for n in leaves)
-
-
-def deadend_formula(tree):
-    return exists("s", leaf_table(Var("s"), tree))
 
 
 def pi11_encode(presentation, guess_horizon=64) -> WitnessStream:

@@ -1151,7 +1151,9 @@ def _proof_tokens(text: str):
             i += 1
             continue
         if c == "{":
-            j = text.index("}", i)
+            j = text.find("}", i)
+            if j < 0:
+                raise ProofError(f"unclosed {{ at token {len(toks)}")
             toks.append(("brace", text[i + 1 : j].strip()))
             i = j + 1
             continue
@@ -1200,7 +1202,10 @@ def _parse_proof(toks, pos, bound):
             tok = _token(toks, pos)
             if not isinstance(tok, str) or tok in ("(", ")"):
                 raise ProofError(f"expected {field.name} at token {pos}")
-            values[field.name] = field.type(tok)  # int for an index, str for a name
+            try:
+                values[field.name] = field.type(tok)  # int for an index, str for a name
+            except ValueError:
+                raise ProofError(f"expected {field.name} at token {pos}, found {tok!r}") from None
         pos += 1
     if pos >= len(toks) or toks[pos] != ")":
         raise ProofError(f"expected ) after {head} at token {pos}")

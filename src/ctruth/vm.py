@@ -417,8 +417,3 @@ def successor_program() -> WCode:
         " (emit (mkpair (lone (* 3 n)) (lone (* 3 (+ n 1)))))"
         " (set n (+ n 1))))))"
     )
-
-
-def echo_program() -> WCode:
-    """Re-emits input stream 0 unchanged (an identity transformer)."""
-    return program("(prog (while 1 (emit (query 0))))")

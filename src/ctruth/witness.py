@@ -294,23 +294,42 @@ IN_NUM, OUT_NUM, IN_SEL, OUT_SEL, IN_PREFIX, OUT_CODE, END = (
 )
 
 
+_INPUTS = (IN_NUM, IN_SEL, IN_PREFIX)
+_CHOICES = (IN_SEL, OUT_SEL)
+
+
 def slot(f: Formula):
-    """The next token slot of a statement, walked by decreasing scope."""
+    """The next token slot of a statement, walked by decreasing scope.
+
+    The record is built once per node and kept on it, so a walk reads
+    each node's record once per step and never re-derives it.
+    """
+    s = getattr(f, "_spine", None)
+    if s is not None:
+        return s
     if isinstance(f, Forall):
-        return (IN_NUM, f.var, f.body)
-    if isinstance(f, Exists):
-        return (OUT_NUM, f.var, f.body)
-    if isinstance(f, And):
-        return (IN_SEL, f.left, f.right)
-    if isinstance(f, Or):
-        return (OUT_SEL, f.left, f.right)
-    if isinstance(f, Implies):
-        return (IN_PREFIX, f.left, f.right)
-    if isinstance(f, Box):
-        return (OUT_CODE, f.body)
-    if isinstance(f, (Atom, Not)):
-        return (END,)
-    raise TypeError(f"not a formula: {f!r}")
+        s = (IN_NUM, f.var, f.body)
+    elif isinstance(f, Exists):
+        s = (OUT_NUM, f.var, f.body)
+    elif isinstance(f, And):
+        s = (IN_SEL, f.left, f.right)
+    elif isinstance(f, Or):
+        s = (OUT_SEL, f.left, f.right)
+    elif isinstance(f, Implies):
+        s = (IN_PREFIX, f.left, f.right)
+    elif isinstance(f, Box):
+        s = (OUT_CODE, f.body)
+    elif isinstance(f, (Atom, Not)):
+        s = (END,)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_spine", s)
+    return s
+
+
+def _after(s, tok):
+    """The statement past a token given at slot record s."""
+    return s[1 + tok.choice] if s[0] in _CHOICES else s[2]
 
 
 def shape_check(f: Formula, p: IOPair) -> IOPair:
@@ -318,16 +337,53 @@ def shape_check(f: Formula, p: IOPair) -> IOPair:
 
     Returns the pair with selector positions re-tagged (text gives only
     numbers).  Partial pairs are fine; stray tokens, tokens of the wrong
-    kind and selectors outside {0,1} raise ShapeMismatch.
+    kind and selectors outside {0,1} raise ShapeMismatch.  The walk is
+    a loop over offsets i, o into the pair's token tuples.
     """
-    ins, outs = _shape(f, list(p.inputs), list(p.outputs))
-    return IOPair(tuple(ins), tuple(outs))
+    ins, outs = p.inputs, p.outputs
+    si, so = [], []
+    i = o = 0
+    s = slot(f)
+    while True:
+        kind = s[0]
+        if kind == END:
+            if i < len(ins) or o < len(outs):
+                raise ShapeMismatch("tokens left over past the end of the statement")
+            break
+        if kind in _INPUTS:
+            if i == len(ins):
+                if o < len(outs):
+                    raise ShapeMismatch("output given without the required input")
+                break
+            if kind == IN_PREFIX:
+                tok = _prefix_token(s[1], ins[i])
+            else:
+                tok = (_sel_token if kind == IN_SEL else _num_token)(ins[i])
+            si.append(tok)
+            i += 1
+        else:
+            if o == len(outs):
+                if i < len(ins):
+                    raise ShapeMismatch("input given past the available output")
+                break
+            tok = (_sel_token if kind == OUT_SEL else _num_token)(outs[o])
+            o += 1
+            so.append(tok)
+            if kind == OUT_CODE:
+                if i < len(ins) or o < len(outs):
+                    raise ShapeMismatch("tokens left over past a code")
+                break
+        s = slot(_after(s, tok))
+    return IOPair(tuple(si), tuple(so))
 
 
 def _num_token(tok):
     if isinstance(tok, Numeral):
         return tok
     raise ShapeMismatch(f"expected a numeral, found {tok}")
+
+
+_SELECTORS = (Selector(0), Selector(1))
 
 
 def _sel_token(tok):
@@ -339,85 +395,48 @@ def _sel_token(tok):
         raise ShapeMismatch(f"expected a selector, found {tok}")
     if v not in (0, 1):
         raise ShapeMismatch(f"selector out of range: {v}")
-    return Selector(v)
+    return _SELECTORS[v]
 
 
-def _shape(f, ins, outs):
-    kind = slot(f)[0]
-    if kind == END:
-        if ins or outs:
-            raise ShapeMismatch("tokens left over past the end of the statement")
-        return [], []
-    if kind in (IN_NUM, IN_SEL, IN_PREFIX):
-        if not ins:
-            if outs:
-                raise ShapeMismatch("output given without the required input")
-            return [], []
-        if kind == IN_NUM:
-            tok = _num_token(ins[0])
-            rest_i, rest_o = _shape(slot(f)[2], ins[1:], outs)
-        elif kind == IN_SEL:
-            tok = _sel_token(ins[0])
-            side = slot(f)[1 + tok.choice]
-            rest_i, rest_o = _shape(side, ins[1:], outs)
+def _prefix_token(ante, tok):
+    """A prefix input with its pairs shaped against the antecedent."""
+    if not isinstance(tok, Prefix):
+        raise ShapeMismatch(f"expected a prefix, found {tok}")
+    seg = []
+    for it in tok.items:
+        if is_pair(it):
+            seg.append(shape_check(ante, it))
+        elif isinstance(it, Whitespace):
+            seg.append(it)
         else:
-            if not isinstance(ins[0], Prefix):
-                raise ShapeMismatch(f"expected a prefix, found {ins[0]}")
-            seg = []
-            for it in ins[0].items:
-                if is_pair(it):
-                    seg.append(shape_check(slot(f)[1], it))
-                elif isinstance(it, Whitespace):
-                    seg.append(it)
-                else:
-                    raise ShapeMismatch(f"not an item inside a prefix: {it!r}")
-            tok = Prefix(tuple(seg))
-            rest_i, rest_o = _shape(slot(f)[2], ins[1:], outs)
-        return [tok] + rest_i, rest_o
-    # output slots
-    if not outs:
-        if ins:
-            raise ShapeMismatch("input given past the available output")
-        return [], []
-    if kind == OUT_NUM:
-        tok = _num_token(outs[0])
-        rest_i, rest_o = _shape(slot(f)[2], ins, outs[1:])
-    elif kind == OUT_SEL:
-        tok = _sel_token(outs[0])
-        side = slot(f)[1 + tok.choice]
-        rest_i, rest_o = _shape(side, ins, outs[1:])
-    else:  # OUT_CODE
-        tok = _num_token(outs[0])
-        if ins or outs[1:]:
-            raise ShapeMismatch("tokens left over past a code")
-        rest_i, rest_o = [], []
-    return rest_i, [tok] + rest_o
+            raise ShapeMismatch(f"not an item inside a prefix: {it!r}")
+    return Prefix(tuple(seg))
 
 
 def pair_complete(f: Formula, p: IOPair) -> bool:
     """True when the pair's walk reaches the end of its path."""
-    return _complete(f, list(p.inputs), list(p.outputs))
-
-
-def _complete(f, ins, outs):
-    kind = slot(f)[0]
-    if kind == END:
-        return not ins and not outs
-    if kind in (IN_NUM, IN_SEL, IN_PREFIX):
-        if not ins:
-            return False
-        if kind == IN_SEL:
-            side = slot(f)[1 + _sel_token(ins[0]).choice]
-            return _complete(side, ins[1:], outs)
-        return _complete(slot(f)[2], ins[1:], outs)
-    if not outs:
-        return False
-    if kind == OUT_SEL:
-        side = slot(f)[1 + _sel_token(outs[0]).choice]
-        return _complete(side, ins, outs[1:])
-    if kind == OUT_CODE:
-        return not ins and len(outs) == 1
-    return _complete(slot(f)[2], ins, outs[1:])
+    ins, outs = p.inputs, p.outputs
+    i = o = 0
+    s = slot(f)
+    while True:
+        kind = s[0]
+        if kind == END:
+            return i == len(ins) and o == len(outs)
+        if kind == OUT_CODE:
+            return i == len(ins) and o + 1 == len(outs)
+        if kind in _INPUTS:
+            if i == len(ins):
+                return False
+            tok = ins[i]
+            i += 1
+        else:
+            if o == len(outs):
+                return False
+            tok = outs[o]
+            o += 1
+        if kind in _CHOICES:
+            tok = _sel_token(tok)
+        s = slot(_after(s, tok))
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +451,38 @@ def semantic_content(f: Formula, p: IOPair) -> Formula:
     plus the contents of its own pairs as hypotheses.  A partial pair's
     conclusion is the untouched remainder of the statement.
     """
-    hyps, rest, env = content_parts(f, shape_check(f, p))
+    return content(content_parts(f, shape_check(f, p)))
+
+
+def content(parts) -> Formula:
+    """The formula that content_parts' (hyps, rest, env) stand for."""
+    hyps, rest, env = parts
     concl = instantiate(rest, env)
     if not hyps:
         return concl
-    return Implies(conj_all(hyps), concl)
+    return Implies(conj_all(content(h) for h in hyps), concl)
 
 
-def content_parts(f: Formula, p: IOPair):
+def content_parts(f: Formula, p: IOPair, env=None):
     """A shaped pair's semantic content in parts: (hyps, rest, env).
 
     `rest` is the part of the statement the pair's tokens reach, still
-    open; `env` maps its instantiated variables to their values; `hyps`
-    are the closed hypotheses its prefix inputs contribute.  The content
-    is `rest` under `env`, implied by the conjunction of `hyps` if any.
+    open; `env` maps its instantiated variables to their values, from
+    the outer `env` on.  Each of `hyps` is itself such parts: a prefix
+    input contributes its antecedent as `((), ante, env)` and the parts
+    of each pair it holds, which shape_check already shaped.  Nothing
+    is instantiated here; `content` builds the formula, which is `rest`
+    under `env`, implied by the conjunction of the hypotheses if any.
     Judging `rest` under `env` leaves large numerals as integers.
     """
     hyps: list = []
-    env: dict = {}
+    env = dict(env or ())
     ins, outs = iter(p.inputs), iter(p.outputs)
     g = f
     while True:
         s = slot(g)
         kind = s[0]
-        if kind in (IN_NUM, IN_SEL, IN_PREFIX):
+        if kind in _INPUTS:
             tok = next(ins, None)
         elif kind in (OUT_NUM, OUT_SEL):
             tok = next(outs, None)
@@ -468,11 +495,8 @@ def content_parts(f: Formula, p: IOPair):
             return hyps, g, env
         if kind in (IN_NUM, OUT_NUM):
             env[s[1]] = tok.value
-            g = s[2]
-        elif kind in (IN_SEL, OUT_SEL):
-            g = s[1 + tok.choice]
-        else:
-            ante = instantiate(s[1], env)
+        elif kind == IN_PREFIX:
+            ante = ((), s[1], dict(env))
             hyps.append(ante)
-            hyps.extend(semantic_content(ante, it) for it in tok.items if is_pair(it))
-            g = s[2]
+            hyps.extend(content_parts(s[1], it, ante[2]) for it in tok.items if is_pair(it))
+        g = _after(s, tok)

@@ -28,8 +28,10 @@ from ctruth.witness import (
     Numeral,
     Prefix,
     Selector,
+    ShapeMismatch,
     TRIVIAL,
     WS,
+    Whitespace,
     WitnessStream,
     is_pair,
 )
@@ -258,6 +260,112 @@ def _paths(f, table, domain):
             for ins, outs in _paths(g, sub, domain)
         ]
     raise TypeError(f)
+
+
+# ---------------------------------------------------------------------------
+# pair shape along the spine
+#
+# The recursive walk the package's offset loops must agree with: each
+# token is checked, the token lists are sliced past it, and the walk
+# recurses on the rest of the statement.  Same checks, same order, same
+# ShapeMismatch texts.
+
+
+def _num_token(tok):
+    if isinstance(tok, Numeral):
+        return tok
+    raise ShapeMismatch(f"expected a numeral, found {tok}")
+
+
+def _sel_token(tok):
+    if isinstance(tok, Selector):
+        v = tok.choice
+    elif isinstance(tok, Numeral):
+        v = tok.value
+    else:
+        raise ShapeMismatch(f"expected a selector, found {tok}")
+    if v not in (0, 1):
+        raise ShapeMismatch(f"selector out of range: {v}")
+    return Selector(v)
+
+
+def shape_check(f, p):
+    """The pair with its selectors tagged, or ShapeMismatch."""
+    ins, outs = _shape(f, list(p.inputs), list(p.outputs))
+    return IOPair(tuple(ins), tuple(outs))
+
+
+def _shape(f, ins, outs):
+    if isinstance(f, (Atom, Not)):
+        if ins or outs:
+            raise ShapeMismatch("tokens left over past the end of the statement")
+        return [], []
+    if isinstance(f, (Forall, And, Implies)):
+        if not ins:
+            if outs:
+                raise ShapeMismatch("output given without the required input")
+            return [], []
+        if isinstance(f, Forall):
+            tok = _num_token(ins[0])
+            rest_i, rest_o = _shape(f.body, ins[1:], outs)
+        elif isinstance(f, And):
+            tok = _sel_token(ins[0])
+            rest_i, rest_o = _shape((f.left, f.right)[tok.choice], ins[1:], outs)
+        else:
+            if not isinstance(ins[0], Prefix):
+                raise ShapeMismatch(f"expected a prefix, found {ins[0]}")
+            seg = []
+            for it in ins[0].items:
+                if is_pair(it):
+                    seg.append(shape_check(f.left, it))
+                elif isinstance(it, Whitespace):
+                    seg.append(it)
+                else:
+                    raise ShapeMismatch(f"not an item inside a prefix: {it!r}")
+            tok = Prefix(tuple(seg))
+            rest_i, rest_o = _shape(f.right, ins[1:], outs)
+        return [tok] + rest_i, rest_o
+    if not isinstance(f, (Exists, Or, Box)):
+        raise TypeError(f)
+    if not outs:
+        if ins:
+            raise ShapeMismatch("input given past the available output")
+        return [], []
+    if isinstance(f, Exists):
+        tok = _num_token(outs[0])
+        rest_i, rest_o = _shape(f.body, ins, outs[1:])
+    elif isinstance(f, Or):
+        tok = _sel_token(outs[0])
+        rest_i, rest_o = _shape((f.left, f.right)[tok.choice], ins, outs[1:])
+    else:
+        tok = _num_token(outs[0])
+        if ins or outs[1:]:
+            raise ShapeMismatch("tokens left over past a code")
+        rest_i, rest_o = [], []
+    return rest_i, [tok] + rest_o
+
+
+def pair_complete(f, p):
+    """True when the pair's walk reaches the end of its path."""
+    return _complete(f, list(p.inputs), list(p.outputs))
+
+
+def _complete(f, ins, outs):
+    if isinstance(f, (Atom, Not)):
+        return not ins and not outs
+    if isinstance(f, (Forall, And, Implies)):
+        if not ins:
+            return False
+        if isinstance(f, And):
+            return _complete((f.left, f.right)[_sel_token(ins[0]).choice], ins[1:], outs)
+        return _complete(f.body if isinstance(f, Forall) else f.right, ins[1:], outs)
+    if not outs:
+        return False
+    if isinstance(f, Or):
+        return _complete((f.left, f.right)[_sel_token(outs[0]).choice], ins, outs[1:])
+    if isinstance(f, Box):
+        return not ins and len(outs) == 1
+    return _complete(f.body, ins, outs[1:])
 
 
 # ---------------------------------------------------------------------------

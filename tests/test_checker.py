@@ -2,7 +2,7 @@ import functools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ctruth import checker
 from ctruth.checker import (
@@ -14,7 +14,7 @@ from ctruth.checker import (
     check_witness,
     synthesize_sigma03,
 )
-from ctruth.formula import parse
+from ctruth.formula import Implies, conj_all, parse
 from ctruth.vm import program
 from ctruth.witness import (
     IOPair,
@@ -24,11 +24,15 @@ from ctruth.witness import (
     TRIVIAL,
     WS,
     WitnessStream,
+    content,
+    content_parts,
+    semantic_content,
     shape_check,
 )
 
 from oracles import all_tables, first_conflict, holds, render_table
 from test_acceptance import _FAMILY
+from test_witness import _walked_pair
 
 DOUBLING = parse("A x. E y. y=2*x")
 B = Budget(pull_limit=64, numeral_bound=3, vm_steps=4000)
@@ -322,3 +326,43 @@ _NESTED = '("","(:1)":3) ("(:1)","(:2)":3) ("","(:2) _":3) ("(:1)","(:2)":4)'
 def test_discipline_matches_scan_on_extending_prefixes(case):
     f, items = case
     _assert_same_as_scan(f, items, Budget(len(items) + 1, 2, 1000))
+
+
+# the cost _refuted gates on is read off the spine before the claim is
+# built; it must be the cost of the claim it would build
+_COSTED = [
+    parse("(A x. E y. y=x+1) -> A x. E y. y=x+2"),
+    parse("((E x. x=1) -> E y. y=2) -> A z. E w. (w=z \\/ z<w)"),
+    parse("A n. ((E x. x=n) -> E y. y=n+1)"),
+    DOUBLING,
+]
+_LEAD = Prefix((IOPair((Numeral(2),), (Numeral(3),)),))
+_WITH_LEAD = (_COSTED[0], IOPair((_LEAD, Numeral(2)), (Numeral(4),)))
+
+
+@given(
+    st.sampled_from(_COSTED).flatmap(lambda f: st.tuples(st.just(f), _walked_pair(f))),
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=0, max_value=600),
+)
+@example(_WITH_LEAD, 32, 8)  # within the allowance: the claim costs 311
+@example(_WITH_LEAD, 500, 500)  # over it: the claim costs 251,507
+@settings(max_examples=200, deadline=None)
+def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
+    f, raw = case
+    try:
+        p = shape_check(f, raw)
+    except (ShapeMismatch, TypeError):
+        assume(False)
+    budget = Budget(pulls, numerals, 100)
+    parts = content_parts(f, p)
+    hyps, rest, env = parts
+    claim = Implies(conj_all(content(h) for h in hyps), rest) if hyps else rest
+    cost = checker._content_cost(parts, budget)
+    assert cost == checker._decision_cost(claim, budget)
+    assert cost == checker._decision_cost(semantic_content(f, p), budget)
+    if cost > checker._DECISION_ALLOWANCE:
+        # declined before any of the claim is built or judged
+        with mock.patch.object(checker, "content", side_effect=AssertionError), \
+                mock.patch.object(checker, "eval3", side_effect=AssertionError):
+            assert not checker._refuted(f, p, budget)

@@ -78,6 +78,25 @@ def test_check_large_literal_in_formula_gets_a_verdict(tmp_path, capsys):
         assert "Traceback" not in out
 
 
+def test_check_unbound_variable_exits_one(tmp_path, capsys):
+    fml = tmp_path / "free.fml"
+    fml.write_text("x=1\n")
+    code, out = run(capsys, "check", "--formula", str(fml),
+                    "--witness", fx("witnesses", "doubling.wit"))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR unbound variable: x"
+    assert "Traceback" not in out
+
+
+def test_extract_unbound_variable_exits_one(tmp_path, capsys):
+    prf = tmp_path / "free.prf"
+    prf.write_text("0=0\n(inst (ax refl) {y})\n")
+    code, out = run(capsys, "extract", "--proof", str(prf))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR unbound variable: y"
+    assert "Traceback" not in out
+
+
 def test_check_missing_file_is_usage_error(capsys):
     code, out = run(capsys, "check", "--formula", "/no/such.fml",
                     "--witness", fx("witnesses", "doubling.wit"))

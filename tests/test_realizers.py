@@ -70,6 +70,10 @@ def test_proof_errors():
     for truncated in ["0=0\n(", "0=0\n(gen", "0=0\n(ax", "0=0\n(hyp", "0=0\n(hyp {0})"]:
         with pytest.raises(ProofError):
             parse_proof_text(truncated)
+    with pytest.raises(ProofError, match="unclosed { at token 6"):
+        parse_proof_text("0=0\n(inst (ax refl) {0)")
+    with pytest.raises(ProofError, match="expected index at token 2, found 'x'"):
+        parse_proof_text("0=0\n(hyp x)")
 
 
 def test_proof_text_follows_the_constructor_fields():

@@ -1,7 +1,23 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ctruth.formula import parse
+import oracles
+from ctruth import checker
+from ctruth.formula import (
+    And,
+    Atom,
+    Box,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    Var,
+    Zero,
+    disj_all,
+    eq,
+    exists,
+    parse,
+)
 from ctruth.witness import (
     IOPair,
     Numeral,
@@ -142,3 +158,101 @@ def test_serialize_parse_round_trip(items):
         else:
             norm.append(it)
     assert list(back) == norm
+
+
+# the offset walks against the recursive oracles, on five spines
+_SPINES = [
+    parse("A x. E y. y=x+1"),
+    exists("x", disj_all(eq(Var("x"), Zero()) for _ in range(6))),
+    parse("A x. (E y. y=x /\\ A z. E w. w=z+x)"),
+    parse("(A x. E y. y=x+1) -> A x. E y. y=x+2"),
+    parse("A x. box E y. y=x"),
+]
+
+_spine_token = st.deferred(
+    lambda: st.one_of(
+        st.integers(min_value=0, max_value=3).map(Numeral),
+        st.sampled_from((Selector(0), Selector(1))),
+        st.lists(
+            st.one_of(
+                st.just(WS),
+                st.builds(_pair, st.lists(_spine_token, max_size=3), st.lists(_spine_token, max_size=3)),
+                st.integers(min_value=0, max_value=1).map(Numeral),
+            ),
+            max_size=3,
+        ).map(lambda items: Prefix(tuple(items))),
+    )
+)
+
+
+def _pair(ins, outs):
+    return IOPair(tuple(ins), tuple(outs))
+
+
+@st.composite
+def _walked_pair(draw, f):
+    """A pair walked along f's spine: mostly the tokens it asks for (as
+    text gives them), now and then a random token, cut short or padded."""
+    ins, outs = [], []
+    g = f
+    while not isinstance(g, (Atom, Not)) and draw(st.integers(0, 9)) < 9:
+        takes_input = isinstance(g, (Forall, And, Implies))
+        if draw(st.integers(0, 19)) == 19:
+            tok = draw(_spine_token)
+        elif isinstance(g, Implies):
+            items = st.one_of(st.just(WS), _walked_pair(g.left))
+            tok = Prefix(tuple(draw(st.lists(items, max_size=3))))
+        else:
+            tok = Numeral(draw(st.integers(0, 1 if isinstance(g, (And, Or)) else 3)))
+        (ins if takes_input else outs).append(tok)
+        if isinstance(g, (And, Or)):
+            if tok not in (Numeral(0), Numeral(1)):
+                break
+            g = (g.left, g.right)[tok.value]
+        elif isinstance(g, Box):
+            break
+        else:
+            g = g.right if isinstance(g, Implies) else g.body
+    for toks in (ins, outs):
+        if draw(st.integers(0, 3)) == 3:
+            toks.append(draw(_spine_token))
+    return _pair(ins, outs)
+
+
+def _outcome(fn, *args):
+    # a prefix holding a bare numeral cannot be printed into a message
+    try:
+        return "ok", fn(*args)
+    except (ShapeMismatch, TypeError) as e:
+        return type(e).__name__, str(e)
+
+
+_loose_pair = st.builds(_pair, st.lists(_spine_token, max_size=7), st.lists(_spine_token, max_size=7))
+
+
+@given(
+    st.sampled_from(_SPINES).flatmap(
+        lambda f: st.tuples(st.just(f), st.one_of(_walked_pair(f), _loose_pair))
+    )
+)
+@example((_SPINES[4], _pair([Numeral(1), Numeral(2)], [Numeral(3)])))  # input past a code
+@settings(max_examples=400, deadline=None)
+def test_offset_walks_match_the_recursive_oracle(case):
+    f, p = case
+    got = _outcome(shape_check, f, p)
+    assert got == _outcome(oracles.shape_check, f, p)
+    assert _outcome(pair_complete, f, p) == _outcome(oracles.pair_complete, f, p)
+    if got[0] == "ok":
+        assert pair_complete(f, got[1]) == oracles.pair_complete(f, got[1])
+
+
+def test_long_selector_path_needs_no_recursion():
+    # E x. over a left-folded run of 5,001 disjuncts: the leftmost one is
+    # 5,000 selectors deep
+    f = exists("x", disj_all(eq(Var("x"), Zero()) for _ in range(5001)))
+    p = IOPair((), (Numeral(0),) * 5001)
+    shaped = shape_check(f, p)
+    assert len(shaped.outputs) == 5001
+    assert shaped.outputs[1:] == (Selector(0),) * 5000
+    assert pair_complete(f, shaped)
+    assert checker._first_conflict(f, [shaped, shaped]) is None
