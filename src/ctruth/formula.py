@@ -66,6 +66,19 @@ class Add(Term):
     def __str__(self):
         return print_term(self)
 
+    def __eq__(self, other):
+        """Structural; a run of `+1` steps is walked in a loop."""
+        if other.__class__ is not Add:
+            return NotImplemented
+        a, b = self, other
+        while a.right.__class__ is One and b.right.__class__ is One:
+            a, b = a.left, b.left
+            if a is b:
+                return True
+            if a.__class__ is not Add or b.__class__ is not Add:
+                return a == b
+        return (a.left, a.right) == (b.left, b.right)
+
 
 @dataclass(frozen=True)
 class Mul(Term):
@@ -710,6 +723,15 @@ def classify(f: Formula) -> Classification:
 # missing name into UnboundVariable.  Evaluation goes left before right;
 # eval3 evaluates both sides of a connective and eval2 short-circuits,
 # which decides whether and where a missing name raises.
+#
+# A quantifier tries only the values of its variable at which its body
+# can give the binder's stop value, where the body pins them down (the
+# one-point rule; Cooper, Presburger quantifier elimination, 1972): an
+# atom a*y+r = b*y+s with ints a != b and y-free r, s holds only at the
+# exact natural (s-r)/(a-b), and connectives combine their sides' sets.
+# Any other body is enumerated.  This is exact in both modes, and runs
+# only when env binds the body's other free names, so a missing name
+# raises where the enumeration raises it.
 
 TRUE, FALSE, UNKNOWN = True, False, None
 
@@ -785,15 +807,68 @@ def _atom_code(f: Atom):
     return run
 
 
-def _binder(var, body, universal, stop, fallback):
+def _coefficient(t, var):
+    """a when t = a*var + (a term free of var) for an int a, else None.
+    A run of `+1` steps is walked in a loop."""
+    while isinstance(t, Add) and isinstance(t.right, One):
+        t = t.left
+    if isinstance(t, (Zero, One, Var)):
+        return int(t == Var(var))
+    if not isinstance(t, (Add, Mul)):
+        return None
+    a, b = _coefficient(t.left, var), _coefficient(t.right, var)
+    if a is None or b is None or a and b and isinstance(t, Mul):
+        return None
+    if isinstance(t, Add) or not (a or b):
+        return a + b
+    c = _term_code(t.right if a else t.left)  # the factor free of var
+    return (a or b) * c if isinstance(c, int) else None
+
+
+def _candidates(f, var, want):
+    """env -> the values of var outside which f never gives want (TRUE
+    or FALSE) in either mode, or None when f restricts nothing."""
+    if isinstance(f, Not):
+        return _candidates(f.body, var, not want)
+    if isinstance(f, Atom) and want and f.rel == "=":
+        a, b = _coefficient(f.left, var), _coefficient(f.right, var)
+        if a is None or b is None or a == b:
+            return None
+        r, s = (_term_code(term_subst(t, {var: Zero()})) for t in (f.left, f.right))
+        diff = _binary(Add, _TERM_OPS, s, _binary(Mul, _TERM_OPS, -1, r))  # s - r
+
+        def solve(env):
+            q, m = divmod(diff(env) if callable(diff) else diff, a - b)
+            return (q,) if m == 0 and q >= 0 else ()
+        return solve
+    if not isinstance(f, (And, Or, Implies)):
+        return None
+    # an implication gives what ~left \/ right gives
+    left = _candidates(f.left, var, want != isinstance(f, Implies))
+    right = _candidates(f.right, var, want)
+    meet = want == isinstance(f, And)  # both sides must give want
+    if left is None or right is None:
+        return (left or right) if meet else None
+    if meet:
+        return lambda env: set(left(env)).intersection(right(env))
+    return lambda env: (*left(env), *right(env))
+
+
+def _binder(var, body, stop, fallback, solve, names):
     """A quantifier: body under var = 0, 1, ... up to the bound of its
     kind, returning stop as soon as the body gives it, else fallback.
-    var's outer binding, if any, is back in env afterwards."""
+    When env binds names, only the values solve gives are tried.  var's
+    outer binding, if any, is back in env afterwards."""
 
     def run(env, fb, eb):
+        bound = eb if stop else fb
+        if solve is not None and env.keys() >= names:
+            values = filter(bound.__ge__, solve(env))
+        else:
+            values = range(bound + 1)
         saved = env.get(var, _UNSET)
         try:
-            for k in range((fb if universal else eb) + 1):
+            for k in values:
                 env[var] = k
                 if body(env, fb, eb) is stop:
                     return stop
@@ -879,12 +954,14 @@ def _compile(f: Formula, three: bool):
         run = _CONNECTIVES[three][type(f)](_compile(f.body, three))
     elif isinstance(f, (And, Or, Implies)):
         run = _CONNECTIVES[three][type(f)](_compile(f.left, three), _compile(f.right, three))
-    elif isinstance(f, Forall):
-        # eval3 never confirms a universal; eval2 does at the bound
-        run = _binder(f.var, _compile(f.body, three), True, FALSE, UNKNOWN if three else TRUE)
-    elif isinstance(f, Exists):
-        # eval3 never refutes an existential; eval2 does at the bound
-        run = _binder(f.var, _compile(f.body, three), False, TRUE, UNKNOWN if three else FALSE)
+    elif isinstance(f, (Forall, Exists)):
+        # eval3 never confirms a universal nor refutes an existential;
+        # eval2 does at the bound
+        stop = isinstance(f, Exists)
+        solve = _candidates(f.body, f.var, stop)
+        names = frozenset(free_vars(f.body) - {f.var}) if solve else ()
+        fallback = UNKNOWN if three else not stop
+        run = _binder(f.var, _compile(f.body, three), stop, fallback, solve, names)
     else:
         def run(env, fb, eb):
             raise TypeError(f"not a formula: {f!r}")

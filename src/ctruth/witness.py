@@ -14,7 +14,7 @@ in decimal, prefixes double-quoted with backslash escaping.  The parser
 additionally tolerates blanks inside pairs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .formula import (
     And,
@@ -62,6 +62,13 @@ class Selector:
 @dataclass(frozen=True)
 class Prefix:
     items: tuple
+    # the generated hash, kept after first use: trie keys are rehashed often
+    _hash: int = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.items,)))
+        return self._hash
 
     def __str__(self):
         return '"' + _escape(serialize_items(self.items)) + '"'

@@ -366,3 +366,11 @@ def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
         with mock.patch.object(checker, "content", side_effect=AssertionError), \
                 mock.patch.object(checker, "eval3", side_effect=AssertionError):
             assert not checker._refuted(f, p, budget)
+
+
+def test_long_successor_stream_accepted():
+    # the trivial pair's whole-statement decision tries one y per x
+    f = parse("A x. E y. y=x+1")
+    items = [TRIVIAL] + [IOPair((Numeral(x),), (Numeral(x + 1),)) for x in range(400)]
+    v = check_witness(WitnessStream.from_items(items), f, Budget(401, 399, 4000))
+    assert v.status == "accepted_up_to"

@@ -78,6 +78,21 @@ def test_check_large_literal_in_formula_gets_a_verdict(tmp_path, capsys):
         assert "Traceback" not in out
 
 
+def test_check_antecedent_with_a_large_literal_gets_a_verdict(tmp_path, capsys):
+    # the antecedent probe is matched against the statement's antecedent
+    # with ==, which walks the 3000-step literal in a loop
+    files = {"f.fml": "(E x. x=3000) -> E y. y=1\n", "w.wit": '(:) ("(:3000)":1)\n',
+             "a.fml": "E x. x=3000\n", "a.wit": "(:3000)\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out = run(capsys, "check", "--formula", str(tmp_path / "f.fml"),
+                    "--witness", str(tmp_path / "w.wit"),
+                    "--ante-formula", str(tmp_path / "a.fml"),
+                    "--ante-witness", str(tmp_path / "a.wit"))
+    assert code == 0
+    assert out.splitlines()[-1] == "VERDICT accepted_up_to pulls=32 numerals=8"
+
+
 def test_check_unbound_variable_exits_one(tmp_path, capsys):
     fml = tmp_path / "free.fml"
     fml.write_text("x=1\n")

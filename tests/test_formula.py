@@ -270,3 +270,88 @@ def test_eval3_judges_both_sides_and_eval2_short_circuits():
     g = parse("(E x. x=1) /\\ x=0", free=("x",))
     with pytest.raises(UnboundVariable, match="x"):
         eval2(g, {}, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# binders solved for their variable
+
+
+def _outcome(run, *args):
+    """A run's value, or the name it found unbound (the oracles raise
+    KeyError, the package UnboundVariable)."""
+    try:
+        return "value", run(*args)
+    except UnboundVariable as e:
+        return "unbound", e.name
+    except KeyError as e:
+        return "unbound", e.args[0]
+
+
+@st.composite
+def _solvable(draw, names, depth=2):
+    """A body for a binder over y, biased toward atoms it can be solved
+    for: y=t, t=y and k*y+c=t, under the connectives."""
+    kinds = ["solvable"] * 3 + ["any"]
+    if depth:
+        kinds += ["not", "and", "or", "imp"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "solvable":
+        y = Var("y")
+        t = draw(_terms(names))
+        k, c = (numeral(draw(st.integers(min_value=0, max_value=3))) for _ in "kc")
+        return draw(st.sampled_from((
+            Atom("=", y, t), Atom("=", t, y), Atom("=", Add(Mul(k, y), c), t),
+        )))
+    if kind == "any":
+        return draw(_sentences(names, 1))
+    if kind == "not":
+        return Not(draw(_solvable(names, depth - 1)))
+    cls = {"and": And, "or": Or, "imp": Implies}[kind]
+    return cls(draw(_solvable(names, depth - 1)), draw(_solvable(names, depth - 1)))
+
+
+@st.composite
+def _solvable_cases(draw):
+    """Q y. body, perhaps under a binder over x, and an env binding some
+    of the other names: a name left unbound must raise as before."""
+    outer = draw(st.sampled_from((None, Forall, Exists)))
+    free = {"x", "z"} - ({"x"} if outer else set())
+    f = draw(st.sampled_from((Forall, Exists)))("y", draw(_solvable(frozenset({"x", "y", "z"}))))
+    if outer:
+        f = outer("x", f)
+    bound = draw(st.sets(st.sampled_from(sorted(free))))
+    return f, {name: draw(st.integers(min_value=0, max_value=6)) for name in sorted(bound)}
+
+
+def _case(text, **env):
+    return parse(text, free=("x", "z")), env
+
+
+@given(_solvable_cases(), st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
+# the solution at the bound and just past it
+@example(_case("E y. y=x", x=3), 0, 3)
+@example(_case("E y. y=x", x=4), 0, 3)
+@example(_case("A y. (~y=x)", x=2), 2, 0)
+@example(_case("A y. (~y=x)", x=3), 2, 0)
+@example(_case("E y. y+3=x", x=1), 0, 4)  # negative solution
+@example(_case("E y. x=2*y", x=3), 0, 4)  # inexact solution
+@example(_case("E y. y=y+0"), 0, 2)  # equal coefficients
+@example(_case("E y. (y=x /\\ E y. y=3)", x=2), 0, 3)  # shadowing binder
+# z is unbound: the enumeration raises at y=0, though y=x+5 is past the bound
+@example(_case("E y. (y=x+5 /\\ z=1)", x=0), 0, 3)
+# false only away from x and z, the values where its sides give TRUE
+@example(_case("A y. (~y=x -> y=z)", x=0, z=1), 2, 0)
+@settings(max_examples=400, deadline=None)
+def test_solved_binders_agree_with_the_enumeration(case, forall_bound, exists_bound):
+    f, env = case
+    got = _outcome(eval3, f, env, forall_bound, exists_bound)
+    assert got == _outcome(oracles.eval3, f, env, forall_bound, exists_bound)
+    got = _outcome(eval2, f, env, forall_bound, forall_bound)
+    assert got == _outcome(holds, f, env, range(forall_bound + 1))
+
+
+def test_solved_binders_reach_far_bounds():
+    # enumerating either one would take minutes
+    big = 10**9
+    assert eval3(parse("E y. y=x+1", free=("x",)), {"x": big}, 0, big + 1) is TRUE
+    assert eval3(parse("A y. (y=x -> x<y)", free=("x",)), {"x": big}, big, 0) is FALSE
