@@ -79,6 +79,13 @@ class Add(Term):
                 return a == b
         return (a.left, a.right) == (b.left, b.right)
 
+    def __hash__(self):
+        """Agrees with __eq__; a run of `+1` steps is counted in a loop."""
+        t, steps = self, 0
+        while t.__class__ is Add and t.right.__class__ is One:
+            t, steps = t.left, steps + 1
+        return hash((steps, t.left, t.right) if t.__class__ is Add else (steps, t))
+
 
 @dataclass(frozen=True)
 class Mul(Term):

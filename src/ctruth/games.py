@@ -196,6 +196,18 @@ def consequent_formula(tree, labels):
     return exists("s", exists("u", exists("b", exists("c", matrix))))
 
 
+@lru_cache(maxsize=1)
+def _statements(tree, label_items):
+    """The antecedent, consequent and implication of a play, kept for
+    the last tree and labelling only: the plays of a row then share one
+    set of nodes, so each node's spine record, compiled closures and
+    decision costs are built once per row."""
+    labels = dict(label_items)
+    a_formula = antecedent_formula(tree, labels)
+    c_formula = consequent_formula(tree, labels)
+    return a_formula, c_formula, Implies(a_formula, c_formula)
+
+
 def _or_path(n_disjuncts: int, index: int):
     """Selector outputs reaching a disjunct of a left-folded chain."""
     if n_disjuncts <= 1:
@@ -506,10 +518,9 @@ def play_theorem1(tree, defender, adversary, horizon=10000, budget=None) -> Game
         quiet = quiet + 1 if isinstance(a, Whitespace) and isinstance(d, Whitespace) else 0
         rounds += 1
 
-    labels = adversary.labels
-    a_formula = antecedent_formula(tree, labels)
-    c_formula = consequent_formula(tree, labels)
-    g_formula = Implies(a_formula, c_formula)
+    a_formula, c_formula, g_formula = _statements(
+        tree, tuple(sorted(adversary.labels.items()))
+    )
     a_stream = WitnessStream.from_items(ante)
     d_stream = WitnessStream.from_items(mine)
 

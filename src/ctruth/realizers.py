@@ -487,30 +487,26 @@ def normalize(p, fuel: int = 1000):
 def _demand_only(f: Formula) -> bool:
     """True when the spine never produces: such statements are witnessed
     by enumerating input paths (the proof already certifies truth)."""
-    kind = slot(f)[0]
-    if kind == END:
+    s = slot(f)
+    if s[0] == END:
         return True
-    if kind == IN_NUM:
-        return _demand_only(slot(f)[2])
-    if kind == IN_SEL:
-        return _demand_only(slot(f)[1]) and _demand_only(slot(f)[2])
-    if kind == IN_PREFIX:
-        return _demand_only(slot(f)[2])  # never answers, so never owes output
+    if s[0] in (IN_NUM, IN_PREFIX):  # a prefix is never answered, so owes no output
+        return _demand_only(s[2])
+    if s[0] == IN_SEL:
+        return _demand_only(s[1]) and _demand_only(s[2])
     return False
 
 
 def _effective(f: Formula) -> bool:
     """Demand-only up to disjunctions that bounded evaluation decides."""
-    kind = slot(f)[0]
-    if kind == END:
+    s = slot(f)
+    if s[0] == END:
         return True
-    if kind == IN_NUM:
-        return _effective(slot(f)[2])
-    if kind == IN_SEL:
-        return _effective(slot(f)[1]) and _effective(slot(f)[2])
-    if kind == IN_PREFIX:
-        return _effective(slot(f)[2])
-    if kind == OUT_SEL:
+    if s[0] in (IN_NUM, IN_PREFIX):
+        return _effective(s[2])
+    if s[0] == IN_SEL:
+        return _effective(s[1]) and _effective(s[2])
+    if s[0] == OUT_SEL:
         return _quantifier_free(f)
     return False
 

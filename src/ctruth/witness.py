@@ -64,6 +64,11 @@ class Prefix:
     items: tuple
     # the generated hash, kept after first use: trie keys are rehashed often
     _hash: int = field(default=None, init=False, repr=False, compare=False)
+    # (ante, shaped): this prefix shaped by _prefix_token against the
+    # antecedent statement ante, valid for that very object only (tested
+    # with `is`: == would walk the whole statement); the pairs sharing
+    # one prefix then share one shaped prefix
+    _shaped: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
         if self._hash is None:
@@ -406,9 +411,12 @@ def _sel_token(tok):
 
 
 def _prefix_token(ante, tok):
-    """A prefix input with its pairs shaped against the antecedent."""
+    """A prefix input with its pairs shaped against the antecedent,
+    kept on the prefix once shaped and reused for the same antecedent."""
     if not isinstance(tok, Prefix):
         raise ShapeMismatch(f"expected a prefix, found {tok}")
+    if tok._shaped is not None and tok._shaped[0] is ante:
+        return tok._shaped[1]
     seg = []
     for it in tok.items:
         if is_pair(it):
@@ -417,7 +425,9 @@ def _prefix_token(ante, tok):
             seg.append(it)
         else:
             raise ShapeMismatch(f"not an item inside a prefix: {it!r}")
-    return Prefix(tuple(seg))
+    shaped = Prefix(tuple(seg))
+    object.__setattr__(tok, "_shaped", (ante, shaped))
+    return shaped
 
 
 def pair_complete(f: Formula, p: IOPair) -> bool:

@@ -80,6 +80,21 @@ def test_large_literals_evaluate_and_substitute_without_recursion():
     assert numeral_value(term_subst(t, {"y": numeral(3)})) == 5003
 
 
+def test_large_literals_hash_without_recursion():
+    assert hash(numeral(3000)) == hash(numeral(3000))
+    f = parse("E x. x=3000")
+    assert hash(f) == hash(parse("E x. x=3000"))
+    # equal terms hash alike, however they were built
+    assert hash(numeral(3)) == hash(Add(Add(One(), One()), One()))
+    assert {f: "big"}[parse("E x. x=2999+1")] == "big"
+    t, u = Var("y"), Var("y")
+    for _ in range(5000):
+        t, u = Add(t, One()), Add(u, One())
+    assert t == u and hash(t) == hash(u)
+    assert hash(Add(numeral(4), Var("x"))) == hash(Add(numeral(4), Var("x")))
+    assert len({numeral(4000), numeral(4000), Add(numeral(3999), One())}) == 1
+
+
 def test_parse_precedence():
     f = parse("0=0 /\\ 0=1 \\/ 1=1 -> 0=0")
     assert isinstance(f, Implies)

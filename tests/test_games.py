@@ -9,7 +9,10 @@ from ctruth.games import (
     NarrowEcho,
     TreePresentation,
     WaitingCopier,
+    _statements,
     defender_library,
+    delivered_nodes,
+    delivery_items,
     dichotomy_row,
     dpll_tautology,
     narrow_play,
@@ -21,6 +24,7 @@ from ctruth.games import (
     seq_decode,
     subtrees_of_depth,
 )
+from ctruth.witness import TRIVIAL
 
 from oracles import is_tautology
 
@@ -162,3 +166,46 @@ def test_script_errors():
         narrow_play(NarrowEcho, "SPAWN\n")
     with pytest.raises(ValueError):
         narrow_play(NarrowEcho, "JUMP a 2\n")
+
+
+class _OneZeroAdversary(GenerousAdversary):
+    """The generous adversary, except that the last node it delivers is
+    labelled 0, in its commitment and in the delivery alike."""
+
+    def reset(self, tree):
+        super().reset(tree)
+        got = delivered_nodes(self.queue)
+        self.labels[got[-1][1]] = 0
+        self.queue = [TRIVIAL]
+        for n, node, _ in got:
+            self.queue.extend(delivery_items(tree, self.labels, n, node))
+
+
+class _OnesCopier(WaitingCopier):
+    """The copier, except that it claims label 1 for both nodes."""
+
+    def _witnessed(self, antecedent_items):
+        found = super()._witnessed(antecedent_items)
+        return found and found[:2] + (1, 1)
+
+
+def test_statements_are_rebuilt_when_tree_or_labels_change():
+    t = TreePresentation.from_sequences([(0, 0), (1,)])
+    other = TreePresentation.from_sequences([(0,), (1, 1)])
+
+    def zero_play(tree):
+        return play_theorem1(tree, _OnesCopier(), _OneZeroAdversary()).verdicts
+
+    _statements.cache_clear()
+    cold = zero_play(t)
+    assert cold[0].startswith("VERDICT rejected")
+
+    dichotomy_row(t)  # leaves t's all-ones statements in the cache
+    assert zero_play(t) == cold
+    ones = play_theorem1(t, _OnesCopier(), GenerousAdversary())
+    assert (ones.outcome, ones.reason) == ("accept", "effective")
+    assert ones.verdicts != cold
+
+    zero_play(other)
+    assert zero_play(t) == cold
+    assert play_theorem1(t, _OnesCopier(), GenerousAdversary()).verdicts == ones.verdicts

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -236,14 +238,46 @@ _loose_pair = st.builds(_pair, st.lists(_spine_token, max_size=7), st.lists(_spi
     )
 )
 @example((_SPINES[4], _pair([Numeral(1), Numeral(2)], [Numeral(3)])))  # input past a code
+@example((_SPINES[3], _pair([Prefix((_pair([Numeral(0)], [Numeral(1)]), WS)), Numeral(0)], [Numeral(2)])))
 @settings(max_examples=400, deadline=None)
 def test_offset_walks_match_the_recursive_oracle(case):
     f, p = case
     got = _outcome(shape_check, f, p)
     assert got == _outcome(oracles.shape_check, f, p)
+    # a second pair holding the same token objects, prefixes included,
+    # is shaped after p and so may meet a prefix p already shaped
+    twin = IOPair(p.inputs, p.outputs[:-1])
+    assert _outcome(shape_check, f, twin) == _outcome(oracles.shape_check, f, twin)
     assert _outcome(pair_complete, f, p) == _outcome(oracles.pair_complete, f, p)
     if got[0] == "ok":
         assert pair_complete(f, got[1]) == oracles.pair_complete(f, got[1])
+
+
+def test_a_prefix_is_shaped_once_per_antecedent_object():
+    statements = [
+        parse("(A x. E y. y=x+1) -> A x. E y. y=x+2"),  # (0:1) gives a numeral
+        parse("(A x. (x=0 \\/ x=1)) -> A x. E y. y=x+2"),  # (0:1) gives a selector
+        parse("(E y. y=1) -> A x. E y. y=x+2"),  # (0:1) has no input slot
+    ]
+    for order in itertools.permutations(statements, 2):
+        lead = Prefix((_pair([Numeral(0)], [Numeral(1)]), WS))
+        p = _pair([lead, Numeral(0)], [Numeral(2)])
+        for f in order:
+            kept = lead._shaped
+            got = _outcome(shape_check, f, p)
+            assert got == _outcome(oracles.shape_check, f, p)
+            if got[0] == "ok":
+                assert lead._shaped[0] is f.left
+                assert shape_check(f, p).inputs[0] is got[1].inputs[0]
+            else:
+                assert lead._shaped is kept  # a failed shaping stores nothing
+    # an equal statement that is another object does not reuse the memo
+    lead = Prefix((_pair([Numeral(0)], [Numeral(1)]),))
+    p = _pair([lead], [])
+    first = shape_check(statements[0], p)
+    twin = parse("(A x. E y. y=x+1) -> A x. E y. y=x+2")
+    assert shape_check(twin, p) == first
+    assert lead._shaped[0] is twin.left
 
 
 def test_long_selector_path_needs_no_recursion():
