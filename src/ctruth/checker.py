@@ -59,6 +59,7 @@ from .witness import (
     WitnessStream,
     content,
     content_parts,
+    input_rooted,
     is_pair,
     semantic_content,
     serialize_item,
@@ -102,9 +103,6 @@ class Verdict:
 
     def __bool__(self):
         return self.status == "accepted_up_to"
-
-    def exit_code(self) -> int:
-        return {"accepted_up_to": 0, "pending": 1, "rejected": 2}[self.status]
 
     def line(self) -> str:
         if self.status == "accepted_up_to":
@@ -450,7 +448,7 @@ def synthesize_sigma03(f: Formula, budget: Budget) -> WitnessStream:
             f"no witness found within numerals<={budget.search_bound}: {print_formula(f)}"
         )
     items = []
-    if slot(f)[0] in (IN_NUM, IN_SEL, IN_PREFIX):
+    if input_rooted(f):
         items.append(TRIVIAL)
     items.extend(IOPair(tuple(i), tuple(o)) for i, o in suffixes)
     return WitnessStream.from_items(items)
@@ -514,7 +512,7 @@ def _synth(g: Formula, env: dict, budget: Budget):
     if sub is EXHAUSTED:
         return EXHAUSTED
     inner = []
-    if slot(body)[0] in (IN_NUM, IN_SEL, IN_PREFIX):
+    if input_rooted(body):
         inner.append(TRIVIAL)
     inner.extend(IOPair(tuple(i), tuple(o)) for i, o in sub)
     emits = " ".join(f"(emit {vm.encode_item(it)})" for it in inner)

@@ -12,7 +12,6 @@ included), 2 for usage and file errors.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import games, vm
@@ -25,27 +24,13 @@ from .checker import (
     synthesize_sigma03,
 )
 from .combinators import apply_implication, project_forall
-from .formula import ParseError, UnboundVariable, parse, print_formula
+from .formula import Forall, ParseError, UnboundVariable, parse, print_formula
 from .realizers import ExtractionError, ProofError, extract, parse_proof_text
 from .witness import ShapeMismatch, WitnessStream, WitnessTextError, serialize_items
 
 
 class UsageError(Exception):
     """Bad flags or unreadable files; exits with status 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    kind: str = None  # game variant
-    paths: dict = field(default_factory=dict)
-    pulls: int = 32
-    numerals: int = 8
-    vm_steps: int = 10000
-    seed: int = 0
-    horizon: int = 10000
-    report: str = None
-    options: dict = field(default_factory=dict)
 
 
 DEFENDERS = {
@@ -80,10 +65,10 @@ _PARSE_ERRORS = (
 )
 
 
-def _read(cfg: RunConfig, role: str) -> str:
-    raw = cfg.paths.get(role)
+def _read(ns, role: str) -> str:
+    raw = getattr(ns, role)
     if not raw:
-        raise UsageError(f"--{role.replace('_', '-')} is required for {cfg.command}")
+        raise UsageError(f"--{role.replace('_', '-')} is required for {ns.command}")
     path = Path(raw)
     try:
         return path.read_text()
@@ -91,21 +76,21 @@ def _read(cfg: RunConfig, role: str) -> str:
         raise UsageError(f"cannot read file: {path}")
 
 
-def _load_formula(cfg, role):
-    return parse(_read(cfg, role).strip())
+def _load_formula(ns, role):
+    return parse(_read(ns, role).strip())
 
 
-def _load_witness(cfg, role):
-    return WitnessStream.from_text(_read(cfg, role))
+def _load_witness(ns, role):
+    return WitnessStream.from_text(_read(ns, role))
 
 
-def _load_code(cfg, role):
-    return vm.program(_read(cfg, role).strip())
+def _load_code(ns, role):
+    return vm.program(_read(ns, role).strip())
 
 
-def _load_tree(cfg, role):
+def _load_tree(ns, role):
     seqs = []
-    for line in _read(cfg, role).splitlines():
+    for line in _read(ns, role).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line or line == "e":
             continue
@@ -113,12 +98,12 @@ def _load_tree(cfg, role):
     return games.TreePresentation.from_sequences(seqs)
 
 
-def _probes(cfg, budget):
+def _probes(ns):
     """Optional antecedent evidence: a formula/witness fixture pair."""
-    if "ante_formula" not in cfg.paths and "ante_witness" not in cfg.paths:
+    if not (ns.ante_formula or ns.ante_witness):
         return None, ()
-    af = _load_formula(cfg, "ante_formula")
-    aw = _load_witness(cfg, "ante_witness")
+    af = _load_formula(ns, "ante_formula")
+    aw = _load_witness(ns, "ante_witness")
     return {"0": aw.copy()}, (Probe(af, aw),)
 
 
@@ -130,37 +115,37 @@ def _items_line(label, stream, pulls):
 # command pipelines
 
 
-def _cmd_parse(cfg, budget, out):
+def _cmd_parse(ns, budget, out):
     shown = 0
-    if "formula" in cfg.paths:
-        out.append(f"FORMULA {print_formula(_load_formula(cfg, 'formula'))}")
+    if ns.formula:
+        out.append(f"FORMULA {print_formula(_load_formula(ns, 'formula'))}")
         shown += 1
-    if "witness" in cfg.paths:
-        out.append(_items_line("WITNESS", _load_witness(cfg, "witness"), budget.pull_limit))
+    if ns.witness:
+        out.append(_items_line("WITNESS", _load_witness(ns, "witness"), budget.pull_limit))
         shown += 1
-    if "proof" in cfg.paths:
-        claimed, _ = parse_proof_text(_read(cfg, "proof"))
+    if ns.proof:
+        claimed, _ = parse_proof_text(_read(ns, "proof"))
         out.append(f"THEOREM {print_formula(claimed)}")
         shown += 1
-    if "code" in cfg.paths:
-        out.append(f"CODE {_load_code(cfg, 'code').text()}")
+    if ns.code:
+        out.append(f"CODE {_load_code(ns, 'code').text()}")
         shown += 1
     if not shown:
         raise UsageError("parse wants --formula, --witness, --proof or --code")
     return 0
 
 
-def _cmd_check(cfg, budget, out):
-    f = _load_formula(cfg, "formula")
-    w = _load_witness(cfg, "witness")
-    _, probes = _probes(cfg, budget)
+def _cmd_check(ns, budget, out):
+    f = _load_formula(ns, "formula")
+    w = _load_witness(ns, "witness")
+    _, probes = _probes(ns)
     v = check_witness(w, f, budget, probes)
     out.append(v.line())
     return 0 if v.status == "accepted_up_to" else 1
 
 
-def _cmd_synthesize(cfg, budget, out):
-    f = _load_formula(cfg, "formula")
+def _cmd_synthesize(ns, budget, out):
+    f = _load_formula(ns, "formula")
     try:
         w = synthesize_sigma03(f, budget)
     except SynthesisFailed as e:
@@ -170,63 +155,64 @@ def _cmd_synthesize(cfg, budget, out):
     out.append(f"WITNESS {text}")
     v = check_witness(w.copy(), f, budget)
     out.append(v.line())
-    if cfg.paths.get("out"):
-        Path(cfg.paths["out"]).write_text(text + "\n")
+    if ns.out:
+        Path(ns.out).write_text(text + "\n")
     return 0 if v.status == "accepted_up_to" else 1
 
 
-def _cmd_extract(cfg, budget, out):
-    claimed, proof = parse_proof_text(_read(cfg, "proof"))
+def _cmd_extract(ns, budget, out):
+    claimed, proof = parse_proof_text(_read(ns, "proof"))
     ext = extract(proof)
     out.append(f"THEOREM {print_formula(claimed)}")
     if ext.code is None:
         out.append("CODE none")
         return 1
     out.append(f"CODE {ext.code.text()}")
-    if cfg.paths.get("out"):
-        Path(cfg.paths["out"]).write_text(ext.code.text() + "\n")
+    if ns.out:
+        Path(ns.out).write_text(ext.code.text() + "\n")
     return 0
 
 
-def _cmd_apply(cfg, budget, out):
-    w = _load_witness(cfg, "witness")
-    x = _load_witness(cfg, "to")
+def _cmd_apply(ns, budget, out):
+    w = _load_witness(ns, "witness")
+    x = _load_witness(ns, "to")
     result = apply_implication(w, x)
     out.append(_items_line("ITEMS", result, budget.pull_limit))
-    if "formula" in cfg.paths:
-        v = check_witness(apply_implication(w.copy(), x.copy()), _load_formula(cfg, "formula"), budget)
+    if ns.formula:
+        v = check_witness(apply_implication(w.copy(), x.copy()), _load_formula(ns, "formula"), budget)
         out.append(v.line())
         return 0 if v.status == "accepted_up_to" else 1
     return 0
 
 
-def _cmd_project(cfg, budget, out):
-    w = _load_witness(cfg, "witness")
-    f = _load_formula(cfg, "formula")
-    at = cfg.options.get("at")
-    if at is None or at < 0:
+def _cmd_project(ns, budget, out):
+    w = _load_witness(ns, "witness")
+    f = _load_formula(ns, "formula")
+    if ns.at < 0:
         raise UsageError("project wants a nonnegative --at value")
-    result = project_forall(w, f, at)
+    if not isinstance(f, Forall):
+        raise UsageError("project wants a universally quantified formula")
+    result = project_forall(w, f, ns.at)
     out.append(_items_line("ITEMS", result, budget.pull_limit))
     return 0
 
 
-def _cmd_realizability(cfg, budget, out):
-    f = _load_formula(cfg, "formula")
-    code = _load_code(cfg, "code")
-    inputs, probes = _probes(cfg, budget)
+def _cmd_realizability(ns, budget, out):
+    f = _load_formula(ns, "formula")
+    code = _load_code(ns, "code")
+    inputs, probes = _probes(ns)
     v = check_realizability(f, code, budget, inputs=inputs, probes=probes)
     out.append(v.line())
     return 0 if v.status == "accepted_up_to" else 1
 
 
-def _game_theorem1(cfg, budget, out):
-    tree = _load_tree(cfg, "tree")
-    dname = cfg.options.get("defender") or "copier"
-    aname = cfg.options.get("adversary") or "generous"
+def _game_theorem1(ns, budget, out):
+    tree = _load_tree(ns, "tree")
+    dname = ns.defender or "copier"
+    aname = ns.adversary or "generous"
     defender = DEFENDERS[dname]()
     adversary = ADVERSARIES[aname]()
-    trace = games.play_theorem1(tree, defender, adversary, cfg.horizon, budget)
+    trace = games.play_theorem1(tree, defender, adversary, ns.horizon, budget)
     out.append(
         f"GAME theorem1 nodes={len(tree.nodes)} defender={dname} adversary={aname}"
     )
@@ -238,19 +224,16 @@ def _game_theorem1(cfg, budget, out):
     return 0 if trace.accepted() else 1
 
 
-def _game_prop3(cfg, budget, out):
-    length = cfg.options.get("length")
-    if not length or length < 2:
+def _game_prop3(ns, budget, out):
+    if not ns.length or ns.length < 2:
         raise UsageError("game prop3 wants --length of at least 2")
-    break_at = cfg.options.get("break_at")
-    r = games.prop3_duality(length, break_at, budget)
-    out.append(f"GAME prop3 length={length} break={break_at}")
+    r = games.prop3_duality(ns.length, ns.break_at, budget)
+    out.append(f"GAME prop3 length={ns.length} break={ns.break_at}")
     out.append(f"ATOMS {r['atoms']}")
     out.append(f"TAUTOLOGY {'true' if r['tautological'] else 'false'}")
     out.append(r["verdict"])
-    honest = break_at is None
     out.append(f"OUTCOME {'chain-carried' if r['accepted'] else 'chain-stalled'}")
-    if honest:
+    if ns.break_at is None:
         return 0 if (r["accepted"] and r["tautological"]) else 1
     return 1 if r["accepted"] else 0  # a broken chain is supposed to stall
 
@@ -262,14 +245,14 @@ class _EndlessPresentation:
         return all(b == 0 for b in bits)
 
 
-def _game_pi11(cfg, budget, out):
-    if cfg.options.get("endless"):
+def _game_pi11(ns, budget, out):
+    if ns.endless:
         presentation = _EndlessPresentation()
         label = "endless"
     else:
-        presentation = _load_tree(cfg, "tree")
+        presentation = _load_tree(ns, "tree")
         label = f"nodes={len(presentation.nodes)}"
-    gh = cfg.options.get("guess_horizon") or 64
+    gh = ns.guess_horizon or 64
     stream = games.pi11_encode(presentation, gh)
     codes, rest = games.pi11_decode(stream, pull=max(budget.pull_limit, 512))
     out.append(f"GAME pi11 {label} guess-horizon={gh}")
@@ -281,10 +264,10 @@ def _game_pi11(cfg, budget, out):
     return 0
 
 
-def _game_narrow(cfg, budget, out):
-    mname = cfg.options.get("machine") or "echo"
+def _game_narrow(ns, budget, out):
+    mname = ns.machine or "echo"
     factory = MACHINES[mname]
-    report = games.narrow_play(factory, _read(cfg, "script"))
+    report = games.narrow_play(factory, _read(ns, "script"))
     out.append(f"GAME narrow machine={mname}")
     out.append(f"NARROW {report.status} compared={report.compared}")
     for x, y, i, va, vb in report.conflicts:
@@ -312,42 +295,33 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig):
-    """Execute one configured command.
+def run(ns):
+    """Execute one command, given the namespace that _build_parser parsed.
 
     Returns (exit status, report lines); the lines are also appended
-    to config.report when that is set.
+    to ns.report when that is set.
     """
-    out = []
-    header = f"RUN {config.command}"
-    if config.kind:
-        header += f" {config.kind}"
-    header += (
-        f" pulls={config.pulls} numerals={config.numerals}"
-        f" vm-steps={config.vm_steps} seed={config.seed} horizon={config.horizon}"
-    )
-    out.append(header)
+    header = f"RUN {ns.command}"
+    if ns.command == "game":
+        header += f" {ns.kind}"
+    out = [
+        header + f" pulls={ns.pulls} numerals={ns.numerals}"
+        f" vm-steps={ns.vm_steps} seed={ns.seed} horizon={ns.horizon}"
+    ]
     try:
-        if min(config.pulls, config.numerals, config.vm_steps) < 0 or config.pulls == 0:
+        if min(ns.pulls, ns.numerals, ns.vm_steps) < 0 or ns.pulls == 0:
             raise UsageError("budgets must be positive")
-        budget = Budget(config.pulls, config.numerals, config.vm_steps)
-        if config.command == "game":
-            handler = _GAMES.get(config.kind)
-            if handler is None:
-                raise UsageError("game wants one of: " + " ".join(sorted(_GAMES)))
-        else:
-            handler = _COMMANDS.get(config.command)
-            if handler is None:
-                raise UsageError(f"unknown command {config.command!r}")
-        code = handler(config, budget, out)
+        budget = Budget(ns.pulls, ns.numerals, ns.vm_steps)
+        handler = _GAMES[ns.kind] if ns.command == "game" else _COMMANDS[ns.command]
+        code = handler(ns, budget, out)
     except UsageError as e:
         out.append(f"USAGE {e}")
         code = 2
     except _PARSE_ERRORS as e:
         out.append(f"ERROR {e}")
         code = 1
-    if config.report:
-        with open(config.report, "a") as fh:
+    if ns.report:
+        with open(ns.report, "a") as fh:
             for line in out:
                 fh.write(line + "\n")
     return code, out
@@ -423,57 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_PATH_ROLES = (
-    "formula",
-    "witness",
-    "proof",
-    "code",
-    "out",
-    "to",
-    "tree",
-    "script",
-    "ante_formula",
-    "ante_witness",
-)
-
-_OPTION_ROLES = (
-    "at",
-    "defender",
-    "adversary",
-    "length",
-    "break_at",
-    "guess_horizon",
-    "endless",
-    "machine",
-)
-
-
-def config_from_args(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    paths = {r: getattr(ns, r) for r in _PATH_ROLES if getattr(ns, r, None)}
-    options = {
-        r: getattr(ns, r) for r in _OPTION_ROLES if getattr(ns, r, None) is not None
-    }
-    return RunConfig(
-        command=ns.command,
-        kind=getattr(ns, "kind", None),
-        paths=paths,
-        pulls=ns.pulls,
-        numerals=ns.numerals,
-        vm_steps=ns.vm_steps,
-        seed=ns.seed,
-        horizon=ns.horizon,
-        report=ns.report,
-        options=options,
-    )
-
-
 def main(argv=None) -> int:
     try:
-        config = config_from_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
-    code, lines = run(config)
+    code, lines = run(ns)
     for line in lines:
         print(line)
     return code

@@ -18,13 +18,12 @@ from .witness import (
     TRIVIAL,
     WS,
     WitnessStream,
+    input_rooted,
     is_pair,
     pair_complete,
     shape_check,
     slot,
     IN_NUM,
-    IN_PREFIX,
-    IN_SEL,
 )
 
 
@@ -192,7 +191,7 @@ def normalize_strict(w: WitnessStream, f: Formula, budget: int = 64) -> WitnessS
     partial = []
     complete = []
     seen = set()
-    keep_trivial = slot(f)[0] in (IN_NUM, IN_SEL, IN_PREFIX)
+    keep_trivial = input_rooted(f)
     for item in items:
         if not is_pair(item):
             continue

@@ -26,7 +26,6 @@ Four games live here:
     outputs that depend on anything beyond it.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -121,12 +120,7 @@ class TreePresentation:
     def incomparable_pairs(self):
         """Ordered pairs of nodes neither of which extends the other."""
         ns = self.sorted_nodes()
-        out = []
-        for a in ns:
-            for b in ns:
-                if a != b and a[: len(b)] != b and b[: len(a)] != a:
-                    out.append((a, b))
-        return out
+        return [(a, b) for a in ns for b in ns if _incomparable(a, b)]
 
     def is_chain(self) -> bool:
         return not self.incomparable_pairs()
@@ -278,21 +272,42 @@ def claim_items(tree, prefix_items, s_node, u_node, b_val, c_val):
     return items
 
 
-def delivered_nodes(items):
-    """Parse (demand, node, label) triples out of adversary items."""
-    seen = {}
+def delivered_nodes(items, seen=None):
+    """Parse (demand, node, label) triples out of adversary items.
+
+    seen, when given, is a demand -> (node, label) table to extend, so a
+    reader can pass only the items that are new to it.  The first
+    delivery of a demand wins, and each node is decoded once.
+    """
+    if seen is None:
+        seen = {}
     for it in items:
         if not isinstance(it, IOPair) or len(it.inputs) < 1 or len(it.outputs) < 2:
             continue
         head, s, b = it.inputs[0], it.outputs[0], it.outputs[1]
-        if not (
+        if (
             isinstance(head, Numeral)
             and isinstance(s, Numeral)
             and isinstance(b, Numeral)
+            and head.value not in seen
         ):
-            continue
-        seen.setdefault(head.value, (seq_decode(s.value), b.value))
+            seen[head.value] = (seq_decode(s.value), b.value)
     return [(n, node, lab) for n, (node, lab) in sorted(seen.items())]
+
+
+def _incomparable(a, b) -> bool:
+    """Neither sequence extends the other."""
+    return a[: len(b)] != b and b[: len(a)] != a
+
+
+def _first_incomparable(got):
+    """The first (a, b, la, lb) of delivered triples whose nodes are
+    incomparable, or None."""
+    for i, (_, a, la) in enumerate(got):
+        for _, b, lb in got[i + 1 :]:
+            if _incomparable(a, b):
+                return a, b, la, lb
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +315,33 @@ def delivered_nodes(items):
 
 
 class Adversary:
-    def reset(self, tree):
+    """Labels every node 1 in its commitment and plays, one item a
+    round, the trivial pair and then a delivery for each (demand, node)
+    of its schedule.  A subclass supplies schedule(tree)."""
+
+    def schedule(self, tree):
         raise NotImplementedError
 
+    def reset(self, tree):
+        self.labels = {node: 1 for node in tree.sorted_nodes()}
+        self.queue = [TRIVIAL]
+        for n, node in self.schedule(tree):
+            self.queue.extend(delivery_items(tree, self.labels, n, node))
+
     def move(self, r, defender_items):
-        raise NotImplementedError
+        return self.queue.pop(0) if self.queue else WS
 
 
 class DesignatedBranchAdversary(Adversary):
     """Feeds decided nodes along the first maximal branch, nothing else.
 
-    Labels every node 1 in its commitment; since only branch nodes are
-    ever delivered, a defender who fabricates a label for an off-branch
-    node asserts content the tables refute.
+    Since only branch nodes are ever delivered, a defender who
+    fabricates a label for an off-branch node asserts content the
+    tables refute.
     """
 
-    def reset(self, tree):
-        self.tree = tree
-        self.labels = {node: 1 for node in tree.sorted_nodes()}
-        queue = [TRIVIAL]
-        for n, node in enumerate(tree.designated_branch()):
-            queue.extend(delivery_items(tree, self.labels, n, node))
-        self.queue = queue
-
-    def move(self, r, defender_items):
-        return self.queue.pop(0) if self.queue else WS
+    def schedule(self, tree):
+        return enumerate(tree.designated_branch())
 
 
 class GenerousAdversary(Adversary):
@@ -334,37 +351,66 @@ class GenerousAdversary(Adversary):
     only be exhibited through nodes of distinct lengths.
     """
 
-    def reset(self, tree):
-        self.tree = tree
-        self.labels = {node: 1 for node in tree.sorted_nodes()}
-        special = {}
-        for a, b in tree.incomparable_pairs():
-            if len(a) != len(b):
-                special = {len(a): a, len(b): b}
-                break
+    def schedule(self, tree):
         by_len = {}
         for node in tree.sorted_nodes():
             by_len.setdefault(len(node), node)
-        by_len.update(special)
-        queue = [TRIVIAL]
-        for n in sorted(by_len):
-            queue.extend(delivery_items(tree, self.labels, n, by_len[n]))
-        self.queue = queue
-
-    def move(self, r, defender_items):
-        return self.queue.pop(0) if self.queue else WS
+        for a, b in tree.incomparable_pairs():
+            if len(a) != len(b):
+                by_len.update({len(a): a, len(b): b})
+                break
+        return sorted(by_len.items())
 
 
 class Defender:
+    """Leads with the trivial pair, then commits to one claim at most.
+
+    A subclass says what it claims through claim(r, antecedent_items):
+    None to wait, () to give up, or (a, b, la, lb) to claim that pair
+    of nodes with those labels.  The base never speaks after its lead.
+    """
+
+    lead = (TRIVIAL,)
+
     def reset(self, tree):
         self.tree = tree
+        self.queue = list(self.lead)
+        self.committed = False
+        self.got = {}  # demand -> (node, label), kept across moves
+        self.read = 0  # antecedent items already decoded into got
+
+    def delivered(self, antecedent_items):
+        """The delivered (demand, node, label) triples so far; each
+        antecedent item is decoded once per play."""
+        new = antecedent_items[self.read :]
+        self.read = len(antecedent_items)
+        return delivered_nodes(new, self.got)
+
+    def claim(self, r, antecedent_items):
+        return ()
+
+    def _guess(self):
+        """Labels 0 for the first incomparable pair of the public tree."""
+        pairs = self.tree.incomparable_pairs()
+        return pairs[0] + (0, 0) if pairs else ()
+
+    def _commit(self, found, antecedent_items):
+        if found:
+            self.queue.extend(claim_items(self.tree, antecedent_items, *found))
+        self.committed = True
 
     def move(self, r, antecedent_items):
-        return WS
+        if not self.committed:
+            found = self.claim(r, antecedent_items)
+            if found is not None:
+                self._commit(found, antecedent_items)
+        return self.queue.pop(0) if self.queue else WS
 
 
 class SilentDefender(Defender):
     """Never speaks.  Correct exactly when the consequent is never owed."""
+
+    lead = ()
 
 
 class WaitingCopier(Defender):
@@ -374,31 +420,18 @@ class WaitingCopier(Defender):
 
     def reset(self, tree):
         super().reset(tree)
-        self.queue = [TRIVIAL]
-        self.committed = False
         self.ready_since = None
 
     def _witnessed(self, antecedent_items):
-        got = delivered_nodes(antecedent_items)
-        for i, (_, a, la) in enumerate(got):
-            for _, b, lb in got[i + 1 :]:
-                if a[: len(b)] != b and b[: len(a)] != a:
-                    return a, b, la, lb
-        return None
+        return _first_incomparable(self.delivered(antecedent_items))
 
-    def move(self, r, antecedent_items):
-        if not self.committed:
-            found = self._witnessed(antecedent_items)
-            if found is not None:
-                if self.ready_since is None:
-                    self.ready_since = r
-                if r - self.ready_since >= self.delay:
-                    a, b, la, lb = found
-                    self.queue.extend(
-                        claim_items(self.tree, antecedent_items, a, b, la, lb)
-                    )
-                    self.committed = True
-        return self.queue.pop(0) if self.queue else WS
+    def claim(self, r, antecedent_items):
+        found = self._witnessed(antecedent_items)
+        if found is None:
+            return None
+        if self.ready_since is None:
+            self.ready_since = r
+        return found if r - self.ready_since >= self.delay else None
 
 
 class DelayedCopier(WaitingCopier):
@@ -410,41 +443,19 @@ class DelayedCopier(WaitingCopier):
 class EagerCommitter(Defender):
     """Commits on the first two delivered nodes, compatible or not."""
 
-    def reset(self, tree):
-        super().reset(tree)
-        self.queue = [TRIVIAL]
-        self.committed = False
-
-    def move(self, r, antecedent_items):
-        if not self.committed:
-            got = delivered_nodes(antecedent_items)
-            if len(got) >= 2:
-                (_, a, la), (_, b, lb) = got[0], got[1]
-                self.queue.extend(
-                    claim_items(self.tree, antecedent_items, a, b, la, lb)
-                )
-                self.committed = True
-        return self.queue.pop(0) if self.queue else WS
+    def claim(self, r, antecedent_items):
+        got = self.delivered(antecedent_items)
+        if len(got) < 2:
+            return None
+        (_, a, la), (_, b, lb) = got[:2]
+        return a, b, la, lb
 
 
 class TableGuesser(Defender):
     """Reads an incomparable pair off the public tree and guesses labels 0."""
 
-    def reset(self, tree):
-        super().reset(tree)
-        self.queue = [TRIVIAL]
-        self.committed = False
-
-    def move(self, r, antecedent_items):
-        if not self.committed and r >= 1:
-            pairs = self.tree.incomparable_pairs()
-            if pairs:
-                a, b = pairs[0]
-                self.queue.extend(
-                    claim_items(self.tree, antecedent_items, a, b, 0, 0)
-                )
-            self.committed = True
-        return self.queue.pop(0) if self.queue else WS
+    def claim(self, r, antecedent_items):
+        return self._guess() if r >= 1 else None
 
 
 class CopierWithGuess(WaitingCopier):
@@ -455,13 +466,8 @@ class CopierWithGuess(WaitingCopier):
     def move(self, r, antecedent_items):
         item = super().move(r, antecedent_items)
         if not self.committed and r >= self.patience:
-            pairs = self.tree.incomparable_pairs()
-            if pairs:
-                a, b = pairs[0]
-                self.queue.extend(
-                    claim_items(self.tree, antecedent_items, a, b, 0, 0)
-                )
-            self.committed = True
+            # queued after this round's item, so played from the next round
+            self._commit(self._guess(), antecedent_items)
         return item
 
 
@@ -529,35 +535,18 @@ def play_theorem1(tree, defender, adversary, horizon=10000, budget=None) -> Game
     )
     verdicts = [direct.line()]
     if direct.status == "rejected":
-        return GameTrace(
-            "theorem1", "defeat", "rejected", rounds, tuple(ante), tuple(mine), tuple(verdicts)
-        )
-
-    got = delivered_nodes(ante)
-    owed = any(
-        a[: len(b)] != b and b[: len(a)] != a
-        for i, (_, a, _) in enumerate(got)
-        for _, b, _ in got[i + 1 :]
-    )
-    if not owed:
-        return GameTrace(
-            "theorem1", "accept", "vacuous", rounds, tuple(ante), tuple(mine), tuple(verdicts)
-        )
-
-    applied = check_witness(apply_implication(d_stream, a_stream), c_formula, budget)
-    verdicts.append(applied.line())
-    if applied.status == "accepted_up_to":
-        return GameTrace(
-            "theorem1", "accept", "effective", rounds, tuple(ante), tuple(mine), tuple(verdicts)
-        )
+        outcome, reason = "defeat", "rejected"
+    elif _first_incomparable(delivered_nodes(ante)) is None:
+        outcome, reason = "accept", "vacuous"  # the consequent is never owed
+    else:
+        applied = check_witness(apply_implication(d_stream, a_stream), c_formula, budget)
+        verdicts.append(applied.line())
+        if applied.status == "accepted_up_to":
+            outcome, reason = "accept", "effective"
+        else:
+            outcome, reason = "defeat", "consequent-missing"
     return GameTrace(
-        "theorem1",
-        "defeat",
-        "consequent-missing",
-        rounds,
-        tuple(ante),
-        tuple(mine),
-        tuple(verdicts),
+        "theorem1", outcome, reason, rounds, tuple(ante), tuple(mine), tuple(verdicts)
     )
 
 
@@ -876,7 +865,7 @@ def narrow_play(factory, script_text: str) -> NarrowReport:
         for y in names[i + 1 :]:
             a, b = instances[x], instances[y]
             fa, fb = tuple(a.feeds), tuple(b.feeds)
-            if fa[: len(fb)] != fb and fb[: len(fa)] != fa:
+            if _incomparable(fa, fb):
                 continue
             for (_, ia, va) in a.pulls:
                 for (_, ib, vb) in b.pulls:

@@ -65,6 +65,7 @@ from .witness import (
     TRIVIAL,
     WS,
     WitnessStream,
+    input_rooted,
     is_pair,
     shape_check,
     slot,
@@ -541,7 +542,7 @@ def _enum_tokens(f: Formula, k: int, env: dict):
 
 def _enum_stream(f: Formula) -> WitnessStream:
     def items():
-        if slot(f)[0] in (IN_NUM, IN_SEL, IN_PREFIX):
+        if input_rooted(f):
             yield TRIVIAL
         for k in itertools.count():
             toks = _enum_tokens(f, k, {})
@@ -592,7 +593,7 @@ def _vm_valid(f: Formula, i: int) -> str:
 
 def _enum_code(f: Formula) -> vm.WCode:
     item = f"(if {_vm_valid(f, 0)} (+ 1 (cantor {_vm_ins(f, 0)} 0)) 0)"
-    lead = "(emit 1) " if slot(f)[0] != END else ""
+    lead = "(emit 1) " if input_rooted(f) else ""
     return vm.program(
         f"(prog {vm.CANTOR}"
         f" (seq {lead}(set k0 0) (while 1 (seq (emit {item}) (set k0 (+ k0 1))))))"
@@ -910,7 +911,7 @@ def _item_expr(p, hyps: tuple, env: dict, idx: str, d: int) -> str:
 
 def _compile_code(p, target: Formula) -> vm.WCode:
     item = _item_expr(p, (), {}, "i", 0)
-    lead = "(emit 1) " if slot(target)[0] in (IN_NUM, IN_SEL, IN_PREFIX) else ""
+    lead = "(emit 1) " if input_rooted(target) else ""
     return vm.program(
         "(prog "
         + _CODE_PRELUDE
@@ -1008,7 +1009,7 @@ def decider_code(matrix: Formula, var: str) -> vm.WCode:
     )
 
 
-def markov_realizer(decider, nonempty_evidence=None, vm_steps: int = 10000) -> WitnessStream:
+def markov_realizer(decider, vm_steps: int = 10000) -> WitnessStream:
     """Unbounded search over a decidability witness.
 
     The decider is machine code (or a ready stream) for a statement of
@@ -1016,9 +1017,7 @@ def markov_realizer(decider, nonempty_evidence=None, vm_steps: int = 10000) -> W
     meaning the property holds at n, the remaining outputs witnessing
     it.  The search asks about n = 0, 1, 2, ... in order and, at the
     first hit, re-emits that instance's pairs with the selector shed
-    and the found value prepended, witnessing E x. A(x).  The
-    nonempty_evidence argument is the caller's no-counterexample
-    obligation; nothing is ever demanded of it.
+    and the found value prepended, witnessing E x. A(x).
     """
     src = vm.run_stream(decider, {}, vm_steps) if isinstance(decider, vm.WCode) else decider
 

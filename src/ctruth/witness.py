@@ -339,6 +339,12 @@ def slot(f: Formula):
     return s
 
 
+def input_rooted(f: Formula) -> bool:
+    """The statement's first slot is an input, so a witness for it
+    leads with the trivial pair."""
+    return slot(f)[0] in _INPUTS
+
+
 def _after(s, tok):
     """The statement past a token given at slot record s."""
     return s[1 + tok.choice] if s[0] in _CHOICES else s[2]

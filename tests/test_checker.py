@@ -45,19 +45,16 @@ def _check(text, f, budget=B):
 def test_sample_witness_accepted():
     v = _check("(:) (0:0) (1:2) (2:4) (3:6)", DOUBLING)
     assert v.status == "accepted_up_to"
-    assert v.exit_code() == 0
 
 
 def test_missing_instance_pends():
     v = _check("(:) (0:0) (1:2)", DOUBLING)
     assert v.status == "pending"
-    assert v.exit_code() == 1
 
 
 def test_wrong_content_rejected():
     v = _check("(:) (0:0) (1:2) (2:5) (3:6)", DOUBLING)
     assert v.status == "rejected"
-    assert v.exit_code() == 2
     assert "(2:5)" in v.line()
 
 

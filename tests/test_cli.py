@@ -233,6 +233,18 @@ def test_project_rejects_bad_index(capsys):
     )
     assert code == 2
 
+    # a statement that is not universal has nothing to project
+    code, out = run(
+        capsys,
+        "project",
+        "--witness", fx("witnesses", "doubling.wit"),
+        "--formula", fx("formulas", "sigma_demo.fml"),
+        "--at", "2",
+    )
+    assert code == 2
+    assert "USAGE project wants a universally quantified formula" in out
+    assert "Traceback" not in out
+
 
 def test_game_theorem1_effective(capsys):
     code, out = run(capsys, "game", "theorem1",

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctruth import games
 from ctruth.checker import Budget
 from ctruth.games import (
     DesignatedBranchAdversary,
@@ -209,3 +210,25 @@ def test_statements_are_rebuilt_when_tree_or_labels_change():
     zero_play(other)
     assert zero_play(t) == cold
     assert play_theorem1(t, _OnesCopier(), GenerousAdversary()).verdicts == ones.verdicts
+
+
+def test_a_defender_decodes_each_delivery_once(monkeypatch):
+    t = TreePresentation.from_sequences([(0, 0), (1,)])
+    adversary = GenerousAdversary()
+    adversary.reset(t)
+    # a late second delivery for demand 0, naming another node
+    items = tuple(adversary.queue) + tuple(delivery_items(t, adversary.labels, 0, (1,)))
+    d = WaitingCopier()
+    d.reset(t)
+    read, decoded = [], []
+    monkeypatch.setattr(
+        games, "delivered_nodes", lambda new, seen: read.extend(new) or delivered_nodes(new, seen)
+    )
+    monkeypatch.setattr(games, "seq_decode", lambda c: decoded.append(c) or seq_decode(c))
+    rounds = [d.delivered(items[:r]) for r in range(1, len(items) + 1)]
+    assert tuple(read) == items  # each item is read once
+    assert len(decoded) == len(rounds[-1]) == 3  # and each demand decoded once
+    monkeypatch.undo()
+    for r, got in enumerate(rounds, 1):
+        assert got == delivered_nodes(items[:r])
+    assert rounds[-1][0] == (0, (), 1)  # the first delivery wins

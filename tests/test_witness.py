@@ -31,6 +31,7 @@ from ctruth.witness import (
     Whitespace,
     WitnessStream,
     WitnessTextError,
+    input_rooted,
     pair_complete,
     semantic_content,
     serialize_item,
@@ -64,6 +65,13 @@ def test_too_much_output_is_a_shape_error():
 def test_trivial_pair_always_fits():
     assert shape_check(PARITY, TRIVIAL) == TRIVIAL
     assert not pair_complete(PARITY, TRIVIAL)
+
+
+def test_input_rooted_statements_are_those_led_by_an_input():
+    led = ["A x. x=x", "(0=0 /\\ 0=1)", "(0=0 -> 0=1)"]
+    unled = ["E x. x=2", "(0=0 \\/ 0=1)", "box 0=0", "0=0", "~(0=1)"]
+    assert all(input_rooted(parse(t)) for t in led)
+    assert not any(input_rooted(parse(t)) for t in unled)
 
 
 def test_whitespace_and_trivial_tokens():
