@@ -841,6 +841,8 @@ def narrow_play(factory, script_text: str) -> NarrowReport:
     instances = {}
     for ev in events:
         name = ev[1]
+        if ev[0] != "spawn" and name not in instances:
+            raise ValueError(f"{ev[0].upper()} names {name!r}, which was never spawned")
         if ev[0] == "spawn":
             instances[name] = _Instance(factory)
         elif ev[0] == "copy":

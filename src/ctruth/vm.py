@@ -16,9 +16,10 @@ program is the byte string of its canonical printed form read base-256.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .witness import IOPair, Numeral, Prefix, Selector, Whitespace, WS, WitnessStream, is_pair
+from .witness import IOPair, Numeral, Prefix, Selector, Whitespace, WS, WitnessStream
 
 
 class VMError(Exception):
@@ -202,6 +203,8 @@ def _validate_program(expr):
 # the argument count of each built-in form; seq takes any number
 _ARITY = {"fst": 1, "snd": 1, "emit": 1, "query": 1, "if": 3, "let": 3}
 _ARITY.update(dict.fromkeys(("+", "-", "*", "div", "mod", "<", "=", "pair", "set", "while"), 2))
+# the built-in heads; a definition of the same name is never called
+_BUILTIN = frozenset(_ARITY) | {"seq"}
 
 
 def _validate_form(x):
@@ -215,9 +218,14 @@ def _validate_form(x):
         raise VMError(f"a form starts with a name, not {print_sexpr(head)}")
     if head in _ARITY and len(x) - 1 != _ARITY[head]:
         raise VMError(f"{head} wants {_ARITY[head]} arguments")
-    # the first argument of let, set and query is a name, not a form
-    for e in x[2:] if head in ("let", "set", "query") else x[1:]:
+    for e in _operands(x):
         _validate_form(e)
+
+
+def _operands(x):
+    """The forms among x's arguments: the first argument of let, set and
+    query is a name, not a form."""
+    return x[2:] if x[0] in ("let", "set", "query") else x[1:]
 
 
 def godel_encode(text: str) -> int:
@@ -240,32 +248,39 @@ def godel_decode(code: int) -> WCode:
 
 
 # ---------------------------------------------------------------------------
-# interpreter
+# the machine: each run compiles its program into closures
 
 
 class VM:
-    """One run of a program over named input streams, budgeted by steps."""
+    """One run of a program over named input streams, budgeted by steps.
+
+    The program is compiled into closures once, when the run is made.
+    `steps` counts the steps taken, and `cut` is true once the step
+    budget has ended the stream."""
 
     def __init__(self, program: WCode, inputs=None, step_budget: int = 10000):
         expr = _thaw(program.expr)
-        self.defs = {d[1]: (d[2], d[3]) for d in expr[1:-1]}
-        self.main = expr[-1]
+        defs = {d[1]: (d[2], d[3]) for d in expr[1:-1]}
+        emitters = _emitters(defs)
+        cells = {name: [None] for name in defs}
+        for name, (_, body) in defs.items():
+            cells[name][0] = _compile(body, defs, cells, emitters)[0]
+        self._main, self._emits = _compile(expr[-1], defs, cells, emitters)
         self.inputs = {str(k): v.copy() for k, v in (inputs or {}).items()}
         self.cursors = {k: 0 for k in self.inputs}
         self.budget = step_budget
         self.steps = 0
-
-    def _tick(self):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise _OutOfSteps()
+        self.cut = False
 
     def items(self):
         """Generator of emitted items; ends when the budget runs out."""
         try:
-            yield from self._eval(self.main, {})
+            if self._emits:
+                yield from self._main(self, {})
+            else:
+                self._main(self, {})
         except _OutOfSteps:
-            return
+            self.cut = True
 
     def _query(self, name: str):
         stream = self.inputs.get(name)
@@ -278,95 +293,287 @@ class VM:
         self.cursors[name] = i + 1
         return encode_item(item)
 
-    def _eval(self, x, env):
-        self._tick()
-        if isinstance(x, int):
+
+# one step; the pure closures, which take nearly every step, inline it:
+# calling _tick from them made extract_run's wall_s 6.8 % slower
+# (BENCH_10.json, "tick_inlining")
+def _tick(vm):
+    vm.steps += 1
+    if vm.steps > vm.budget:
+        raise _OutOfSteps()
+
+
+# the arithmetic built-ins: "-" is monus, div and mod by 0 give 0, and
+# fst and snd take a Cantor pair apart
+_OPS = {
+    "+": operator.add,
+    "-": lambda a, b: a - b if a > b else 0,
+    "*": operator.mul,
+    "div": lambda a, b: a // b if b else 0,
+    "mod": lambda a, b: a % b if b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "=": lambda a, b: 1 if a == b else 0,
+    "pair": cantor,
+    "fst": lambda z: uncantor(z)[0],
+    "snd": lambda z: uncantor(z)[1],
+}
+
+
+def _fails(x, defs) -> bool:
+    """Whether the form x names neither a built-in nor a definition taking
+    its argument count: it fails when run, before any operand runs."""
+    head = x[0]
+    return head not in _BUILTIN and (head not in defs or len(defs[head][0]) != len(x) - 1)
+
+
+def _emitters(defs) -> set:
+    """The definitions whose call can reach an emit: the least set holding
+    each definition whose body has an emit or calls one in the set.  The
+    operands of a form that fails are never run, so they are not read."""
+    callers = {name: set() for name in defs}
+    found = []
+    for name, (_, body) in defs.items():
+        todo = [body]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, list) and not _fails(x, defs):
+                if x[0] == "emit":
+                    found.append(name)
+                elif x[0] not in _BUILTIN:
+                    callers[x[0]].add(name)
+                todo += _operands(x)
+    emitters = set()
+    while found:
+        name = found.pop()
+        if name not in emitters:
+            emitters.add(name)
+            found += callers[name]
+    return emitters
+
+
+def _values(parts, vm, env):
+    """Run compiled operands left to right: a generator returning their values."""
+    values = []
+    for f, emits in parts:
+        values.append((yield from f(vm, env)) if emits else f(vm, env))
+    return values
+
+
+def _restore(env, name, had, old):
+    if had:
+        env[name] = old
+    else:
+        del env[name]
+
+
+def _compile(x, defs, cells, emitters):
+    """Compile the validated form x to (closure, emits).
+
+    The closure maps (vm, env) to the form's value.  When emits is true
+    it is a generator function instead, driven with `yield from`: it
+    yields the items the form emits and returns its value.  Only a form
+    that holds an emit, or calls a definition in `emitters`, emits.
+    Every closure takes one step on entry, before its operands run, and
+    runs them left to right.  `cells` maps each definition's name to a
+    one-element list that holds its compiled body by the time it runs.
+    """
+    if isinstance(x, int):
+        def literal(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
             return x
-        if isinstance(x, str):
-            if x in env:
+        return literal, False
+    if isinstance(x, str):
+        def variable(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            try:
                 return env[x]
-            raise VMError(f"unbound machine variable {x!r}")
-        if not x:
-            raise VMError("empty form")
-        head = x[0]
-        if head == "+":
-            return (yield from self._eval(x[1], env)) + (yield from self._eval(x[2], env))
-        if head == "-":
-            a = yield from self._eval(x[1], env)
-            b = yield from self._eval(x[2], env)
-            return a - b if a > b else 0
-        if head == "*":
-            return (yield from self._eval(x[1], env)) * (yield from self._eval(x[2], env))
-        if head == "div":
-            a = yield from self._eval(x[1], env)
-            b = yield from self._eval(x[2], env)
-            return a // b if b else 0
-        if head == "mod":
-            a = yield from self._eval(x[1], env)
-            b = yield from self._eval(x[2], env)
-            return a % b if b else 0
-        if head == "<":
-            a = yield from self._eval(x[1], env)
-            b = yield from self._eval(x[2], env)
-            return 1 if a < b else 0
-        if head == "=":
-            a = yield from self._eval(x[1], env)
-            b = yield from self._eval(x[2], env)
-            return 1 if a == b else 0
-        if head == "pair":
-            a = yield from self._eval(x[1], env)
-            b = yield from self._eval(x[2], env)
-            return cantor(a, b)
-        if head == "fst":
-            return uncantor((yield from self._eval(x[1], env)))[0]
-        if head == "snd":
-            return uncantor((yield from self._eval(x[1], env)))[1]
-        if head == "if":
-            c = yield from self._eval(x[1], env)
-            return (yield from self._eval(x[2] if c else x[3], env))
-        if head == "let":
-            _, name, val_expr, body = x
-            val = yield from self._eval(val_expr, env)
+            except KeyError:
+                raise VMError(f"unbound machine variable {x!r}") from None
+        return variable, False
+    head = x[0]
+    if head == "query":
+        name = x[1] if isinstance(x[1], str) else str(x[1])
+
+        def query(vm, env):
+            _tick(vm)
+            return vm._query(name)
+        return query, False
+    if _fails(x, defs):
+        message = (f"{head} wants {len(defs[head][0])} arguments" if head in defs
+                   else f"unknown operation {head!r}")
+
+        def fail(vm, env):
+            _tick(vm)
+            raise VMError(message)
+        return fail, False
+    parts = [_compile(e, defs, cells, emitters) for e in _operands(x)]
+    fs = [f for f, _ in parts]
+    callee = head not in _BUILTIN and head in emitters
+    emits = head == "emit" or callee or any(e for _, e in parts)
+
+    if head in _OPS:
+        op = _OPS[head]
+        if emits:
+            def apply(vm, env):
+                _tick(vm)
+                return op(*(yield from _values(parts, vm, env)))
+            return apply, True
+        if len(fs) == 1:
+            (a,) = fs
+
+            def unary(vm, env):
+                vm.steps += 1
+                if vm.steps > vm.budget:
+                    raise _OutOfSteps()
+                return op(a(vm, env))
+            return unary, False
+        a, b = fs
+
+        def binary(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            return op(a(vm, env), b(vm, env))
+        return binary, False
+
+    if head == "emit":
+        ((a, ea),) = parts
+
+        def emit(vm, env):
+            _tick(vm)
+            code = (yield from a(vm, env)) if ea else a(vm, env)
+            yield decode_item(code)
+            return 0
+        return emit, True
+
+    if head == "set":
+        name = x[1]
+        if emits:
+            def set_(vm, env):
+                _tick(vm)
+                (val,) = yield from _values(parts, vm, env)
+                env[name] = val
+                return val
+            return set_, True
+        (v,) = fs
+
+        def set_(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            env[name] = val = v(vm, env)
+            return val
+        return set_, False
+
+    if head == "seq":
+        if emits:
+            def seq(vm, env):
+                _tick(vm)
+                val = 0
+                for f, fe in parts:
+                    val = (yield from f(vm, env)) if fe else f(vm, env)
+                return val
+            return seq, True
+
+        def seq(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            val = 0
+            for f in fs:
+                val = f(vm, env)
+            return val
+        return seq, False
+
+    if head == "if":
+        (c, ec), (t, et), (e, ee) = parts
+        if emits:
+            def if_(vm, env):
+                _tick(vm)
+                cond = (yield from c(vm, env)) if ec else c(vm, env)
+                f, fe = (t, et) if cond else (e, ee)
+                return (yield from f(vm, env)) if fe else f(vm, env)
+            return if_, True
+
+        def if_(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            return (t if c(vm, env) else e)(vm, env)
+        return if_, False
+
+    if head == "let":
+        name = x[1]
+        (v, ev), (body, eb) = parts
+        if emits:
+            def let(vm, env):
+                _tick(vm)
+                val = (yield from v(vm, env)) if ev else v(vm, env)
+                had, old = name in env, env.get(name)
+                env[name] = val
+                try:
+                    return (yield from body(vm, env)) if eb else body(vm, env)
+                finally:
+                    _restore(env, name, had, old)
+            return let, True
+
+        def let(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            val = v(vm, env)
             had, old = name in env, env.get(name)
             env[name] = val
             try:
-                return (yield from self._eval(body, env))
+                return body(vm, env)
             finally:
-                if had:
-                    env[name] = old
-                else:
-                    del env[name]
-        if head == "set":
-            val = yield from self._eval(x[2], env)
-            env[x[1]] = val
-            return val
-        if head == "seq":
-            v = 0
-            for e in x[1:]:
-                v = yield from self._eval(e, env)
-            return v
-        if head == "while":
-            while True:
-                c = yield from self._eval(x[1], env)
-                if not c:
-                    return 0
-                yield from self._eval(x[2], env)
-        if head == "emit":
-            code = yield from self._eval(x[1], env)
-            yield decode_item(code)
+                _restore(env, name, had, old)
+        return let, False
+
+    if head == "while":
+        (c, ec), (body, eb) = parts
+        if emits:
+            def while_(vm, env):
+                _tick(vm)
+                while (yield from c(vm, env)) if ec else c(vm, env):
+                    if eb:
+                        yield from body(vm, env)
+                    else:
+                        body(vm, env)
+                return 0
+            return while_, True
+
+        def while_(vm, env):
+            vm.steps += 1
+            if vm.steps > vm.budget:
+                raise _OutOfSteps()
+            while c(vm, env):
+                body(vm, env)
             return 0
-        if head == "query":
-            name = x[1] if isinstance(x[1], str) else str(x[1])
-            return self._query(name)
-        if head in self.defs:
-            params, body = self.defs[head]
-            if len(params) != len(x) - 1:
-                raise VMError(f"{head} wants {len(params)} arguments")
-            args = []
-            for e in x[1:]:
-                args.append((yield from self._eval(e, env)))
-            return (yield from self._eval(body, dict(zip(params, args))))
-        raise VMError(f"unknown operation {head!r}")
+        return while_, False
+
+    # a call of a definition
+    params, cell = defs[head][0], cells[head]
+    if emits:
+        def call(vm, env):
+            _tick(vm)
+            inner = dict(zip(params, (yield from _values(parts, vm, env))))
+            return (yield from cell[0](vm, inner)) if callee else cell[0](vm, inner)
+        return call, True
+
+    def call(vm, env):
+        vm.steps += 1
+        if vm.steps > vm.budget:
+            raise _OutOfSteps()
+        args = []  # a loop, not a comprehension: no frame per call
+        for f in fs:
+            args.append(f(vm, env))
+        return cell[0](vm, dict(zip(params, args)))
+    return call, False
 
 
 def run_stream(program: WCode, inputs=None, step_budget: int = 10000) -> WitnessStream:

@@ -35,6 +35,7 @@ from ctruth.witness import (
     WitnessStream,
     is_pair,
 )
+from ctruth.vm import VMError, cantor, decode_item, encode_item, uncantor
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +537,157 @@ def apply_implication(w, x):
             r += 1
 
     return WitnessStream(gen)
+
+
+# ---------------------------------------------------------------------------
+# the machine, as a generator tree walker (item codes and pairing are
+# the package's: they define the machine's values, not its evaluation)
+
+
+class _WalkerOutOfSteps(Exception):
+    pass
+
+
+class _Walker:
+    """The reference interpreter: every form is a generator, driven with
+    `yield from`, that ticks once on entry and then runs its operands
+    left to right."""
+
+    def __init__(self, program, inputs, budget):
+        expr = _lists(program.expr)
+        self.defs = {d[1]: (d[2], d[3]) for d in expr[1:-1]}
+        self.main = expr[-1]
+        self.inputs = {str(k): v.copy() for k, v in (inputs or {}).items()}
+        self.cursors = {k: 0 for k in self.inputs}
+        self.budget = budget
+        self.steps = 0
+
+    def _tick(self):
+        self.steps += 1
+        if self.steps > self.budget:
+            raise _WalkerOutOfSteps()
+
+    def items(self):
+        try:
+            yield from self._eval(self.main, {})
+        except _WalkerOutOfSteps:
+            return
+
+    def _query(self, name):
+        stream = self.inputs.get(name)
+        if stream is None:
+            return 0
+        i = self.cursors[name]
+        item = stream.at(i)
+        if item is None:
+            return 0
+        self.cursors[name] = i + 1
+        return encode_item(item)
+
+    def _eval(self, x, env):
+        self._tick()
+        if isinstance(x, int):
+            return x
+        if isinstance(x, str):
+            if x in env:
+                return env[x]
+            raise VMError(f"unbound machine variable {x!r}")
+        if not x:
+            raise VMError("empty form")
+        head = x[0]
+        if head == "+":
+            return (yield from self._eval(x[1], env)) + (yield from self._eval(x[2], env))
+        if head == "-":
+            a = yield from self._eval(x[1], env)
+            b = yield from self._eval(x[2], env)
+            return a - b if a > b else 0
+        if head == "*":
+            return (yield from self._eval(x[1], env)) * (yield from self._eval(x[2], env))
+        if head == "div":
+            a = yield from self._eval(x[1], env)
+            b = yield from self._eval(x[2], env)
+            return a // b if b else 0
+        if head == "mod":
+            a = yield from self._eval(x[1], env)
+            b = yield from self._eval(x[2], env)
+            return a % b if b else 0
+        if head == "<":
+            a = yield from self._eval(x[1], env)
+            b = yield from self._eval(x[2], env)
+            return 1 if a < b else 0
+        if head == "=":
+            a = yield from self._eval(x[1], env)
+            b = yield from self._eval(x[2], env)
+            return 1 if a == b else 0
+        if head == "pair":
+            a = yield from self._eval(x[1], env)
+            b = yield from self._eval(x[2], env)
+            return cantor(a, b)
+        if head == "fst":
+            return uncantor((yield from self._eval(x[1], env)))[0]
+        if head == "snd":
+            return uncantor((yield from self._eval(x[1], env)))[1]
+        if head == "if":
+            c = yield from self._eval(x[1], env)
+            return (yield from self._eval(x[2] if c else x[3], env))
+        if head == "let":
+            _, name, val_expr, body = x
+            val = yield from self._eval(val_expr, env)
+            had, old = name in env, env.get(name)
+            env[name] = val
+            try:
+                return (yield from self._eval(body, env))
+            finally:
+                if had:
+                    env[name] = old
+                else:
+                    del env[name]
+        if head == "set":
+            val = yield from self._eval(x[2], env)
+            env[x[1]] = val
+            return val
+        if head == "seq":
+            v = 0
+            for e in x[1:]:
+                v = yield from self._eval(e, env)
+            return v
+        if head == "while":
+            while True:
+                c = yield from self._eval(x[1], env)
+                if not c:
+                    return 0
+                yield from self._eval(x[2], env)
+        if head == "emit":
+            code = yield from self._eval(x[1], env)
+            yield decode_item(code)
+            return 0
+        if head == "query":
+            name = x[1] if isinstance(x[1], str) else str(x[1])
+            return self._query(name)
+        if head in self.defs:
+            params, body = self.defs[head]
+            if len(params) != len(x) - 1:
+                raise VMError(f"{head} wants {len(params)} arguments")
+            args = []
+            for e in x[1:]:
+                args.append((yield from self._eval(e, env)))
+            return (yield from self._eval(body, dict(zip(params, args))))
+        raise VMError(f"unknown operation {head!r}")
+
+
+def _lists(x):
+    return [_lists(e) for e in x] if isinstance(x, tuple) else x
+
+
+def vm_run(program, inputs, budget, pulls=None):
+    """Run a machine program under the reference interpreter, reading at
+    most `pulls` items (all of them when None).  Returns the items read,
+    the steps taken and the exception that ended the run, if any."""
+    walker = _Walker(program, inputs, budget)
+    items, error = [], None
+    try:
+        for item in itertools.islice(walker.items(), pulls):
+            items.append(item)
+    except Exception as e:
+        error = e
+    return items, walker.steps, error

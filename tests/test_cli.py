@@ -278,6 +278,27 @@ def test_game_narrow_echo_and_moody(capsys):
     assert code == 1 and "NARROW violated" in out and "CONFLICT" in out
 
 
+def test_game_narrow_unspawned_instance_exits_one(tmp_path, capsys):
+    script = tmp_path / "unspawned.script"
+    for line, op in [("FEED a (0:0)", "FEED"), ("FEEDWS a 2", "FEEDWS"),
+                     ("PULL a 1", "PULL"), ("COPY a b", "COPY")]:
+        script.write_text(f"SPAWN b\n{line}\n")
+        code, out = run(capsys, "game", "narrow", "--machine", "echo", "--script", str(script))
+        assert code == 1
+        assert out.splitlines()[-1] == f"ERROR {op} names 'a', which was never spawned"
+
+
+def test_deep_machine_recursion_is_an_error_line(tmp_path, capsys):
+    wc = tmp_path / "tri.wc"
+    wc.write_text("(prog (def tri (n) (if n (+ n (tri (- n 1))) 0))"
+                  " (seq (emit 1) (emit (tri 3000))))\n")
+    code, out = run(capsys, "realizability", "--vm-steps", "1000000",
+                    "--formula", fx("formulas", "doubling.fml"), "--code", str(wc))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR maximum recursion depth exceeded"
+    assert "Traceback" not in out
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     blobs = []
     for i in range(3):

@@ -1,8 +1,12 @@
+import itertools
+import threading
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctruth.witness import IOPair, Numeral, Prefix, Selector, TRIVIAL, WS, WitnessStream
 from ctruth.vm import (
+    VM,
     DecodeError,
     VMError,
     cantor,
@@ -21,6 +25,8 @@ from ctruth.vm import (
     trivial_program,
     uncantor,
 )
+
+from oracles import vm_run
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
@@ -131,3 +137,122 @@ def test_library_programs():
     s = run_stream(successor_program(), {}, 4000).pull(3)
     assert s[1] == IOPair((Numeral(0),), (Numeral(1),))
     assert s[2] == IOPair((Numeral(1),), (Numeral(2),))
+
+
+def test_doubling_step_counts_are_frozen():
+    m = VM(doubling_program(), {}, 400000)
+    assert len(list(itertools.islice(m.items(), 400))) == 400
+    assert m.steps == 28730
+    m = VM(doubling_program(), {}, 20000)
+    assert len(list(m.items())) == 278
+    assert m.steps == 20001
+
+
+def test_cut_flag_tells_a_spent_budget_apart():
+    m = VM(doubling_program(), {}, 400000)
+    list(itertools.islice(m.items(), 400))
+    assert not m.cut
+    m = VM(doubling_program(), {}, 20000)
+    list(m.items())
+    assert m.cut
+    m = VM(trivial_program(), {}, 100)
+    assert list(m.items()) == [TRIVIAL] and not m.cut
+
+
+def test_recursion_329_deep_runs_at_the_default_limit():
+    # a fresh thread starts from a shallow stack, whatever runs the suite
+    got = []
+    tri = program("(prog (def tri (n) (if n (+ n (tri (- n 1))) 0))"
+                  " (seq (emit 1) (emit (tri 329))))")
+    worker = threading.Thread(target=lambda: got.extend(VM(tri, {}, 10**6).items()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got == [TRIVIAL, decode_item(329 * 330 // 2)]
+
+
+# -- the compiled machine against the reference walker of tests/oracles.py
+
+_VARS = ("a", "n", "b")
+_HEADS = ("+", "-", "div", "mod", "<", "=")
+_INPUTS = {"0": WitnessStream.from_text("(:) (2:3) (1:1)")}
+
+
+def _form(*parts):
+    return "(" + " ".join(parts) + ")"
+
+
+def _compound(kids):
+    def call(name, arity):
+        return st.lists(kids, min_size=arity, max_size=arity).map(lambda t: _form(name, *t))
+
+    return st.one_of(
+        st.tuples(st.sampled_from(_HEADS), kids, kids).map(lambda t: _form(*t)),
+        # * and pair square their operands' size; fed back through set or a
+        # recursive call they would outgrow memory within the budget, so
+        # they only see operands below 16
+        st.tuples(st.sampled_from(("*", "pair")), kids, kids)
+        .map(lambda t: _form(t[0], f"(mod {t[1]} 16)", f"(mod {t[2]} 16)")),
+        st.tuples(st.sampled_from(("fst", "snd", "emit", "emit")), kids).map(lambda t: _form(*t)),
+        st.tuples(kids, kids, kids).map(lambda t: _form("if", *t)),
+        st.tuples(st.sampled_from(_VARS), kids, kids).map(lambda t: _form("let", *t)),
+        st.tuples(st.sampled_from(_VARS), kids).map(lambda t: _form("set", *t)),
+        st.lists(kids, max_size=3).map(lambda t: _form("seq", *t)),
+        # a loop on n, which the main form counts up from 0
+        st.tuples(kids, kids).map(lambda t: f"(while (< n {t[0]}) (seq {t[1]} (set n (+ n 1))))"),
+        st.sampled_from(("0", "9")).map(lambda s: _form("query", s)),
+        call("f", 1),
+        call("g", 2),
+        kids.map(lambda k: f"(f (- a {k}))"),
+        st.tuples(st.sampled_from(("f", "g", "frob")), st.lists(kids, max_size=3))
+        .map(lambda t: _form(t[0], *t[1])),
+    )
+
+
+_FORMS = st.recursive(
+    st.one_of(st.integers(0, 12).map(str), st.sampled_from(_VARS)), _compound, max_leaves=12
+)
+
+
+@st.composite
+def _programs(draw):
+    """f's body branches on its argument, g's is free, and pair is shadowed
+    by the built-in of that name."""
+    f = f"(def f (a) (if a {draw(_FORMS)} {draw(_FORMS)}))"
+    g = f"(def g (a n) {draw(_FORMS)})"
+    shadowed = f"(def pair (a b) {draw(_FORMS)})"
+    body = " ".join(draw(_FORMS) for _ in range(2))
+    main = f"(seq (set a 3) (set n 0) (set b 7) (emit {draw(_FORMS)}) {body})"
+    return f"(prog {f} {g} {shadowed} {main})"
+
+
+@given(_programs(), st.integers(1, 400), st.one_of(st.none(), st.integers(0, 6)))
+@example("(prog (seq (emit 1) x))", 3, None)  # unbound name
+@example("(prog (seq (emit 1) (frob 2)))", 3, None)  # unknown head
+@example("(prog (def f (a) a) (seq (emit 1) (f 1 2)))", 3, None)  # arity
+@example("(prog (seq (set a 1) (let a 5 (set a 7)) (emit a)"
+         " (let b 2 (set b 3)) (emit b)))", 400, None)  # let restores, or unbinds
+@example("(prog (seq (set n 0) (while (< n 4) (seq (emit (query 0)) (set n (+ n 1))))"
+         " (emit (query 9))))", 400, None)  # an input read past its end, and a missing one
+@example("(prog (def f (a) (if a (g (- a 1)) (emit 4)))"
+         " (def g (a) (if a (f (- a 1)) 0))"
+         " (seq (emit (+ 1 (f 5))) (emit (pair (f 2) (g 3)))))", 400, None)  # mutual recursion
+# an emit under a form that fails never runs, so f stays a pure definition
+@example("(prog (def f (a) (if a (frob (emit 1)) 0)) (seq (emit 1) (emit (f 0))))", 400, None)
+@example("(prog (def g (a b) (emit a)) (def f (a) (if a (g (emit 1)) 0))"
+         " (seq (emit 1) (emit (f 0)) (emit (f 1))))", 400, None)  # wrong arity
+@settings(max_examples=600, deadline=None)
+def test_compiled_machine_agrees_with_the_walker(text, budget, pulls):
+    prog = program(text)
+    want_items, want_steps, want_error = vm_run(prog, _INPUTS, budget, pulls)
+    m = VM(prog, _INPUTS, budget)
+    got, error = [], None
+    try:
+        for item in itertools.islice(m.items(), pulls):
+            got.append(item)
+    except Exception as e:
+        error = e
+    assert got == want_items
+    assert m.steps == want_steps
+    assert (type(error), str(error)) == (type(want_error), str(want_error))
+    assert m.cut == (m.steps > budget)
