@@ -4,9 +4,10 @@ A check pulls finitely many items, validates their shape, enforces the
 output discipline (equal or extending inputs demand the same outputs),
 rejects any pair whose asserted content is refutable within the budget,
 and then walks the statement's input space to see whether every demand
-the budget can express has been answered.  The discipline is checked in
-one indexed pass: each pair is inserted into a trie keyed on its tokens
-and compared only with the pairs whose inputs agree with its own.
+the budget can express has been answered.  One walk shapes each pair
+and gives its path of tokens (witness.shape_walk); the discipline is
+checked in one indexed pass that inserts each path into a trie and
+compares it only with the pairs whose inputs agree with its own.
 Content is judged under an integer environment binding the pair's
 tokens, never by substituting unary numerals, so a check costs close to
 linear time in the number of pairs.  A refutation is costed on the
@@ -61,10 +62,9 @@ from .witness import (
     content_parts,
     input_rooted,
     is_pair,
-    semantic_content,
     serialize_item,
     serialize_token,
-    shape_check,
+    shape_walk,
     slot,
 )
 
@@ -139,26 +139,16 @@ def _pending(budget, path):
 
 
 # ---------------------------------------------------------------------------
-# output discipline: one indexed pass along the joint spine
+# output discipline: one indexed pass over the pairs' paths
+
+_OUTPUTS = (OUT_NUM, OUT_SEL, OUT_CODE)
 
 
-class _Node:
-    """A trie node at one slot of the spine.  `children` are keyed by
-    the token a pair gives at the slot; an output node also keeps the
-    first pair that reached it and that pair's token (None: silent)."""
-
-    __slots__ = ("children", "first", "out")
-
-    def __init__(self):
-        self.children = {}
-        self.first = None
-        self.out = None
-
-
-def _first_conflict(f: Formula, pairs) -> tuple:
-    """(j, i, kind) for the first shaped pair j that breaks the output
+def _first_conflict(paths) -> tuple:
+    """(j, i, kind) for the first pair j that breaks the output
     discipline against an earlier pair, i being the least such; None
-    when the pairs keep it.
+    when the pairs keep it.  Each pair is given by its path from
+    witness.shape_walk.
 
     Where two pairs' inputs agree (a prefix input may extend the other
     pair's), their outputs must be the same tokens, and a pair falling
@@ -167,56 +157,53 @@ def _first_conflict(f: Formula, pairs) -> tuple:
     pair.  The kind is "monotonicity" when the agreement needed a
     prefix extension, else "functionality".
 
-    Each pair walks the statement once, inserting itself into a trie
-    keyed on its tokens.  It is compared only with the trie nodes whose
-    pairs agree with it so far: the node its own tokens reach and, at
-    prefix slots, siblings its prefix extends or is extended by.  All
-    pairs at an output node agree, since an earlier disagreement would
-    have been reported, so the node's first pair stands for them all.
+    The paths go into a trie of int nodes, 0 the root: `edges` maps
+    (node, key) to a child, and `said` keeps the first pair at an output
+    node with its key.  That pair stands for all pairs there, which
+    agree or an earlier conflict would have been reported.  Until a pair
+    meets a prefix slot, the only node agreeing with it is its own; from
+    then on a frontier of agreeing nodes also takes, at prefix slots,
+    the siblings its prefix extends or is extended by.
     """
-    root = _Node()
-    for j, p in enumerate(pairs):
-        if not p.inputs and not p.outputs:
-            continue  # the trivial pair asserts nothing
-        ins, outs = iter(p.inputs), iter(p.outputs)
-        own = root  # the node p's own tokens reach
-        frontier = [(root, False)]  # agreeing nodes, and whether via an extension
-        hit = None
-        g = f
-        while True:
-            s = slot(g)
-            kind = s[0]
-            if kind == END:
-                break
-            is_input = kind in (IN_NUM, IN_SEL, IN_PREFIX)
-            tok = next(ins if is_input else outs, None)
-            if tok is None and is_input:
-                break  # the pair stops demanding; nothing to compare
-            if not is_input and own.first is None:
-                own.first, own.out = j, tok
-            after = []
-            for node, ext in frontier:
-                if not is_input and node.out != tok:
-                    if hit is None or node.first < hit[0]:
-                        hit = (node.first, "monotonicity" if ext else "functionality")
-                elif kind == IN_PREFIX:
-                    for key, child in node.children.items():
-                        if key == tok:
-                            after.append((child, ext))
-                        elif key.extends(tok) or tok.extends(key):
-                            after.append((child, True))
-                else:
-                    child = node.children.get(tok)
-                    if child is not None:
-                        after.append((child, ext))
-            if tok is None or kind == OUT_CODE:
-                break  # silent, or past a code: the pair ends here
-            if tok not in own.children:
-                own.children[tok] = _Node()
-                after.append((own.children[tok], False))
-            own = own.children[tok]
-            frontier = after
-            g = s[1 + tok.choice] if kind in (IN_SEL, OUT_SEL) else s[2]
+    edges = {}
+    said = {}
+    kids = {}  # a node at a prefix slot: its (prefix, child) edges in order
+    for j, path in enumerate(paths):
+        own = 0
+        frontier = hit = None
+        for kind, key in path:
+            if kind == IN_PREFIX and frontier is None:
+                frontier = [(own, False)]
+            speaks = kind in _OUTPUTS
+            if speaks:
+                first = said.setdefault(own, (j, key))
+            if frontier is None:
+                if speaks and first[1] != key:
+                    return j, first[0], "functionality"
+            else:
+                after = []
+                for node, ext in frontier:
+                    if speaks and said[node][1] != key:
+                        i = said[node][0]
+                        if hit is None or i < hit[0]:
+                            hit = (i, "monotonicity" if ext else "functionality")
+                    elif kind == IN_PREFIX:
+                        for pre, child in kids.get(node, ()):
+                            if pre == key:
+                                after.append((child, ext))
+                            elif pre.extends(key) or key.extends(pre):
+                                after.append((child, True))
+                    elif (node, key) in edges:
+                        after.append((edges[node, key], ext))
+                frontier = after
+            if key is None:
+                break  # silent: the pair ends here
+            child = edges.get((own, key))
+            if child is None:
+                child = edges[own, key] = len(edges) + 1
+                if kind == IN_PREFIX:
+                    kids.setdefault(own, []).append((key, child))
+            own = child
         if hit is not None:
             return (j,) + hit
     return None
@@ -339,15 +326,15 @@ def _content_cost(parts, budget: Budget) -> int:
     return _decision_cost(rest, budget) + sum(1 + _content_cost(h, budget) for h in hyps)
 
 
-def _refuted(f: Formula, p: IOPair, budget: Budget) -> bool:
-    """Definite refutation of a shaped pair's content, declined when
-    deciding it would blow the enumeration allowance.  Declining keeps
-    the checker sound: it only ever rejects on a decision it completed.
+def _refuted(parts, budget: Budget) -> bool:
+    """Definite refutation of a shaped pair's content, given as
+    content_parts' parts, declined when deciding it would blow the
+    enumeration allowance.  Declining keeps the checker sound: it only
+    ever rejects on a decision it completed.
 
     The claim is costed on the spine before any of it is built, and its
     conclusion is judged under its integer environment.
     """
-    parts = content_parts(f, p)
     if _content_cost(parts, budget) > _DECISION_ALLOWANCE:
         return False
     hyps, rest, env = parts
@@ -357,26 +344,24 @@ def _refuted(f: Formula, p: IOPair, budget: Budget) -> bool:
 
 def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Verdict:
     """Judge a stream against a statement within the given budget."""
-    items = w.pull(budget.pull_limit)
-    raws, pairs = [], []
-    for item in items:
-        if not is_pair(item):
-            continue
-        try:
-            pairs.append(shape_check(f, item))
-        except ShapeMismatch as e:
-            return _rejected(budget, item, str(e))
-        raws.append(item)
+    shaped = []  # (raw, shaped pair, path) for each pair
+    for item in w.pull(budget.pull_limit):
+        if is_pair(item):
+            try:
+                shaped.append((item, *shape_walk(f, item)))
+            except ShapeMismatch as e:
+                return _rejected(budget, item, str(e))
 
-    hit = _first_conflict(f, pairs)
+    hit = _first_conflict([path for _, _, path in shaped])
     if hit:
         j, i, kind = hit
-        return _rejected(budget, raws[j], kind, conflict=raws[i])
+        return _rejected(budget, shaped[j][0], kind, conflict=shaped[i][0])
 
     # per-pair content, rejected only on a definite refutation
-    for raw, p in zip(raws, pairs):
-        if _refuted(f, p, budget):
-            return _rejected(budget, raw, semantic_content(f, p))
+    for raw, p, _ in shaped:
+        parts = content_parts(f, p)
+        if _refuted(parts, budget):
+            return _rejected(budget, raw, content(parts))
         if isinstance(f, Implies) and p.inputs and isinstance(p.inputs[0], Prefix):
             lead = p.inputs[0]
             rest = IOPair(p.inputs[1:], p.outputs)
@@ -386,15 +371,16 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
                 observed = Prefix(probe.stream.pull(len(lead.items)))
                 if not observed.extends(lead):
                     continue
-                if _refuted(f.right, rest, budget):
-                    return _rejected(budget, raw, semantic_content(f.right, rest))
+                parts = content_parts(f.right, rest)
+                if _refuted(parts, budget):
+                    return _rejected(budget, raw, content(parts))
 
-    r = _walk(f, {}, [(p, 0, 0) for p in pairs], [], budget, list(probes))
+    r = _walk(f, {}, [(p, 0, 0) for _, p, _ in shaped], [], budget, list(probes))
     if r is None:
         return _accepted(budget)
     if r[0] == _PEND:
         return _pending(budget, r[1])
-    raw = next(raw for raw, p in zip(raws, pairs) if p is r[1])
+    raw = next(raw for raw, p, _ in shaped if p is r[1])
     return _rejected(budget, raw, r[2])
 
 

@@ -209,7 +209,6 @@ class Box(Formula):
 # tokenizer / parser
 
 _KEYWORDS = {"box", "forall", "exists"}
-_PUNCT = ("/\\", "\\/", "->", "~", "(", ")", ".", "=", "<", "+", "*", ",")
 
 
 def _tokenize(text):

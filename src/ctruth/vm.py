@@ -194,7 +194,8 @@ def _validate_program(expr):
     for d in expr[1:-1]:
         if not (isinstance(d, list) and len(d) == 4 and d[0] == "def"):
             raise VMError("bad definition (want (def name (params) body))")
-        if not isinstance(d[1], str) or not isinstance(d[2], list):
+        if not (isinstance(d[1], str) and isinstance(d[2], list)
+                and all(isinstance(param, str) for param in d[2])):
             raise VMError("bad definition header")
         _validate_form(d[3])
     _validate_form(expr[-1])
@@ -208,7 +209,8 @@ _BUILTIN = frozenset(_ARITY) | {"seq"}
 
 
 def _validate_form(x):
-    """Every form starts with a name and gives a built-in its argument count."""
+    """Every form starts with a name, gives a built-in its argument count
+    and gives let and set a name to bind."""
     if not isinstance(x, list):
         return
     if not x:
@@ -218,6 +220,8 @@ def _validate_form(x):
         raise VMError(f"a form starts with a name, not {print_sexpr(head)}")
     if head in _ARITY and len(x) - 1 != _ARITY[head]:
         raise VMError(f"{head} wants {_ARITY[head]} arguments")
+    if head in ("let", "set") and not isinstance(x[1], str):
+        raise VMError(f"{head} binds a name, not {print_sexpr(x[1])}")
     for e in _operands(x):
         _validate_form(e)
 

@@ -10,10 +10,12 @@ a serialized prefix of a candidate witness for its antecedent.
 
 Text format (canonical): items separated by single spaces, `_` for
 whitespace, pairs as `(in,in:out,out)` with no interior spaces, numbers
-in decimal, prefixes double-quoted with backslash escaping.  The parser
-additionally tolerates blanks inside pairs.
+in decimal, prefixes double-quoted with backslash escaping.  The reader
+matches a canonical item with one compiled pattern and reads any other
+pair token by token, tolerating blanks inside it.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -206,90 +208,71 @@ def serialize_items(items) -> str:
     return " ".join(serialize_item(it) for it in items)
 
 
-class _WitReader:
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
+# A canonical item, blanks before it: `_`, or a pair of decimal numerals
+# and commas with no blanks.  Any other pair is read token by token.
+_ITEM = re.compile(r"[ \t\r\n]*(?:_|\(([\d,]*):([\d,]*)\))")
+_BLANKS = re.compile(r"[ \t\r\n]*")
+# The next token inside a pair, past blanks and commas: a numeral, a
+# quote, or any other character (the closing ":" or ")", or a fault);
+# none at the end of the text.  The last group takes no blank or comma,
+# so a match never backtracks into the blanks before it.
+_TOKEN = re.compile(r'[ \t\r\n,]*(?:(\d+)|(")|([^ \t\r\n,]))?')
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+_ESCAPED = re.compile(r"\\(.)", re.S)
 
-    def _skip_blanks(self):
-        while self.i < len(self.text) and self.text[self.i] in " \t\r\n":
-            self.i += 1
 
-    def at_end(self):
-        self._skip_blanks()
-        return self.i >= len(self.text)
+def _numerals(text):
+    return tuple(Numeral(int(t)) for t in text.split(",") if t)
 
-    def item(self):
-        self._skip_blanks()
-        c = self.text[self.i]
-        if c == "_":
-            self.i += 1
-            return WS
-        if c == "(":
-            return self.pair()
-        raise WitnessTextError(f"unexpected {c!r} at {self.i}")
 
-    def pair(self):
-        self.i += 1  # past "("
-        ins = self.tokens(stop=":")
-        self.i += 1  # past ":"
-        outs = self.tokens(stop=")")
-        self.i += 1  # past ")"
-        return IOPair(tuple(ins), tuple(outs))
-
-    def tokens(self, stop):
-        toks = []
-        while True:
-            self._skip_blanks()
-            if self.i >= len(self.text):
-                raise WitnessTextError("unterminated pair")
-            c = self.text[self.i]
-            if c == stop:
-                return toks
-            if c == ",":
-                self.i += 1
-                continue
-            if c.isdigit():
-                j = self.i
-                while j < len(self.text) and self.text[j].isdigit():
-                    j += 1
-                toks.append(Numeral(int(self.text[self.i : j])))
-                self.i = j
-                continue
-            if c == '"':
-                toks.append(self.quoted())
-                continue
-            raise WitnessTextError(f"unexpected {c!r} at {self.i}")
-
-    def quoted(self):
-        self.i += 1
-        out = []
-        while True:
-            if self.i >= len(self.text):
+def _tokens(text, i, stop):
+    """The tokens from offset i up to the stop character, and the offset
+    past it."""
+    toks = []
+    while True:
+        m = _TOKEN.match(text, i)
+        num, quote, other = m.groups()
+        if num is not None:
+            toks.append(Numeral(int(num)))
+        elif quote is not None:
+            m = _QUOTED.match(text, m.start(2))
+            if m is None:
                 raise WitnessTextError("unterminated quote")
-            c = self.text[self.i]
-            if c == "\\":
-                out.append(self.text[self.i + 1])
-                self.i += 2
-                continue
-            if c == '"':
-                self.i += 1
-                return Prefix(parse_witness_text("".join(out)))
-            out.append(c)
-            self.i += 1
+            toks.append(Prefix(parse_witness_text(_ESCAPED.sub(r"\1", m.group(1)))))
+        elif other == stop:
+            return tuple(toks), m.end()
+        elif other is None:
+            raise WitnessTextError("unterminated pair")
+        else:
+            raise WitnessTextError(f"unexpected {other!r} at {m.start(3)}")
+        i = m.end()
 
 
 def parse_witness_text(text: str) -> tuple:
     """Parse witness text into a tuple of items.
 
     Number tokens come back as numerals; the selector role is assigned
-    later by shape checking against a statement.
+    later by shape checking against a statement.  A prefix's text is
+    unescaped and read as witness text of its own, so the offset in an
+    error inside it counts from the prefix's first character.
     """
-    r = _WitReader(text)
     items = []
-    while not r.at_end():
-        items.append(r.item())
-    return tuple(items)
+    i = 0
+    while True:
+        m = _ITEM.match(text, i)
+        if m is not None:
+            ins, outs = m.groups()
+            items.append(WS if ins is None else IOPair(_numerals(ins), _numerals(outs)))
+            i = m.end()
+            continue
+        i = _BLANKS.match(text, i).end()
+        if i == len(text):
+            return tuple(items)
+        if text[i] != "(":
+            raise WitnessTextError(f"unexpected {text[i]!r} at {i}")
+        ins, i = _tokens(text, i + 1, ":")
+        outs, i = _tokens(text, i, ")")
+        items.append(IOPair(ins, outs))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +334,25 @@ def _after(s, tok):
 
 
 def shape_check(f: Formula, p: IOPair) -> IOPair:
-    """Validate and normalize a pair against a statement's spine.
+    """The pair validated against a statement's spine, with selector
+    positions re-tagged (text gives only numbers); see shape_walk."""
+    return shape_walk(f, p)[0]
 
-    Returns the pair with selector positions re-tagged (text gives only
-    numbers).  Partial pairs are fine; stray tokens, tokens of the wrong
-    kind and selectors outside {0,1} raise ShapeMismatch.  The walk is
-    a loop over offsets i, o into the pair's token tuples.
+
+def shape_walk(f: Formula, p: IOPair):
+    """Shape a pair and give its discipline path, in one walk.
+
+    Partial pairs are fine; stray tokens, tokens of the wrong kind and
+    selectors outside {0,1} raise ShapeMismatch.  Returns (shaped, path).
+    `shaped` is the pair with its selectors re-tagged.  `path` is the
+    pair's discipline key: (kind, key) for each slot its tokens reach,
+    where the key is the prefix or the int a numeral, selector or code
+    gives, and (kind, None) where it falls silent at an output slot.  The
+    trivial pair's path is empty: it asserts nothing.  The walk is a loop
+    over offsets i, o into the pair's token tuples.
     """
     ins, outs = p.inputs, p.outputs
-    si, so = [], []
+    si, so, path = [], [], []
     i = o = 0
     s = slot(f)
     while True:
@@ -373,26 +366,33 @@ def shape_check(f: Formula, p: IOPair) -> IOPair:
                 if o < len(outs):
                     raise ShapeMismatch("output given without the required input")
                 break
-            if kind == IN_PREFIX:
-                tok = _prefix_token(s[1], ins[i])
-            else:
-                tok = (_sel_token if kind == IN_SEL else _num_token)(ins[i])
-            si.append(tok)
+            tok, toks = ins[i], si
             i += 1
         else:
             if o == len(outs):
                 if i < len(ins):
                     raise ShapeMismatch("input given past the available output")
+                if ins or outs:
+                    path.append((kind, None))
                 break
-            tok = (_sel_token if kind == OUT_SEL else _num_token)(outs[o])
+            tok, toks = outs[o], so
             o += 1
-            so.append(tok)
-            if kind == OUT_CODE:
-                if i < len(ins) or o < len(outs):
-                    raise ShapeMismatch("tokens left over past a code")
-                break
-        s = slot(_after(s, tok))
-    return IOPair(tuple(si), tuple(so))
+        if kind == IN_PREFIX:
+            tok = key = _prefix_token(s[1], tok)
+        elif kind in _CHOICES:
+            tok = _sel_token(tok)
+            key = tok.choice
+        else:
+            tok = _num_token(tok)
+            key = tok.value
+        toks.append(tok)
+        path.append((kind, key))
+        if kind == OUT_CODE:
+            if i < len(ins) or o < len(outs):
+                raise ShapeMismatch("tokens left over past a code")
+            break
+        s = slot(s[1 + key] if kind in _CHOICES else s[2])
+    return IOPair(tuple(si), tuple(so)), path
 
 
 def _num_token(tok):

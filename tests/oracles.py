@@ -33,6 +33,7 @@ from ctruth.witness import (
     WS,
     Whitespace,
     WitnessStream,
+    WitnessTextError,
     is_pair,
 )
 from ctruth.vm import VMError, cantor, decode_item, encode_item, uncantor
@@ -432,6 +433,99 @@ def first_conflict(f, pairs):
             if kind:
                 return j, i, kind
     return None
+
+
+# ---------------------------------------------------------------------------
+# witness text, read one character at a time
+#
+# The reader the package's compiled patterns must agree with.  It keeps
+# two faults the package mends, and a test maps them: a backslash that
+# ends the text inside a quote raises IndexError (the package: an
+# unterminated quote), and a character that str.isdigit accepts but
+# int() refuses, such as '²', raises ValueError (the package reads only
+# decimal digits, so it is an unexpected character there).
+
+
+class _WitReader:
+    def __init__(self, text):
+        self.text = text
+        self.i = 0
+
+    def _skip_blanks(self):
+        while self.i < len(self.text) and self.text[self.i] in " \t\r\n":
+            self.i += 1
+
+    def at_end(self):
+        self._skip_blanks()
+        return self.i >= len(self.text)
+
+    def item(self):
+        self._skip_blanks()
+        c = self.text[self.i]
+        if c == "_":
+            self.i += 1
+            return WS
+        if c == "(":
+            return self.pair()
+        raise WitnessTextError(f"unexpected {c!r} at {self.i}")
+
+    def pair(self):
+        self.i += 1  # past "("
+        ins = self.tokens(stop=":")
+        self.i += 1  # past ":"
+        outs = self.tokens(stop=")")
+        self.i += 1  # past ")"
+        return IOPair(tuple(ins), tuple(outs))
+
+    def tokens(self, stop):
+        toks = []
+        while True:
+            self._skip_blanks()
+            if self.i >= len(self.text):
+                raise WitnessTextError("unterminated pair")
+            c = self.text[self.i]
+            if c == stop:
+                return toks
+            if c == ",":
+                self.i += 1
+                continue
+            if c.isdigit():
+                j = self.i
+                while j < len(self.text) and self.text[j].isdigit():
+                    j += 1
+                toks.append(Numeral(int(self.text[self.i : j])))
+                self.i = j
+                continue
+            if c == '"':
+                toks.append(self.quoted())
+                continue
+            raise WitnessTextError(f"unexpected {c!r} at {self.i}")
+
+    def quoted(self):
+        self.i += 1
+        out = []
+        while True:
+            if self.i >= len(self.text):
+                raise WitnessTextError("unterminated quote")
+            c = self.text[self.i]
+            if c == "\\":
+                out.append(self.text[self.i + 1])
+                self.i += 2
+                continue
+            if c == '"':
+                self.i += 1
+                return Prefix(parse_witness_text("".join(out)))
+            out.append(c)
+            self.i += 1
+
+
+def parse_witness_text(text):
+    """The items of witness text, or WitnessTextError."""
+    r = _WitReader(text)
+    items = []
+    while not r.at_end():
+        items.append(r.item())
+    return tuple(items)
 
 
 # ---------------------------------------------------------------------------

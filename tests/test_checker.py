@@ -28,6 +28,7 @@ from ctruth.witness import (
     content_parts,
     semantic_content,
     shape_check,
+    shape_walk,
 )
 
 from oracles import all_tables, first_conflict, holds, render_table
@@ -208,19 +209,28 @@ def _family_tables(text):
     return all_tables(parse(text), list(_DOMAIN), list(range(4)))
 
 
-def _shaped_or_none(f, items):
+def _walked_or_none(f, items):
     try:
-        return [shape_check(f, it) for it in items if isinstance(it, IOPair)]
+        return [shape_walk(f, it) for it in items if isinstance(it, IOPair)]
     except ShapeMismatch:
         return None
 
 
 def _assert_same_as_scan(f, items, budget):
-    shaped = _shaped_or_none(f, items)
-    if shaped is not None:
-        assert checker._first_conflict(f, shaped) == first_conflict(f, shaped)
+    walked = _walked_or_none(f, items)
+    if walked is not None:
+        shaped = [p for p, _ in walked]
+        scanned = first_conflict(f, shaped)
+        assert checker._first_conflict([path for _, path in walked]) == scanned
+
+        def scan(paths):
+            assert len(paths) == len(shaped)
+            return scanned
+    else:
+        def scan(paths):
+            raise AssertionError("a stream with a shape error reached the discipline check")
     got = check_witness(WitnessStream.from_items(items), f, budget)
-    with mock.patch.object(checker, "_first_conflict", first_conflict):
+    with mock.patch.object(checker, "_first_conflict", scan):
         want = check_witness(WitnessStream.from_items(items), f, budget)
     assert (got.status, got.pair, got.conflict, got.reason, got.missing) == (
         want.status, want.pair, want.conflict, want.reason, want.missing
@@ -273,7 +283,7 @@ def _random_streams(draw):
                   st.lists(st.builds(Numeral, _NUMS), max_size=2).map(tuple),
                   st.lists(st.builds(Numeral, _NUMS), max_size=2).map(tuple)),
         min_size=1, max_size=12))
-    pool = [p for p in raw if _shaped_or_none(f, [p]) is not None]
+    pool = [p for p in raw if _walked_or_none(f, [p]) is not None]
     return f, draw(_mixed(pool))
 
 
@@ -362,7 +372,7 @@ def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
         # declined before any of the claim is built or judged
         with mock.patch.object(checker, "content", side_effect=AssertionError), \
                 mock.patch.object(checker, "eval3", side_effect=AssertionError):
-            assert not checker._refuted(f, p, budget)
+            assert not checker._refuted(parts, budget)
 
 
 def test_long_successor_stream_accepted():

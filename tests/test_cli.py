@@ -319,3 +319,46 @@ def test_report_path_not_inside_report(tmp_path, capsys):
               "--report", str(rpt)])
         capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_witness_text_faults_are_error_lines(tmp_path, capsys):
+    # a backslash ending the text inside a quote, and a character that
+    # str.isdigit accepts but is no decimal digit
+    for text, line in [('(:"\\', "ERROR unterminated quote"),
+                       ("(²:)", "ERROR unexpected '²' at 1")]:
+        wit = tmp_path / "bad.wit"
+        wit.write_text(text, encoding="utf-8")
+        code, out = run(capsys, "check", "--formula", fx("formulas", "doubling.fml"),
+                        "--witness", str(wit))
+        assert code == 1
+        assert out.splitlines()[-1] == line
+        assert "Traceback" not in out
+
+
+_UNNAMED = [
+    ("(prog (seq (emit 1) (let (a) 1 2)))", "let binds a name, not (a)"),
+    ("(prog (seq (emit 1) (set (a) 2)))", "set binds a name, not (a)"),
+    ("(prog (def f ((a)) 0) (seq (emit 1) (f 2)))", "bad definition header"),
+]
+
+
+@pytest.mark.parametrize("text,error", _UNNAMED, ids=["let", "set", "def"])
+def test_a_list_where_a_machine_name_belongs_exits_one(tmp_path, capsys, text, error):
+    wc = tmp_path / "bad.wc"
+    wc.write_text(text + "\n")
+    code, out = run(capsys, "realizability", "--formula", fx("formulas", "doubling.fml"),
+                    "--code", str(wc))
+    assert code == 1
+    assert out.splitlines()[-1] == f"ERROR {error}"
+    assert "Traceback" not in out
+
+    # the same program as the Goedel code of a box witness
+    boxed = tmp_path / "box.fml"
+    boxed.write_text("box E x. x=1\n")
+    wit = tmp_path / "box.wit"
+    wit.write_text(f"(:{godel_encode(text)})\n")
+    code, out = run(capsys, "check", "--formula", str(boxed), "--witness", str(wit))
+    assert code == 1
+    assert out.splitlines()[-1].endswith(
+        f"reason=code does not decode: code is not a valid program: {error}")
+    assert "Traceback" not in out

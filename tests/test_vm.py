@@ -69,6 +69,15 @@ def test_bad_programs_rejected():
         godel_decode(godel_encode("(prog (+ 1))"))
 
 
+def test_a_list_where_a_name_belongs_is_rejected_at_load():
+    for bad in ["(prog (seq (emit 1) (let (a) 1 2)))", "(prog (seq (set (a) 1)))",
+                "(prog (def f ((a)) 0) (seq (emit 1) (f 2)))"]:
+        with pytest.raises(VMError):
+            program(bad)
+        with pytest.raises(DecodeError):
+            godel_decode(godel_encode(bad))
+
+
 def test_emit_loop_and_arithmetic():
     p = program(
         "(prog (seq (set n 0) (while 1 (seq"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,10 +34,12 @@ from ctruth.witness import (
     WitnessTextError,
     input_rooted,
     pair_complete,
+    parse_witness_text,
     semantic_content,
     serialize_item,
     serialize_items,
     shape_check,
+    shape_walk,
 )
 
 PARITY = parse("A x. E y. (x=2*y \\/ x=2*y+1)")
@@ -85,6 +88,60 @@ def test_text_errors():
     for bad in ["(", "(0:0", ")", "(0;0)", "(0:0))"]:
         with pytest.raises(WitnessTextError):
             WitnessStream.from_text(bad).pull(4)
+
+
+def test_reader_faults_are_text_errors():
+    # a backslash that ends the text inside a quote, and a character that
+    # str.isdigit accepts but int() refuses
+    for text, error in [('(:"\\', "unterminated quote"), ('("(:\\', "unterminated quote"),
+                        ("(²:)", "unexpected '²' at 1"), ("(1²:)", "unexpected '²' at 2")]:
+        with pytest.raises(WitnessTextError) as e:
+            parse_witness_text(text)
+        assert str(e.value) == error
+    # decimal digits of other scripts still read as numerals
+    assert parse_witness_text("(٣:٤٢) (1٣:)") == (
+        IOPair((Numeral(3),), (Numeral(42),)), IOPair((Numeral(13),), ()))
+
+
+def _read(parse, text):
+    try:
+        return "ok", parse(text)
+    except WitnessTextError as e:
+        return "error", str(e)
+    except (IndexError, ValueError) as e:
+        return type(e).__name__, None
+
+
+def _quoted(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_PIECES = st.sampled_from(list('():,_"\\') + [" ", "\t", "\n", "0", "7", "٣", "²", "x",
+                                                 "(0:1)", "(:)", "_", "(12,0:3)", " _ "])
+_TEXTS = st.recursive(
+    st.lists(_PIECES, max_size=12).map("".join),
+    lambda inner: st.lists(st.one_of(_PIECES, inner.map(_quoted)), max_size=8).map("".join),
+    max_leaves=24,
+)
+
+
+@given(_TEXTS)
+@example('(:"\\')  # the character reader: IndexError
+@example('("(\\"(:\\\\":)')  # the same, one quote further in
+@example("(1²:)")  # the character reader: ValueError
+@example('(0:"(:) (٣:2)" ,1) _')
+@example('(0, x:)')  # the offset of a fault past blanks and commas
+@example('("\\\n":)')  # an escaped line end
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_the_character_reader(text):
+    got, want = _read(parse_witness_text, text), _read(oracles.parse_witness_text, text)
+    if want[0] == "IndexError":
+        assert got == ("error", "unterminated quote")
+    elif want[0] == "ValueError":
+        c = re.fullmatch(r"unexpected '(.)' at \d+", got[1]).group(1)
+        assert c.isdigit() and not c.isdecimal()
+    else:
+        assert got == want
 
 
 def test_serialization_round_trip_on_sample():
@@ -297,4 +354,6 @@ def test_long_selector_path_needs_no_recursion():
     assert len(shaped.outputs) == 5001
     assert shaped.outputs[1:] == (Selector(0),) * 5000
     assert pair_complete(f, shaped)
-    assert checker._first_conflict(f, [shaped, shaped]) is None
+    _, path = shape_walk(f, p)
+    assert checker._first_conflict([path, path]) is None
+    assert oracles.first_conflict(f, [shaped, shaped]) is None
