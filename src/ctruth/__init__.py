@@ -8,7 +8,6 @@ from .checker import (
     Probe,
     SynthesisFailed,
     Verdict,
-    check_code,
     check_realizability,
     check_witness,
     synthesize_sigma03,
@@ -64,7 +63,6 @@ __all__ = [
     "WitnessStream",
     "apply_implication",
     "box_decode",
-    "check_code",
     "check_realizability",
     "check_witness",
     "classify",

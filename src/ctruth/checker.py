@@ -4,14 +4,15 @@ A check pulls finitely many items, validates their shape, enforces the
 output discipline (equal or extending inputs demand the same outputs),
 rejects any pair whose asserted content is refutable within the budget,
 and then walks the statement's input space to see whether every demand
-the budget can express has been answered.  One walk shapes each pair
-and gives its path of tokens (witness.shape_walk); the discipline is
-checked in one indexed pass that inserts each path into a trie and
-compares it only with the pairs whose inputs agree with its own.
-Content is judged under an integer environment binding the pair's
-tokens, never by substituting unary numerals, so a check costs close to
-linear time in the number of pairs.  A refutation is costed on the
-statement's spine before any of its content is built, so a decision
+the budget can express has been answered.  One walk over each pair's
+tokens shapes it and gives both its path of tokens and its content in
+parts (witness.shape_walk).  The discipline is checked in one indexed
+pass that inserts each path into a trie and compares it only with the
+pairs whose inputs agree with its own; the coverage walk then follows
+that trie.  Content is judged under an integer environment binding the
+pair's tokens, never by substituting unary numerals, so a check costs
+close to linear time in the number of pairs.  A refutation is costed on
+the statement's spine before any of its content is built, so a decision
 the allowance declines builds nothing.  Every walk reads the spine
 record memoized on each formula node (witness.slot).  The three outcomes:
 
@@ -59,7 +60,6 @@ from .witness import (
     TRIVIAL,
     WitnessStream,
     content,
-    content_parts,
     input_rooted,
     is_pair,
     serialize_item,
@@ -144,10 +144,12 @@ def _pending(budget, path):
 _OUTPUTS = (OUT_NUM, OUT_SEL, OUT_CODE)
 
 
-def _first_conflict(paths) -> tuple:
-    """(j, i, kind) for the first pair j that breaks the output
-    discipline against an earlier pair, i being the least such; None
-    when the pairs keep it.  Each pair is given by its path from
+def _index(paths) -> tuple:
+    """The pairs' paths in one trie, judged for the output discipline
+    on the way: (hit, edges, said, kids).  `hit` is (j, i, kind) for
+    the first pair j that breaks the discipline against an earlier pair,
+    i being the least such, or None when the pairs keep it; the trie is
+    complete only then.  Each pair is given by its path from
     witness.shape_walk.
 
     Where two pairs' inputs agree (a prefix input may extend the other
@@ -157,17 +159,18 @@ def _first_conflict(paths) -> tuple:
     pair.  The kind is "monotonicity" when the agreement needed a
     prefix extension, else "functionality".
 
-    The paths go into a trie of int nodes, 0 the root: `edges` maps
-    (node, key) to a child, and `said` keeps the first pair at an output
-    node with its key.  That pair stands for all pairs there, which
-    agree or an earlier conflict would have been reported.  Until a pair
-    meets a prefix slot, the only node agreeing with it is its own; from
-    then on a frontier of agreeing nodes also takes, at prefix slots,
-    the siblings its prefix extends or is extended by.
+    The trie's nodes are ints, 0 the root: `edges` maps (node, key) to a
+    child, `said` keeps the first pair at an output node with its key,
+    and `kids` lists a prefix node's (prefix, child) edges in order.
+    The first pair stands for all pairs there, which agree or an earlier
+    conflict would have been reported.  Until a pair meets a prefix
+    slot, the only node agreeing with it is its own; from then on a
+    frontier of agreeing nodes also takes, at prefix slots, the siblings
+    its prefix extends or is extended by.
     """
     edges = {}
     said = {}
-    kids = {}  # a node at a prefix slot: its (prefix, child) edges in order
+    kids = {}
     for j, path in enumerate(paths):
         own = 0
         frontier = hit = None
@@ -179,7 +182,7 @@ def _first_conflict(paths) -> tuple:
                 first = said.setdefault(own, (j, key))
             if frontier is None:
                 if speaks and first[1] != key:
-                    return j, first[0], "functionality"
+                    return (j, first[0], "functionality"), edges, said, kids
             else:
                 after = []
                 for node, ext in frontier:
@@ -205,8 +208,8 @@ def _first_conflict(paths) -> tuple:
                     kids.setdefault(own, []).append((key, child))
             own = child
         if hit is not None:
-            return (j,) + hit
-    return None
+            return (j,) + hit, edges, said, kids
+    return None, edges, said, kids
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +219,34 @@ _REJ = "rej"
 _PEND = "pend"
 
 
-def _walk(g, env, cursors, path, budget, probes):
+def _walk(g, env, nodes, path, trie, budget, probes):
     """First unmet demand or definite fault under g, else None.
 
-    Returns (_PEND, path) or (_REJ, pair, reason).  `env` holds the
-    values of g's instantiated variables; `cursors` are (pair, i, o)
-    for the shaped pairs still walking this subtree, i and o being the
-    offsets of their first input and output token past `path`.
+    Returns (_PEND, path) or (_REJ, j, reason), j being the index of the
+    pair at fault.  `env` holds the values of g's instantiated
+    variables; `nodes` are the trie nodes of the pairs whose tokens so
+    far match `path` and the stream's own outputs, and `trie` is
+    _index's (edges, said, kids).  Every pair at the nodes agrees at an
+    output slot, or the discipline check would already have rejected.
     """
+    edges, said, kids = trie
     s = slot(g)
     kind = s[0]
     if kind == END:
-        return None if cursors else (_PEND, path)
+        return None if nodes else (_PEND, path)
     if kind in (IN_NUM, IN_SEL):
-        branches = {}
-        for pair, i, o in cursors:
-            if i < len(pair.inputs):
-                branches.setdefault(pair.inputs[i], []).append((pair, i + 1, o))
         if kind == IN_NUM:
             _, var, body = s
             choices = (
-                (Numeral(n), body, {**env, var: n}) for n in range(budget.numeral_bound + 1)
+                (Numeral(n), n, body, {**env, var: n}) for n in range(budget.numeral_bound + 1)
             )
         else:
-            choices = ((Selector(c), s[1 + c], env) for c in (0, 1))
-        for tok, sub, sub_env in choices:
-            branch = branches.get(tok)
+            choices = ((Selector(c), c, s[1 + c], env) for c in (0, 1))
+        for tok, key, sub, sub_env in choices:
+            branch = [edges[n, key] for n in nodes if (n, key) in edges]
             if not branch:
                 return (_PEND, path + [tok])
-            r = _walk(sub, sub_env, branch, path + [tok], budget, probes)
+            r = _walk(sub, sub_env, branch, path + [tok], trie, budget, probes)
             if r:
                 return r
         return None
@@ -254,40 +256,38 @@ def _walk(g, env, cursors, path, budget, probes):
             if probe.formula != ante:
                 continue
             observed = Prefix(probe.stream.pull(budget.pull_limit))
-            branch = [
-                (pair, i + 1, o)
-                for pair, i, o in cursors
-                if i < len(pair.inputs) and observed.extends(pair.inputs[i])
-            ]
+            branch = [c for n in nodes for pre, c in kids.get(n, ()) if observed.extends(pre)]
             if not branch:
                 return (_PEND, path + [observed])
-            r = _walk(s[2], env, branch, path + [observed], budget, probes)
+            r = _walk(s[2], env, branch, path + [observed], trie, budget, probes)
             if r:
                 return r
         return None  # no probe, no demand to meet
     # output slots: follow the stream's own (unique) choice
-    speaking = [(pair, i, o) for pair, i, o in cursors if o < len(pair.outputs)]
+    speaking = [n for n in nodes if n in said and said[n][1] is not None]
     if not speaking:
         return (_PEND, path)
-    first, _, o = speaking[0]
-    tok = first.outputs[o]
+    j, key = min(said[n] for n in speaking)
     if kind == OUT_CODE:
         # decode, run, and check the emitted stream against the body
         try:
-            prog = vm.godel_decode(tok.value)
+            prog = vm.godel_decode(key)
         except vm.DecodeError as e:
-            return (_REJ, first, f"code does not decode: {e}")
+            return (_REJ, j, f"code does not decode: {e}")
         inner = vm.run_stream(prog, {}, budget.vm_steps)
-        v = check_witness(inner, instantiate(s[1], env), budget)
+        try:
+            v = check_witness(inner, instantiate(s[1], env), budget)
+        except vm.VMError as e:
+            return (_REJ, j, f"decoded program fails: {e}")
         if v.status == "rejected":
-            return (_REJ, first, f"decoded program fails: {v.line()}")
+            return (_REJ, j, f"decoded program fails: {v.line()}")
         if v.status == "pending":
             return (_PEND, list(v.missing) if v.missing else path)
         return None
-    branch = [(pair, i, o + 1) for pair, i, o in speaking]
+    branch = [edges[n, key] for n in speaking]
     if kind == OUT_NUM:
-        return _walk(s[2], {**env, s[1]: tok.value}, branch, path, budget, probes)
-    return _walk(s[1 + tok.choice], env, branch, path, budget, probes)
+        return _walk(s[2], {**env, s[1]: key}, branch, path, trie, budget, probes)
+    return _walk(s[1 + key], env, branch, path, trie, budget, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def _refuted(parts, budget: Budget) -> bool:
 
 def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Verdict:
     """Judge a stream against a statement within the given budget."""
-    shaped = []  # (raw, shaped pair, path) for each pair
+    shaped = []  # (raw, shaped pair, path, parts) for each pair
     for item in w.pull(budget.pull_limit):
         if is_pair(item):
             try:
@@ -352,14 +352,13 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
             except ShapeMismatch as e:
                 return _rejected(budget, item, str(e))
 
-    hit = _first_conflict([path for _, _, path in shaped])
+    hit, *trie = _index([path for _, _, path, _ in shaped])
     if hit:
         j, i, kind = hit
         return _rejected(budget, shaped[j][0], kind, conflict=shaped[i][0])
 
     # per-pair content, rejected only on a definite refutation
-    for raw, p, _ in shaped:
-        parts = content_parts(f, p)
+    for raw, p, _, parts in shaped:
         if _refuted(parts, budget):
             return _rejected(budget, raw, content(parts))
         if isinstance(f, Implies) and p.inputs and isinstance(p.inputs[0], Prefix):
@@ -371,39 +370,34 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
                 observed = Prefix(probe.stream.pull(len(lead.items)))
                 if not observed.extends(lead):
                     continue
-                parts = content_parts(f.right, rest)
+                parts = shape_walk(f.right, rest)[2]
                 if _refuted(parts, budget):
                     return _rejected(budget, raw, content(parts))
 
-    r = _walk(f, {}, [(p, 0, 0) for _, p, _ in shaped], [], budget, list(probes))
+    # the walk starts at the root only if some pair reached it
+    r = _walk(f, {}, [0] if shaped else [], [], trie, budget, list(probes))
     if r is None:
         return _accepted(budget)
     if r[0] == _PEND:
         return _pending(budget, r[1])
-    raw = next(raw for raw, p, _ in shaped if p is r[1])
-    return _rejected(budget, raw, r[2])
-
-
-def check_code(code, f: Formula, budget: Budget, inputs=None, probes=()) -> Verdict:
-    """Decode (if needed) and run a program, then judge its stream."""
-    if isinstance(code, vm.WCode):
-        prog = code
-    else:
-        value = code.value if isinstance(code, Numeral) else int(code)
-        prog = vm.godel_decode(value)
-    stream = vm.run_stream(prog, inputs or {}, budget.vm_steps)
-    return check_witness(stream, f, budget, probes)
+    return _rejected(budget, shaped[r[1]][0], r[2])
 
 
 def check_realizability(f: Formula, code, budget: Budget, inputs=None, probes=()) -> Verdict:
     """Run witness-machine code under the budget and judge its stream.
 
+    The code is a program, or its Gödel code as an int or a Numeral.
     Boxed positions keep their usual demand for further codes, and
     transformer programs are exercised by naming their input streams
     (keys of inputs, queried by number from inside the machine) and
     supplying matching trusted probes.
     """
-    return check_code(code, f, budget, inputs=inputs, probes=probes)
+    if isinstance(code, vm.WCode):
+        prog = code
+    else:
+        prog = vm.godel_decode(code.value if isinstance(code, Numeral) else int(code))
+    stream = vm.run_stream(prog, inputs or {}, budget.vm_steps)
+    return check_witness(stream, f, budget, probes)
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,11 @@ class Prefix:
     items: tuple
     # the generated hash, kept after first use: trie keys are rehashed often
     _hash: int = field(default=None, init=False, repr=False, compare=False)
-    # (ante, shaped): this prefix shaped by _prefix_token against the
-    # antecedent statement ante, valid for that very object only (tested
-    # with `is`: == would walk the whole statement); the pairs sharing
-    # one prefix then share one shaped prefix
+    # (ante, shaped, parts): this prefix shaped by _prefix_token against
+    # the antecedent statement ante, with its pairs' content parts, valid
+    # for that very object only (tested with `is`: == would walk the
+    # whole statement); the pairs sharing one prefix then share one walk
+    # of its pairs
     _shaped: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
@@ -340,22 +341,34 @@ def shape_check(f: Formula, p: IOPair) -> IOPair:
 
 
 def shape_walk(f: Formula, p: IOPair):
-    """Shape a pair and give its discipline path, in one walk.
+    """Shape a pair, and give its discipline path and content parts, in
+    the one walk over its tokens.
 
     Partial pairs are fine; stray tokens, tokens of the wrong kind and
-    selectors outside {0,1} raise ShapeMismatch.  Returns (shaped, path).
-    `shaped` is the pair with its selectors re-tagged.  `path` is the
-    pair's discipline key: (kind, key) for each slot its tokens reach,
-    where the key is the prefix or the int a numeral, selector or code
-    gives, and (kind, None) where it falls silent at an output slot.  The
-    trivial pair's path is empty: it asserts nothing.  The walk is a loop
-    over offsets i, o into the pair's token tuples.
+    selectors outside {0,1} raise ShapeMismatch.  Returns (shaped, path,
+    parts).  `shaped` is the pair with its selectors re-tagged.  `path`
+    is the pair's discipline key: (kind, key) for each slot its tokens
+    reach, where the key is the prefix or the int a numeral, selector or
+    code gives, and (kind, None) where it falls silent at an output
+    slot.  The trivial pair's path is empty: it asserts nothing.
+
+    `parts` is the pair's semantic content in parts, (hyps, rest, env).
+    `rest` is the node where the walk stopped: the end of the statement,
+    the first slot the tokens do not reach, or a box, whose code is not
+    arithmetized (the claim is that some mechanical witness exists, i.e.
+    the boxed body itself).  `env` maps the variables the tokens
+    instantiate to their values.  A prefix input contributes its
+    antecedent as `((), ante, env)` and the parts of each pair it holds,
+    put under the env of the slot.  Nothing is instantiated here;
+    `content` builds the formula.  The walk is a loop over offsets i, o
+    into the pair's token tuples.
     """
     ins, outs = p.inputs, p.outputs
-    si, so, path = [], [], []
+    si, so, path, hyps, env = [], [], [], [], {}
     i = o = 0
-    s = slot(f)
+    g = f
     while True:
+        s = slot(g)
         kind = s[0]
         if kind == END:
             if i < len(ins) or o < len(outs):
@@ -378,21 +391,33 @@ def shape_walk(f: Formula, p: IOPair):
             tok, toks = outs[o], so
             o += 1
         if kind == IN_PREFIX:
-            tok = key = _prefix_token(s[1], tok)
+            tok, inner = _prefix_token(s[1], tok)
+            key = tok
+            hyps.append(((), s[1], dict(env)))
+            hyps.extend(_under(env, parts) for parts in inner)
         elif kind in _CHOICES:
             tok = _sel_token(tok)
             key = tok.choice
         else:
             tok = _num_token(tok)
             key = tok.value
+            if kind != OUT_CODE:
+                env[s[1]] = key
         toks.append(tok)
         path.append((kind, key))
         if kind == OUT_CODE:
             if i < len(ins) or o < len(outs):
                 raise ShapeMismatch("tokens left over past a code")
             break
-        s = slot(s[1 + key] if kind in _CHOICES else s[2])
-    return IOPair(tuple(si), tuple(so)), path
+        g = s[1 + key] if kind in _CHOICES else s[2]
+    return IOPair(tuple(si), tuple(so)), path, (hyps, g, env)
+
+
+def _under(env, parts):
+    """Content parts taken under no outer binding, put under env.  The
+    hyps keep their type: an antecedent's are (), a pair's a list."""
+    hyps, rest, inner = parts
+    return type(hyps)(_under(env, h) for h in hyps), rest, {**env, **inner}
 
 
 def _num_token(tok):
@@ -417,23 +442,27 @@ def _sel_token(tok):
 
 
 def _prefix_token(ante, tok):
-    """A prefix input with its pairs shaped against the antecedent,
-    kept on the prefix once shaped and reused for the same antecedent."""
+    """A prefix input with its pairs shaped against the antecedent, and
+    their content parts taken under no outer binding, as (shaped,
+    parts).  Both are kept on the prefix once shaped and reused for the
+    same antecedent, so a prefix's pairs are walked once however many
+    pairs hold it."""
     if not isinstance(tok, Prefix):
         raise ShapeMismatch(f"expected a prefix, found {tok}")
     if tok._shaped is not None and tok._shaped[0] is ante:
-        return tok._shaped[1]
-    seg = []
+        return tok._shaped[1:]
+    seg, inner = [], []
     for it in tok.items:
         if is_pair(it):
-            seg.append(shape_check(ante, it))
+            shaped, _, parts = shape_walk(ante, it)
+            seg.append(shaped)
+            inner.append(parts)
         elif isinstance(it, Whitespace):
             seg.append(it)
         else:
             raise ShapeMismatch(f"not an item inside a prefix: {it!r}")
-    shaped = Prefix(tuple(seg))
-    object.__setattr__(tok, "_shaped", (ante, shaped))
-    return shaped
+    object.__setattr__(tok, "_shaped", (ante, Prefix(tuple(seg)), inner))
+    return tok._shaped[1:]
 
 
 def pair_complete(f: Formula, p: IOPair) -> bool:
@@ -474,52 +503,16 @@ def semantic_content(f: Formula, p: IOPair) -> Formula:
     plus the contents of its own pairs as hypotheses.  A partial pair's
     conclusion is the untouched remainder of the statement.
     """
-    return content(content_parts(f, shape_check(f, p)))
+    return content(shape_walk(f, p)[2])
 
 
 def content(parts) -> Formula:
-    """The formula that content_parts' (hyps, rest, env) stand for."""
+    """The formula that shape_walk's content parts (hyps, rest, env)
+    stand for: `rest` under `env`, implied by the conjunction of the
+    hypotheses if any.  Judging `rest` under `env` instead leaves large
+    numerals as integers."""
     hyps, rest, env = parts
     concl = instantiate(rest, env)
     if not hyps:
         return concl
     return Implies(conj_all(content(h) for h in hyps), concl)
-
-
-def content_parts(f: Formula, p: IOPair, env=None):
-    """A shaped pair's semantic content in parts: (hyps, rest, env).
-
-    `rest` is the part of the statement the pair's tokens reach, still
-    open; `env` maps its instantiated variables to their values, from
-    the outer `env` on.  Each of `hyps` is itself such parts: a prefix
-    input contributes its antecedent as `((), ante, env)` and the parts
-    of each pair it holds, which shape_check already shaped.  Nothing
-    is instantiated here; `content` builds the formula, which is `rest`
-    under `env`, implied by the conjunction of the hypotheses if any.
-    Judging `rest` under `env` leaves large numerals as integers.
-    """
-    hyps: list = []
-    env = dict(env or ())
-    ins, outs = iter(p.inputs), iter(p.outputs)
-    g = f
-    while True:
-        s = slot(g)
-        kind = s[0]
-        if kind in _INPUTS:
-            tok = next(ins, None)
-        elif kind in (OUT_NUM, OUT_SEL):
-            tok = next(outs, None)
-        else:
-            # END, or OUT_CODE: the specific code is not arithmetized;
-            # the claim is that some mechanical witness exists, i.e. the
-            # boxed body itself.
-            return hyps, g, env
-        if tok is None:
-            return hyps, g, env
-        if kind in (IN_NUM, OUT_NUM):
-            env[s[1]] = tok.value
-        elif kind == IN_PREFIX:
-            ante = ((), s[1], dict(env))
-            hyps.append(ante)
-            hyps.extend(content_parts(s[1], it, ante[2]) for it in tok.items if is_pair(it))
-        g = _after(s, tok)

@@ -8,6 +8,7 @@ from these functions, written before the assertions that use them.
 
 import itertools
 
+from ctruth import checker, vm
 from ctruth.formula import (
     Add,
     And,
@@ -15,6 +16,7 @@ from ctruth.formula import (
     Box,
     Exists,
     Forall,
+    Formula,
     Implies,
     Mul,
     Not,
@@ -22,8 +24,17 @@ from ctruth.formula import (
     Or,
     Var,
     Zero,
+    instantiate,
 )
 from ctruth.witness import (
+    END,
+    IN_NUM,
+    IN_PREFIX,
+    IN_SEL,
+    OUT_CODE,
+    OUT_NUM,
+    OUT_SEL,
+    _INPUTS,
     IOPair,
     Numeral,
     Prefix,
@@ -34,7 +45,10 @@ from ctruth.witness import (
     Whitespace,
     WitnessStream,
     WitnessTextError,
+    _after,
+    content,
     is_pair,
+    slot,
 )
 from ctruth.vm import VMError, cantor, decode_item, encode_item, uncantor
 
@@ -785,3 +799,172 @@ def vm_run(program, inputs, budget, pulls=None):
     except Exception as e:
         error = e
     return items, walker.steps, error
+
+
+# ---------------------------------------------------------------------------
+# content parts and coverage by cursors
+#
+# The walks the checker used before content parts came from the shape
+# walk and the coverage walk followed the discipline trie: content_parts
+# walks a shaped pair's spine a second time, and _walk keeps a
+# (pair, i, o) cursor for each pair.  check_witness assembles them as the
+# checker did, with the discipline judged by first_conflict above.
+
+_REJ = "rej"
+_PEND = "pend"
+
+
+def content_parts(f: Formula, p: IOPair, env=None):
+    """A shaped pair's semantic content in parts: (hyps, rest, env).
+
+    `rest` is the part of the statement the pair's tokens reach, still
+    open; `env` maps its instantiated variables to their values, from
+    the outer `env` on.  Each of `hyps` is itself such parts: a prefix
+    input contributes its antecedent as `((), ante, env)` and the parts
+    of each pair it holds, which shape_check already shaped.  Nothing
+    is instantiated here; `content` builds the formula, which is `rest`
+    under `env`, implied by the conjunction of the hypotheses if any.
+    Judging `rest` under `env` leaves large numerals as integers.
+    """
+    hyps: list = []
+    env = dict(env or ())
+    ins, outs = iter(p.inputs), iter(p.outputs)
+    g = f
+    while True:
+        s = slot(g)
+        kind = s[0]
+        if kind in _INPUTS:
+            tok = next(ins, None)
+        elif kind in (OUT_NUM, OUT_SEL):
+            tok = next(outs, None)
+        else:
+            # END, or OUT_CODE: the specific code is not arithmetized;
+            # the claim is that some mechanical witness exists, i.e. the
+            # boxed body itself.
+            return hyps, g, env
+        if tok is None:
+            return hyps, g, env
+        if kind in (IN_NUM, OUT_NUM):
+            env[s[1]] = tok.value
+        elif kind == IN_PREFIX:
+            ante = ((), s[1], dict(env))
+            hyps.append(ante)
+            hyps.extend(content_parts(s[1], it, ante[2]) for it in tok.items if is_pair(it))
+        g = _after(s, tok)
+
+
+def _walk(g, env, cursors, path, budget, probes):
+    """First unmet demand or definite fault under g, else None.
+
+    Returns (_PEND, path) or (_REJ, pair, reason).  `env` holds the
+    values of g's instantiated variables; `cursors` are (pair, i, o)
+    for the shaped pairs still walking this subtree, i and o being the
+    offsets of their first input and output token past `path`.
+    """
+    s = slot(g)
+    kind = s[0]
+    if kind == END:
+        return None if cursors else (_PEND, path)
+    if kind in (IN_NUM, IN_SEL):
+        branches = {}
+        for pair, i, o in cursors:
+            if i < len(pair.inputs):
+                branches.setdefault(pair.inputs[i], []).append((pair, i + 1, o))
+        if kind == IN_NUM:
+            _, var, body = s
+            choices = (
+                (Numeral(n), body, {**env, var: n}) for n in range(budget.numeral_bound + 1)
+            )
+        else:
+            choices = ((Selector(c), s[1 + c], env) for c in (0, 1))
+        for tok, sub, sub_env in choices:
+            branch = branches.get(tok)
+            if not branch:
+                return (_PEND, path + [tok])
+            r = _walk(sub, sub_env, branch, path + [tok], budget, probes)
+            if r:
+                return r
+        return None
+    if kind == IN_PREFIX:
+        ante = instantiate(s[1], env)
+        for probe in probes:
+            if probe.formula != ante:
+                continue
+            observed = Prefix(probe.stream.pull(budget.pull_limit))
+            branch = [
+                (pair, i + 1, o)
+                for pair, i, o in cursors
+                if i < len(pair.inputs) and observed.extends(pair.inputs[i])
+            ]
+            if not branch:
+                return (_PEND, path + [observed])
+            r = _walk(s[2], env, branch, path + [observed], budget, probes)
+            if r:
+                return r
+        return None  # no probe, no demand to meet
+    # output slots: follow the stream's own (unique) choice
+    speaking = [(pair, i, o) for pair, i, o in cursors if o < len(pair.outputs)]
+    if not speaking:
+        return (_PEND, path)
+    first, _, o = speaking[0]
+    tok = first.outputs[o]
+    if kind == OUT_CODE:
+        # decode, run, and check the emitted stream against the body
+        try:
+            prog = vm.godel_decode(tok.value)
+        except vm.DecodeError as e:
+            return (_REJ, first, f"code does not decode: {e}")
+        inner = vm.run_stream(prog, {}, budget.vm_steps)
+        v = check_witness(inner, instantiate(s[1], env), budget)
+        if v.status == "rejected":
+            return (_REJ, first, f"decoded program fails: {v.line()}")
+        if v.status == "pending":
+            return (_PEND, list(v.missing) if v.missing else path)
+        return None
+    branch = [(pair, i, o + 1) for pair, i, o in speaking]
+    if kind == OUT_NUM:
+        return _walk(s[2], {**env, s[1]: tok.value}, branch, path, budget, probes)
+    return _walk(s[1 + tok.choice], env, branch, path, budget, probes)
+
+
+def check_witness(w, f, budget, probes=()):
+    """The checker's verdict, from shape_check, first_conflict,
+    content_parts and the cursor walk above; a decoded program that
+    raises VMError ends the check with it."""
+    shaped = []  # (raw, shaped pair) for each pair
+    for item in w.pull(budget.pull_limit):
+        if is_pair(item):
+            try:
+                shaped.append((item, shape_check(f, item)))
+            except ShapeMismatch as e:
+                return checker._rejected(budget, item, str(e))
+
+    hit = first_conflict(f, [p for _, p in shaped])
+    if hit:
+        j, i, kind = hit
+        return checker._rejected(budget, shaped[j][0], kind, conflict=shaped[i][0])
+
+    for raw, p in shaped:
+        parts = content_parts(f, p)
+        if checker._refuted(parts, budget):
+            return checker._rejected(budget, raw, content(parts))
+        if isinstance(f, Implies) and p.inputs and isinstance(p.inputs[0], Prefix):
+            lead = p.inputs[0]
+            rest = IOPair(p.inputs[1:], p.outputs)
+            for probe in probes:
+                if not probe.trusted or probe.formula != f.left:
+                    continue
+                observed = Prefix(probe.stream.pull(len(lead.items)))
+                if not observed.extends(lead):
+                    continue
+                parts = content_parts(f.right, rest)
+                if checker._refuted(parts, budget):
+                    return checker._rejected(budget, raw, content(parts))
+
+    r = _walk(f, {}, [(p, 0, 0) for _, p in shaped], [], budget, list(probes))
+    if r is None:
+        return checker._accepted(budget)
+    if r[0] == _PEND:
+        return checker._pending(budget, r[1])
+    raw = next(raw for raw, p in shaped if p is r[1])
+    return checker._rejected(budget, raw, r[2])

@@ -4,18 +4,18 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from ctruth import checker
 from ctruth.checker import (
     Budget,
     Probe,
     SynthesisFailed,
-    check_code,
     check_realizability,
     check_witness,
     synthesize_sigma03,
 )
 from ctruth.formula import Implies, conj_all, parse
-from ctruth.vm import program
+from ctruth.vm import VMError, godel_encode, program
 from ctruth.witness import (
     IOPair,
     Numeral,
@@ -25,13 +25,13 @@ from ctruth.witness import (
     WS,
     WitnessStream,
     content,
-    content_parts,
     semantic_content,
     shape_check,
     shape_walk,
 )
 
-from oracles import all_tables, first_conflict, holds, render_table
+from golden import _emitter
+from oracles import all_tables, first_conflict, holds, render_table, table_correct
 from test_acceptance import _FAMILY
 from test_witness import _walked_pair
 
@@ -111,7 +111,7 @@ def test_check_code_runs_a_machine():
         " (emit (+ 1 (pair (+ 1 (pair (* 3 n) 0)) (+ 1 (pair (* 3 (* 2 n)) 0)))))"
         " (set n (+ n 1))))))"
     )
-    assert check_code(p, DOUBLING, B).status == "accepted_up_to"
+    assert check_realizability(DOUBLING, p, B).status == "accepted_up_to"
 
 
 def test_check_realizability_feeds_named_inputs():
@@ -216,25 +216,28 @@ def _walked_or_none(f, items):
         return None
 
 
+def _fields(v):
+    return v.status, v.pair, v.conflict, v.reason, v.missing
+
+
 def _assert_same_as_scan(f, items, budget):
+    index = checker._index
     walked = _walked_or_none(f, items)
     if walked is not None:
-        shaped = [p for p, _ in walked]
+        shaped = [p for p, _, _ in walked]
         scanned = first_conflict(f, shaped)
-        assert checker._first_conflict([path for _, path in walked]) == scanned
+        assert index([path for _, path, _ in walked])[0] == scanned
 
         def scan(paths):
             assert len(paths) == len(shaped)
-            return scanned
+            return (scanned, *index(paths)[1:])
     else:
         def scan(paths):
             raise AssertionError("a stream with a shape error reached the discipline check")
     got = check_witness(WitnessStream.from_items(items), f, budget)
-    with mock.patch.object(checker, "_first_conflict", scan):
+    with mock.patch.object(checker, "_index", scan):
         want = check_witness(WitnessStream.from_items(items), f, budget)
-    assert (got.status, got.pair, got.conflict, got.reason, got.missing) == (
-        want.status, want.pair, want.conflict, want.reason, want.missing
-    )
+    assert _fields(got) == _fields(want)
 
 
 @st.composite
@@ -297,17 +300,20 @@ def test_discipline_matches_scan_on_random_streams(case):
 _ANTE_E = ("(:1) _ (:1) (:2)", "(:1) (:3) _")
 _ANTE_A = ("(:) (0:1) (1:2) (2:3) (3:4)", "(:) (0:1) _ (1:5) (2:3)")
 # each statement with what its inputs are drawn from: the antecedent
-# streams whose leads serve as prefix inputs, or None for a numeral
+# streams whose leads serve as prefix inputs, or None for a numeral; and
+# the right answer to the inputs
 _IMPLICATIONS = [
-    (parse("(E x. x=1) -> E y. y=2"), (_ANTE_E,)),
-    (parse("(A x. E y. y=x+1) -> A x. E y. y=x+2"), (_ANTE_A, None)),
-    (parse("(E x. x=1) -> (E x. x=1) -> E y. y=3"), (_ANTE_E, _ANTE_E)),
+    (parse("(E x. x=1) -> E y. y=2"), (_ANTE_E,), lambda ins: 2),
+    (parse("(A x. E y. y=x+1) -> A x. E y. y=x+2"), (_ANTE_A, None), lambda ins: ins[1].value + 2),
+    (parse("(E x. x=1) -> (E x. x=1) -> E y. y=3"), (_ANTE_E, _ANTE_E), lambda ins: 3),
+    # a code past a prefix: the walk reports the least pair at its nodes
+    (parse("(E x. x=1) -> A z. box E y. y=z"), (_ANTE_E, None), lambda ins: _CODES[ins[1].value]),
 ]
 
 
 @st.composite
-def _implication_streams(draw):
-    f, sources = draw(st.sampled_from(_IMPLICATIONS))
+def _implication_streams(draw, honest=False):
+    f, sources, answer = draw(st.sampled_from(_IMPLICATIONS))
 
     def token(bases):
         if bases is None:
@@ -315,8 +321,11 @@ def _implication_streams(draw):
         items = WitnessStream.from_text(draw(st.sampled_from(bases))).pull(5)
         return Prefix(items[: draw(st.integers(0, len(items)))])
 
+    def pair(ins):
+        return IOPair(ins, (Numeral(answer(ins) if honest else draw(_NUMS)),))
+
     pool = [
-        IOPair(tuple(token(b) for b in sources), (Numeral(draw(_NUMS)),))
+        pair(tuple(token(b) for b in sources))
         for _ in range(draw(st.integers(min_value=1, max_value=8)))
     ]
     return f, draw(_mixed(pool))
@@ -333,6 +342,99 @@ _NESTED = '("","(:1)":3) ("(:1)","(:2)":3) ("","(:2) _":3) ("(:1)","(:2)":4)'
 def test_discipline_matches_scan_on_extending_prefixes(case):
     f, items = case
     _assert_same_as_scan(f, items, Budget(len(items) + 1, 2, 1000))
+
+
+# the coverage walk over the discipline trie against the cursor walk in
+# oracles.py, on streams the discipline lets through
+
+
+_BOX = parse("A x. box E y. y=x")
+_CODES = [_emitter(IOPair((), (Numeral(v),))) for v in range(3)] + [
+    _emitter(),  # emits nothing
+    _emitter(TRIVIAL, IOPair((), (Numeral(1),))),
+    0,  # no program has this code
+    255,  # not program text
+    godel_encode("(prog (seq (emit 1) (frob 2)))"),  # fails when run
+]
+
+
+@st.composite
+def _box_streams(draw):
+    """Codes for each instance and some more, the right one half the time."""
+    pool = []
+    for x in [0, 1, 2] + draw(st.lists(_NUMS, max_size=3)):
+        code = draw(st.one_of(st.just(_CODES[x]), st.sampled_from(_CODES)))
+        pool.append(IOPair((Numeral(x),), (Numeral(code),)))
+    return _BOX, draw(_mixed(pool)) + [TRIVIAL] + pool
+
+
+@st.composite
+def _correct_family_streams(draw):
+    text = draw(st.sampled_from(_FAMILY))
+    f = parse(text)
+    tables = [t for t in _family_tables(text) if table_correct(f, t, list(_DOMAIN))]
+    assume(tables)
+    pool = [it for it in render_table(f, draw(st.sampled_from(tables)), list(_DOMAIN))
+            if isinstance(it, IOPair)]
+    return f, draw(_mixed(pool))
+
+
+@st.composite
+def _probed_streams(draw):
+    """A stream with probes for its statement's antecedent, if any."""
+    f, items = draw(st.one_of(
+        _family_streams(), _correct_family_streams(), _random_streams(),
+        _implication_streams(), _implication_streams(honest=True), _box_streams(),
+    ))
+    probes = []
+    for g, sources, _ in _IMPLICATIONS:
+        if f is g:
+            for _ in range(draw(st.integers(0, 2))):
+                text = draw(st.sampled_from(sources[0]))
+                probes.append(Probe(f.left, WitnessStream.from_text(text), draw(st.booleans())))
+    return f, items, tuple(probes)
+
+
+def _clean(f, items):
+    """The items without the pairs that break the discipline against an
+    earlier pair kept, or do not fit the statement."""
+    kept, shaped = [], []
+    for it in items:
+        if isinstance(it, IOPair):
+            try:
+                p = oracles.shape_check(f, it)
+            except ShapeMismatch:
+                continue
+            if any(oracles.joint_conflict(f, q, p) for q in shaped):
+                continue
+            shaped.append(p)
+        kept.append(it)
+    return kept
+
+
+@given(_probed_streams())
+@example((parse("0=0"), [], ()))  # nothing pulled: the root is not reached
+@example((parse("A x. x=x"), [TRIVIAL, WS, TRIVIAL], ()))
+@example((_BOX, [TRIVIAL, IOPair((Numeral(0),), (Numeral(_CODES[-1]),))], ()))
+# two pairs fail at z=0 on one code, reached through two prefix nodes;
+# the node of the later pair comes first
+@example((_IMPLICATIONS[3][0], list(WitnessStream.from_text(
+    '(:) ("",1:0) ("(:1)",0:0) ("",0:0)').pull(4)),
+    (Probe(parse("E x. x=1"), WitnessStream.from_text("(:1)")),)))
+@settings(max_examples=400, deadline=None)
+def test_coverage_walk_matches_the_cursor_walk(case):
+    f, items, probes = case
+    items = _clean(f, items)
+    budget = Budget(len(items) + 1, 2, 1000)
+    got = check_witness(WitnessStream.from_items(items), f, budget, probes)
+    try:
+        want = oracles.check_witness(WitnessStream.from_items(items), f, budget, probes)
+    except VMError as e:
+        # the cursor walk let a failing program end the check
+        assert got.status == "rejected"
+        assert got.reason == f"decoded program fails: {e}"
+        return
+    assert _fields(got) == _fields(want)
 
 
 # the cost _refuted gates on is read off the spine before the claim is
@@ -362,7 +464,7 @@ def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
     except (ShapeMismatch, TypeError):
         assume(False)
     budget = Budget(pulls, numerals, 100)
-    parts = content_parts(f, p)
+    parts = shape_walk(f, p)[2]
     hyps, rest, env = parts
     claim = Implies(conj_all(content(h) for h in hyps), rest) if hyps else rest
     cost = checker._content_cost(parts, budget)

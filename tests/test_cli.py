@@ -362,3 +362,40 @@ def test_a_list_where_a_machine_name_belongs_exits_one(tmp_path, capsys, text, e
     assert out.splitlines()[-1].endswith(
         f"reason=code does not decode: code is not a valid program: {error}")
     assert "Traceback" not in out
+
+
+_FROB = "(prog (seq (emit 1) (frob 2)))"
+# the same failure, after a loop of 2,000 steps or more
+_FROB_LATE = "(prog (seq (emit 1) (set n 0) (while (< n 1000) (set n (+ n 1))) (frob 2)))"
+
+
+def _box_check(tmp_path, capsys, text, *argv):
+    boxed = tmp_path / "box.fml"
+    boxed.write_text("box E x. x=1\n")
+    wit = tmp_path / "box.wit"
+    wit.write_text(f"(:{godel_encode(text)})\n")
+    return run(capsys, "check", "--formula", str(boxed), "--witness", str(wit), *argv)
+
+
+def test_a_program_failing_inside_a_witness_is_rejected(tmp_path, capsys):
+    code, out = _box_check(tmp_path, capsys, _FROB)
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        f"VERDICT rejected pair=(:{godel_encode(_FROB)})"
+        " reason=decoded program fails: unknown operation 'frob'")
+    assert "Traceback" not in out
+    # run as the statement's own realizer, the failure stays an error
+    wc = tmp_path / "frob.wc"
+    wc.write_text(_FROB + "\n")
+    code, out = run(capsys, "realizability", "--formula", str(tmp_path / "box.fml"),
+                    "--code", str(wc))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR unknown operation 'frob'"
+
+
+def test_a_failure_the_step_budget_cuts_off_is_not_rejected(tmp_path, capsys):
+    code, out = _box_check(tmp_path, capsys, _FROB_LATE, "--vm-steps", "200")
+    assert code == 1
+    assert out.splitlines()[-1] == "VERDICT pending missing=()"
+    code, out = _box_check(tmp_path, capsys, _FROB_LATE, "--vm-steps", "10000")
+    assert out.splitlines()[-1].endswith("reason=decoded program fails: unknown operation 'frob'")

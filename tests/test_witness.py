@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from ctruth import checker
@@ -32,6 +32,7 @@ from ctruth.witness import (
     Whitespace,
     WitnessStream,
     WitnessTextError,
+    content,
     input_rooted,
     pair_complete,
     parse_witness_text,
@@ -354,6 +355,44 @@ def test_long_selector_path_needs_no_recursion():
     assert len(shaped.outputs) == 5001
     assert shaped.outputs[1:] == (Selector(0),) * 5000
     assert pair_complete(f, shaped)
-    _, path = shape_walk(f, p)
-    assert checker._first_conflict([path, path]) is None
+    _, path, _ = shape_walk(f, p)
+    assert checker._index([path, path])[0] is None
     assert oracles.first_conflict(f, [shaped, shaped]) is None
+
+
+# content parts come from the shape walk; the prefix under a binder and
+# the nested prefixes put a prefix's memoized parts under an outer env
+_CONTENT_SPINES = _SPINES + [
+    parse("A x. ((E y. y=x) -> E z. z=x+1)"),
+    parse("((E x. x=1) -> E y. y=2) -> A z. E w. w=z+1"),
+    parse("A n. (((E x. x=n) -> E y. y=n) -> E w. w=n+1)"),
+    parse("A x. ((E x. x=2) -> E z. z=x+1)"),  # the prefix's x shadows the outer one
+]
+_SHARED = Prefix((_pair([], [Numeral(1)]), WS, _pair([], [Numeral(2)])))
+_NESTED_LEAD = Prefix((TRIVIAL, _pair([Prefix((_pair([], [Numeral(1)]),))], [Numeral(2)])))
+
+
+@given(st.sampled_from(_CONTENT_SPINES).flatmap(lambda f: st.tuples(st.just(f), _walked_pair(f))))
+@example((_CONTENT_SPINES[5], _pair([Numeral(2), _SHARED], [Numeral(3)])))
+@example((_CONTENT_SPINES[6], _pair([_NESTED_LEAD, Numeral(4)], [Numeral(5)])))
+@example((_CONTENT_SPINES[7], _pair([Numeral(3), _NESTED_LEAD], [Numeral(4)])))
+@example((_CONTENT_SPINES[8], _pair([Numeral(3), _SHARED], [Numeral(4)])))
+@settings(max_examples=400, deadline=None)
+def test_content_parts_come_from_the_shape_walk(case):
+    f, p = case
+    try:
+        shaped = shape_check(f, p)
+    except (ShapeMismatch, TypeError):
+        assume(False)
+    want = oracles.content_parts(f, shaped)
+    assert shape_walk(f, p)[2] == want
+    assert semantic_content(f, p) == content(want)
+    # the same token objects under other numerals: the prefixes' parts
+    # now come from their memo, put under the new bindings
+    twin = IOPair(tuple(Numeral(t.value + 1) if isinstance(t, Numeral) else t for t in p.inputs),
+                  p.outputs)
+    try:
+        shaped = shape_check(f, twin)
+    except ShapeMismatch:
+        return
+    assert shape_walk(f, twin)[2] == oracles.content_parts(f, shaped)
