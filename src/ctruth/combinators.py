@@ -175,10 +175,13 @@ def box_decode(token) -> vm.WCode:
     return vm.godel_decode(code)
 
 
-def normalize_strict(w: WitnessStream, f: Formula, budget: int = 64) -> WitnessStream:
+STRICT_SCAN = 64
+
+
+def normalize_strict(w: WitnessStream, f: Formula) -> WitnessStream:
     """Reorder a witness into its canonical strict form.
 
-    Scans the first `budget` items, drops whitespace and exact
+    Scans the first STRICT_SCAN items, drops whitespace and exact
     duplicates, puts pairs with incomplete inputs first (in source
     order), then complete-input pairs sorted by their input tokens.
     Under a universal root the sorted pairs must answer 0, 1, 2, ...
@@ -187,7 +190,7 @@ def normalize_strict(w: WitnessStream, f: Formula, budget: int = 64) -> WitnessS
     output-rooted statement it asserts nothing and the canonical form
     has no use for it.
     """
-    items = w.pull(budget)
+    items = w.pull(STRICT_SCAN)
     partial = []
     complete = []
     seen = set()

@@ -12,7 +12,7 @@ parenthesized.
 """
 
 from dataclasses import dataclass, field
-from operator import add, eq as eq_, itemgetter, lt as lt_, mul
+from operator import add, eq as eq_, is_, itemgetter, lt as lt_, mul
 
 
 class ParseError(Exception):
@@ -35,27 +35,23 @@ class UnboundVariable(Exception):
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    def __str__(self):
+        return print_term(self)
 
 
 @dataclass(frozen=True)
 class Zero(Term):
-    def __str__(self):
-        return "0"
+    pass
 
 
 @dataclass(frozen=True)
 class One(Term):
-    def __str__(self):
-        return "1"
+    pass
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -63,27 +59,21 @@ class Add(Term):
     left: Term
     right: Term
 
-    def __str__(self):
-        return print_term(self)
-
     def __eq__(self, other):
-        """Structural; a run of `+1` steps is walked in a loop."""
+        """Structural: both sides' `+1` runs are peeled, then the counts
+        and then the bases are compared."""
         if other.__class__ is not Add:
             return NotImplemented
-        a, b = self, other
-        while a.right.__class__ is One and b.right.__class__ is One:
-            a, b = a.left, b.left
-            if a is b:
-                return True
-            if a.__class__ is not Add or b.__class__ is not Add:
-                return a == b
-        return (a.left, a.right) == (b.left, b.right)
+        (a, m), (b, n) = peel(self), peel(other)
+        if m != n:
+            return False
+        if a.__class__ is Add and b.__class__ is Add:
+            return (a.left, a.right) == (b.left, b.right)
+        return a == b
 
     def __hash__(self):
-        """Agrees with __eq__; a run of `+1` steps is counted in a loop."""
-        t, steps = self, 0
-        while t.__class__ is Add and t.right.__class__ is One:
-            t, steps = t.left, steps + 1
+        """Agrees with __eq__: a `+1` run hashes as its count."""
+        t, steps = peel(self)
         return hash((steps, t.left, t.right) if t.__class__ is Add else (steps, t))
 
 
@@ -92,8 +82,16 @@ class Mul(Term):
     left: Term
     right: Term
 
-    def __str__(self):
-        return print_term(self)
+
+def peel(t: Term):
+    """(base, k) for t = base+1+...+1 with k `+1` steps, where base does
+    not itself end in `+1`: the one loop over a run of `+1` steps, such
+    as a numeral's spine."""
+    k = 0
+    while t.__class__ is Add and t.right.__class__ is One:
+        t = t.left
+        k += 1
+    return t, k
 
 
 def numeral(n: int) -> Term:
@@ -110,13 +108,10 @@ def numeral(n: int) -> Term:
 
 def numeral_value(t: Term):
     """The natural n if t is a canonical numeral shape, else None."""
-    n = 0
-    while isinstance(t, Add) and isinstance(t.right, One):
-        n += 1
-        t = t.left
-    if isinstance(t, Zero):
+    base, n = peel(t)
+    if base.__class__ is Zero:
         return n
-    if isinstance(t, One):
+    if base.__class__ is One:
         return n + 1
     return None
 
@@ -133,6 +128,9 @@ class Formula:
     _spine: tuple = field(default=None, init=False, repr=False, compare=False)
     _costs: dict = field(default=None, init=False, repr=False, compare=False)
 
+    def __str__(self):
+        return print_formula(self)
+
 
 @dataclass(frozen=True)
 class Atom(Formula):
@@ -140,16 +138,10 @@ class Atom(Formula):
     left: Term
     right: Term
 
-    def __str__(self):
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def __str__(self):
-        return print_formula(self)
 
 
 @dataclass(frozen=True)
@@ -157,17 +149,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return print_formula(self)
 
 
 @dataclass(frozen=True)
@@ -175,17 +161,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
-
-    def __str__(self):
-        return print_formula(self)
 
 
 @dataclass(frozen=True)
@@ -193,16 +173,27 @@ class Exists(Formula):
     var: str
     body: Formula
 
-    def __str__(self):
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Box(Formula):
     body: Formula
 
-    def __str__(self):
-        return print_formula(self)
+
+_BINARY = frozenset((And, Or, Implies))
+_UNARY = frozenset((Not, Box, Forall, Exists))
+
+
+def parts(f: Formula) -> tuple:
+    """f's immediate subformulas, left to right: the one place that says
+    which fields of a node are formulas."""
+    cls = f.__class__
+    if cls in _BINARY:
+        return f.left, f.right
+    if cls in _UNARY:
+        return (f.body,)
+    if cls is Atom:
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +224,9 @@ def _tokenize(text):
             tokens.append((c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("num:" + text[i:j], i))
             i = j
@@ -413,7 +404,6 @@ def parse(text: str, free=()) -> Formula:
 
 def parse_term(text: str, free=()) -> Term:
     p = _Parser(_tokenize(text), free)
-    p.free = set(free)
     p.bound = list(free)
     t = p.term()
     if p._peek() != "eof":
@@ -478,10 +468,8 @@ def print_formula(f: Formula) -> str:
 
 
 def term_vars(t: Term) -> set:
-    """The variables occurring in a term; a run of `+1` steps is walked
-    in a loop."""
-    while isinstance(t, Add) and isinstance(t.right, One):
-        t = t.left
+    """The variables occurring in a term."""
+    t = peel(t)[0]
     if isinstance(t, (Zero, One)):
         return set()
     if isinstance(t, Var):
@@ -492,24 +480,15 @@ def term_vars(t: Term) -> set:
 def free_vars(f: Formula) -> set:
     if isinstance(f, Atom):
         return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, Box):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
+    out = set().union(*map(free_vars, parts(f)))
     if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+        out.discard(f.var)
+    return out
 
 
 def term_subst(t: Term, repl: dict) -> Term:
-    """Replace each variable repl maps; t itself when none occurs.  A run
-    of `+1` steps, such as a numeral's spine, is walked in a loop."""
-    steps, base = 0, t
-    while isinstance(base, Add) and isinstance(base.right, One):
-        steps += 1
-        base = base.left
+    """Replace each variable repl maps; t itself when none occurs."""
+    base, steps = peel(t)
     if isinstance(base, Var):
         new = repl.get(base.name, base)
     elif isinstance(base, (Add, Mul)):
@@ -534,23 +513,16 @@ def _subst(f: Formula, repl: dict) -> Formula:
         if left is f.left and right is f.right:
             return f
         return Atom(f.rel, left, right)
-    if isinstance(f, (Not, Box)):
-        body = _subst(f.body, repl)
-        return f if body is f.body else type(f)(body)
-    if isinstance(f, (And, Or, Implies)):
-        left = _subst(f.left, repl)
-        right = _subst(f.right, repl)
-        if left is f.left and right is f.right:
+    binder = isinstance(f, (Forall, Exists))
+    if binder and f.var in repl:
+        repl = {v: t for v, t in repl.items() if v != f.var}
+        if not repl:
             return f
-        return type(f)(left, right)
-    if isinstance(f, (Forall, Exists)):
-        if f.var in repl:
-            repl = {v: t for v, t in repl.items() if v != f.var}
-            if not repl:
-                return f
-        body = _subst(f.body, repl)
-        return f if body is f.body else type(f)(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")
+    old = parts(f)
+    new = [_subst(g, repl) for g in old]
+    if all(map(is_, new, old)):
+        return f
+    return type(f)(f.var, *new) if binder else type(f)(*new)
 
 
 def subst_term(f: Formula, var: str, repl: Term) -> Formula:
@@ -588,43 +560,26 @@ class Classification:
 
 def _walk_polarity(f, path, pol, out):
     out[path] = POSITIVE if pol else NEGATIVE
-    if isinstance(f, Atom):
-        return
-    if isinstance(f, (Not,)):
-        _walk_polarity(f.body, path + (0,), not pol, out)
-    elif isinstance(f, Box):
-        _walk_polarity(f.body, path + (0,), pol, out)
-    elif isinstance(f, Implies):
-        _walk_polarity(f.left, path + (0,), not pol, out)
-        _walk_polarity(f.right, path + (1,), pol, out)
-    elif isinstance(f, (And, Or)):
-        _walk_polarity(f.left, path + (0,), pol, out)
-        _walk_polarity(f.right, path + (1,), pol, out)
-    elif isinstance(f, (Forall, Exists)):
-        _walk_polarity(f.body, path + (0,), pol, out)
+    for k, g in enumerate(parts(f)):
+        flip = isinstance(f, Not) or (k == 0 and isinstance(f, Implies))
+        _walk_polarity(g, path + (k,), pol != flip, out)
 
 
 def impl_depth(f: Formula) -> int:
     """Maximum nesting of -> inside antecedents; negations do not count."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, (Not, Box, Forall, Exists)):
-        return impl_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max(impl_depth(f.left), impl_depth(f.right))
+    depths = [impl_depth(g) for g in parts(f)]
     if isinstance(f, Implies):
-        return max(impl_depth(f.left) + 1, impl_depth(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+        depths[0] += 1
+    return max(depths, default=0)
 
 
 def _contains(f, kinds):
     if isinstance(f, kinds):
         return True
-    if isinstance(f, Atom):
-        return False
-    if isinstance(f, (Not, Box, Forall, Exists)):
-        return _contains(f.body, kinds)
-    return _contains(f.left, kinds) or _contains(f.right, kinds)
+    for g in parts(f):
+        if _contains(g, kinds):
+            return True
+    return False
 
 
 def bounded_pattern(f: Formula):
@@ -633,16 +588,9 @@ def bounded_pattern(f: Formula):
     Returns (var, bound_term, body) for  E v (v<t /\\ B)  and
     A v (v<t -> B)  with v not in t, else None.
     """
-    if isinstance(f, Exists) and isinstance(f.body, And):
-        g = f.body.left
-        if (
-            isinstance(g, Atom)
-            and g.rel == "<"
-            and g.left == Var(f.var)
-            and f.var not in term_vars(g.right)
-        ):
-            return f.var, g.right, f.body.right
-    if isinstance(f, Forall) and isinstance(f.body, Implies):
+    if (isinstance(f, Exists) and isinstance(f.body, And)) or (
+        isinstance(f, Forall) and isinstance(f.body, Implies)
+    ):
         g = f.body.left
         if (
             isinstance(g, Atom)
@@ -656,16 +604,10 @@ def bounded_pattern(f: Formula):
 
 def _decidable_matrix(f) -> bool:
     # no unbounded quantifier, no ->, no box; bounded patterns transparent
-    if isinstance(f, Atom):
-        return True
     bp = bounded_pattern(f)
     if bp is not None:
         return _decidable_matrix(bp[2])
-    if isinstance(f, Not):
-        return _decidable_matrix(f.body)
-    if isinstance(f, (And, Or)):
-        return _decidable_matrix(f.left) and _decidable_matrix(f.right)
-    return False
+    return isinstance(f, (Atom, Not, And, Or)) and all(map(_decidable_matrix, parts(f)))
 
 
 def _sigma03(f) -> bool:
@@ -676,29 +618,16 @@ def _sigma03(f) -> bool:
         bp = bounded_pattern(g)
         if bp is not None:
             g = bp[2]
-            continue
-        if isinstance(g, Exists):
-            word.append("E")
+        elif isinstance(g, (Exists, Forall)):
+            word.append("E" if isinstance(g, Exists) else "A")
             g = g.body
-            continue
-        if isinstance(g, Forall):
-            word.append("A")
-            g = g.body
-            continue
-        break
+        else:
+            break
     if not _decidable_matrix(g):
         return False
-    blocks = 1
-    for a, b in zip(word, word[1:]):
-        if a != b:
-            blocks += 1
-    if blocks > 3:
-        return False
-    if blocks == 3:
-        return word[0] == "E"
-    if blocks == 2:
-        return True  # EA, AE both fit inside E A E
-    return True
+    blocks = 1 + sum(a != b for a, b in zip(word, word[1:]))
+    # EA and AE both fit inside E A E
+    return blocks < 3 or (blocks == 3 and word[0] == "E")
 
 
 def classify(f: Formula) -> Classification:
@@ -786,12 +715,8 @@ def _binary(key, builders, left, right):
 
 
 def _term_code(t):
-    """t as an int when it is closed, else a closure env -> int.  A run of
-    `+1` steps, such as a numeral's spine, is counted in a loop."""
-    steps = 0
-    while isinstance(t, Add) and isinstance(t.right, One):
-        steps += 1
-        t = t.left
+    """t as an int when it is closed, else a closure env -> int."""
+    t, steps = peel(t)
     if isinstance(t, (Zero, One)):
         code = 0 if isinstance(t, Zero) else 1
     elif isinstance(t, Var):
@@ -814,10 +739,8 @@ def _atom_code(f: Atom):
 
 
 def _coefficient(t, var):
-    """a when t = a*var + (a term free of var) for an int a, else None.
-    A run of `+1` steps is walked in a loop."""
-    while isinstance(t, Add) and isinstance(t.right, One):
-        t = t.left
+    """a when t = a*var + (a term free of var) for an int a, else None."""
+    t = peel(t)[0]
     if isinstance(t, (Zero, One, Var)):
         return int(t == Var(var))
     if not isinstance(t, (Add, Mul)):
@@ -956,10 +879,6 @@ def _compile(f: Formula, three: bool):
         return memo[three]
     if isinstance(f, Atom):
         run = _atom_code(f)
-    elif isinstance(f, (Not, Box)):
-        run = _CONNECTIVES[three][type(f)](_compile(f.body, three))
-    elif isinstance(f, (And, Or, Implies)):
-        run = _CONNECTIVES[three][type(f)](_compile(f.left, three), _compile(f.right, three))
     elif isinstance(f, (Forall, Exists)):
         # eval3 never confirms a universal nor refutes an existential;
         # eval2 does at the bound
@@ -969,9 +888,10 @@ def _compile(f: Formula, three: bool):
         fallback = UNKNOWN if three else not stop
         run = _binder(f.var, _compile(f.body, three), stop, fallback, solve, names)
     else:
-        def run(env, fb, eb):
-            raise TypeError(f"not a formula: {f!r}")
-        return run
+        # parts first, so a non-formula raises TypeError, not a KeyError
+        # that _run would report as an unbound variable
+        compiled = [_compile(g, three) for g in parts(f)]
+        run = _CONNECTIVES[three][type(f)](*compiled)
     if memo is None:
         memo = [None, None]  # indexed by mode: [eval2, eval3]
         object.__setattr__(f, "_compiled", memo)

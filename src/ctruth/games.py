@@ -654,12 +654,16 @@ def _vars_of(f, acc):
         _vars_of(f[2], acc)
 
 
-def dpll_tautology(f, cap=24) -> bool:
-    """Splitting tautology check with partial-evaluation pruning."""
+DPLL_ATOM_CAP = 24
+
+
+def dpll_tautology(f) -> bool:
+    """Splitting tautology check with partial-evaluation pruning; raises
+    TooManyAtoms past DPLL_ATOM_CAP atoms."""
     names = set()
     _vars_of(f, names)
-    if len(names) > cap:
-        raise TooManyAtoms(f"{len(names)} atoms exceeds the cap of {cap}")
+    if len(names) > DPLL_ATOM_CAP:
+        raise TooManyAtoms(f"{len(names)} atoms exceeds the cap of {DPLL_ATOM_CAP}")
     order = sorted(names)
 
     def solve(env):

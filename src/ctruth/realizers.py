@@ -27,6 +27,7 @@ from .formula import (
     Add,
     And,
     Atom,
+    Box,
     Exists,
     Forall,
     Formula,
@@ -38,6 +39,7 @@ from .formula import (
     Term,
     Var,
     Zero,
+    _contains,
     eval2,
     eval_term,
     free_vars,
@@ -46,6 +48,7 @@ from .formula import (
     numeral_value,
     parse,
     parse_term,
+    parts,
     print_formula,
     subst_term,
     term_subst,
@@ -257,10 +260,10 @@ def _binders_over(f: Formula, var: str, bound: frozenset) -> set:
     if isinstance(f, Atom):
         return set(bound) if var in term_vars(f.left) | term_vars(f.right) else set()
     if isinstance(f, (Forall, Exists)):
-        return set() if f.var == var else _binders_over(f.body, var, bound | {f.var})
-    if isinstance(f, (And, Or, Implies)):
-        return _binders_over(f.left, var, bound) | _binders_over(f.right, var, bound)
-    return _binders_over(f.body, var, bound)  # Not, Box
+        if f.var == var:
+            return set()
+        bound = bound | {f.var}
+    return set().union(*(_binders_over(g, var, bound) for g in parts(f)))
 
 
 def _no_capture(body: Formula, var: str, t: Term):
@@ -270,13 +273,8 @@ def _no_capture(body: Formula, var: str, t: Term):
 
 
 def _quantifier_free(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return _quantifier_free(f.body)
-    if isinstance(f, (And, Or)):
-        return _quantifier_free(f.left) and _quantifier_free(f.right)
-    return False  # implications, boxes and quantifiers stay out of search
+    # implications, boxes and quantifiers stay out of search
+    return not _contains(f, (Forall, Exists, Implies, Box))
 
 
 def _absurd_atom(f: Formula) -> bool:
@@ -472,8 +470,12 @@ def _step(p):
     return p
 
 
-def normalize(p, fuel: int = 1000):
-    for _ in range(fuel):
+NORMALIZE_FUEL = 1000
+
+
+def normalize(p):
+    """p's normal form within NORMALIZE_FUEL reduction steps."""
+    for _ in range(NORMALIZE_FUEL):
         q = _step(p)
         if q == p:
             return p

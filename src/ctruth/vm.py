@@ -137,7 +137,7 @@ def parse_sexpr(text: str):
             j += 1
         word = text[pos:j]
         pos = j
-        if word.isdigit():
+        if word.isdecimal():
             return int(word)
         return word
 

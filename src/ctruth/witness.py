@@ -115,41 +115,36 @@ def is_pair(item) -> bool:
 # streams
 
 
-class _Buffer:
-    __slots__ = ("_it", "memo", "done")
-
-    def __init__(self, source):
-        self._it = iter(source() if callable(source) else source)
-        self.memo = []
-        self.done = False
-
-    def fill(self, k):
-        while len(self.memo) < k and not self.done:
-            try:
-                self.memo.append(next(self._it))
-            except StopIteration:
-                self.done = True
-
-
 class WitnessStream:
     """Lazy, memoized, deterministic item sequence.
 
     pull(k) returns the first min(k, available) items; repeated pulls
     replay the memo, so any number of consumers may share one instance
-    sequentially and copies are cheap views of the same buffer.
+    sequentially.  A stream keeps no read position.
     """
 
+    __slots__ = ("_it", "_memo", "_done")
+
     def __init__(self, source):
-        self._buf = source if isinstance(source, _Buffer) else _Buffer(source)
+        self._it = iter(source() if callable(source) else source)
+        self._memo = []
+        self._done = False
+
+    def _fill(self, k):
+        while len(self._memo) < k and not self._done:
+            try:
+                self._memo.append(next(self._it))
+            except StopIteration:
+                self._done = True
 
     def pull(self, k: int) -> tuple:
-        self._buf.fill(k)
-        return tuple(self._buf.memo[:k])
+        self._fill(k)
+        return tuple(self._memo[:k])
 
     def at(self, i: int):
         """Item i, or None when the stream ends before it."""
-        self._buf.fill(i + 1)
-        memo = self._buf.memo
+        self._fill(i + 1)
+        memo = self._memo
         return memo[i] if i < len(memo) else None
 
     def __iter__(self):
@@ -163,7 +158,10 @@ class WitnessStream:
         return [it for it in self.pull(k) if is_pair(it)]
 
     def copy(self) -> "WitnessStream":
-        return WitnessStream(self._buf)
+        """The stream itself: with no read position to keep apart, a copy
+        is the same stream.  Kept for the callers that hand a stream on
+        as a copy."""
+        return self
 
     @classmethod
     def from_items(cls, items) -> "WitnessStream":
@@ -174,8 +172,8 @@ class WitnessStream:
         return cls(parse_witness_text(text))
 
     def __repr__(self):
-        got = self._buf.memo[:8]
-        tail = " ..." if not self._buf.done or len(self._buf.memo) > 8 else ""
+        got = self._memo[:8]
+        tail = " ..." if not self._done or len(self._memo) > 8 else ""
         return f"<WitnessStream {serialize_items(got)}{tail}>"
 
 
@@ -188,9 +186,7 @@ def _escape(s: str) -> str:
 
 
 def serialize_token(tok) -> str:
-    if isinstance(tok, (Numeral, Selector)):
-        return str(tok)
-    if isinstance(tok, Prefix):
+    if isinstance(tok, (Numeral, Selector, Prefix)):
         return str(tok)
     raise TypeError(f"not a token: {tok!r}")
 
@@ -348,9 +344,12 @@ def shape_walk(f: Formula, p: IOPair):
     selectors outside {0,1} raise ShapeMismatch.  Returns (shaped, path,
     parts).  `shaped` is the pair with its selectors re-tagged.  `path`
     is the pair's discipline key: (kind, key) for each slot its tokens
-    reach, where the key is the prefix or the int a numeral, selector or
-    code gives, and (kind, None) where it falls silent at an output
-    slot.  The trivial pair's path is empty: it asserts nothing.
+    reach, where the key is the prefix as read or the int a numeral,
+    selector or code gives, and (kind, None) where it falls silent at an
+    output slot.  The trivial pair's path is empty: it asserts nothing.
+    A prefix key is compared as read, as a probe's observed items are,
+    so a prefix built in code with Selector tokens does not match one
+    whose selectors are plain numerals.
 
     `parts` is the pair's semantic content in parts, (hyps, rest, env).
     `rest` is the node where the walk stopped: the end of the statement,
@@ -391,8 +390,8 @@ def shape_walk(f: Formula, p: IOPair):
             tok, toks = outs[o], so
             o += 1
         if kind == IN_PREFIX:
-            tok, inner = _prefix_token(s[1], tok)
             key = tok
+            tok, inner = _prefix_token(s[1], tok)
             hyps.append(((), s[1], dict(env)))
             hyps.extend(_under(env, parts) for parts in inner)
         elif kind in _CHOICES:

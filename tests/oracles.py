@@ -10,10 +10,13 @@ import itertools
 
 from ctruth import checker, vm
 from ctruth.formula import (
+    NEGATIVE,
+    POSITIVE,
     Add,
     And,
     Atom,
     Box,
+    Classification,
     Exists,
     Forall,
     Formula,
@@ -22,9 +25,11 @@ from ctruth.formula import (
     Not,
     One,
     Or,
+    Term,
     Var,
     Zero,
     instantiate,
+    print_term,
 )
 from ctruth.witness import (
     END,
@@ -968,3 +973,251 @@ def check_witness(w, f, budget, probes=()):
         return checker._pending(budget, r[1])
     raw = next(raw for raw, p in shaped if p is r[1])
     return checker._rejected(budget, raw, r[2])
+
+
+# ---------------------------------------------------------------------------
+# structural walks, one isinstance case per connective
+#
+# The formula walks as they were before they read formula.parts and
+# formula.peel: each spells out which fields of a node are subformulas
+# and walks a run of `+1` steps in its own loop.  add_eq and add_hash
+# are Add's __eq__ and __hash__ of that version; nested terms compare
+# and hash by the package's methods.  term_str is str() of a term as
+# the per-class __str__ methods gave it.
+
+
+def term_str(t):
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, One):
+        return "1"
+    if isinstance(t, Var):
+        return t.name
+    return print_term(t)
+
+
+def term_vars(t: Term) -> set:
+    """The variables occurring in a term; a run of `+1` steps is walked
+    in a loop."""
+    while isinstance(t, Add) and isinstance(t.right, One):
+        t = t.left
+    if isinstance(t, (Zero, One)):
+        return set()
+    if isinstance(t, Var):
+        return {t.name}
+    return term_vars(t.left) | term_vars(t.right)
+
+
+def free_vars(f: Formula) -> set:
+    if isinstance(f, Atom):
+        return term_vars(f.left) | term_vars(f.right)
+    if isinstance(f, Not):
+        return free_vars(f.body)
+    if isinstance(f, Box):
+        return free_vars(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return free_vars(f.body) - {f.var}
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def term_subst(t: Term, repl: dict) -> Term:
+    """Replace each variable repl maps; t itself when none occurs.  A run
+    of `+1` steps, such as a numeral's spine, is walked in a loop."""
+    steps, base = 0, t
+    while isinstance(base, Add) and isinstance(base.right, One):
+        steps += 1
+        base = base.left
+    if isinstance(base, Var):
+        new = repl.get(base.name, base)
+    elif isinstance(base, (Add, Mul)):
+        left = term_subst(base.left, repl)
+        right = term_subst(base.right, repl)
+        same = left is base.left and right is base.right
+        new = base if same else type(base)(left, right)
+    else:
+        new = base
+    if new is base:
+        return t
+    for _ in range(steps):
+        new = Add(new, One())
+    return new
+
+
+def _subst(f: Formula, repl: dict) -> Formula:
+    # simultaneous: an inserted term is never walked again
+    if isinstance(f, Atom):
+        left = term_subst(f.left, repl)
+        right = term_subst(f.right, repl)
+        if left is f.left and right is f.right:
+            return f
+        return Atom(f.rel, left, right)
+    if isinstance(f, (Not, Box)):
+        body = _subst(f.body, repl)
+        return f if body is f.body else type(f)(body)
+    if isinstance(f, (And, Or, Implies)):
+        left = _subst(f.left, repl)
+        right = _subst(f.right, repl)
+        if left is f.left and right is f.right:
+            return f
+        return type(f)(left, right)
+    if isinstance(f, (Forall, Exists)):
+        if f.var in repl:
+            repl = {v: t for v, t in repl.items() if v != f.var}
+            if not repl:
+                return f
+        body = _subst(f.body, repl)
+        return f if body is f.body else type(f)(f.var, body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _walk_polarity(f, path, pol, out):
+    out[path] = POSITIVE if pol else NEGATIVE
+    if isinstance(f, Atom):
+        return
+    if isinstance(f, (Not,)):
+        _walk_polarity(f.body, path + (0,), not pol, out)
+    elif isinstance(f, Box):
+        _walk_polarity(f.body, path + (0,), pol, out)
+    elif isinstance(f, Implies):
+        _walk_polarity(f.left, path + (0,), not pol, out)
+        _walk_polarity(f.right, path + (1,), pol, out)
+    elif isinstance(f, (And, Or)):
+        _walk_polarity(f.left, path + (0,), pol, out)
+        _walk_polarity(f.right, path + (1,), pol, out)
+    elif isinstance(f, (Forall, Exists)):
+        _walk_polarity(f.body, path + (0,), pol, out)
+
+
+def impl_depth(f: Formula) -> int:
+    """Maximum nesting of -> inside antecedents; negations do not count."""
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, (Not, Box, Forall, Exists)):
+        return impl_depth(f.body)
+    if isinstance(f, (And, Or)):
+        return max(impl_depth(f.left), impl_depth(f.right))
+    if isinstance(f, Implies):
+        return max(impl_depth(f.left) + 1, impl_depth(f.right))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _contains(f, kinds):
+    if isinstance(f, kinds):
+        return True
+    if isinstance(f, Atom):
+        return False
+    if isinstance(f, (Not, Box, Forall, Exists)):
+        return _contains(f.body, kinds)
+    return _contains(f.left, kinds) or _contains(f.right, kinds)
+
+
+def bounded_pattern(f: Formula):
+    """Recognize the expansions of bounded quantifiers.
+
+    Returns (var, bound_term, body) for  E v (v<t /\\ B)  and
+    A v (v<t -> B)  with v not in t, else None.
+    """
+    if isinstance(f, Exists) and isinstance(f.body, And):
+        g = f.body.left
+        if (
+            isinstance(g, Atom)
+            and g.rel == "<"
+            and g.left == Var(f.var)
+            and f.var not in term_vars(g.right)
+        ):
+            return f.var, g.right, f.body.right
+    if isinstance(f, Forall) and isinstance(f.body, Implies):
+        g = f.body.left
+        if (
+            isinstance(g, Atom)
+            and g.rel == "<"
+            and g.left == Var(f.var)
+            and f.var not in term_vars(g.right)
+        ):
+            return f.var, g.right, f.body.right
+    return None
+
+
+def _decidable_matrix(f) -> bool:
+    # no unbounded quantifier, no ->, no box; bounded patterns transparent
+    if isinstance(f, Atom):
+        return True
+    bp = bounded_pattern(f)
+    if bp is not None:
+        return _decidable_matrix(bp[2])
+    if isinstance(f, Not):
+        return _decidable_matrix(f.body)
+    if isinstance(f, (And, Or)):
+        return _decidable_matrix(f.left) and _decidable_matrix(f.right)
+    return False
+
+
+def _sigma03(f) -> bool:
+    # strip the unbounded prefix; its word must embed into E* A* E*
+    word = []
+    g = f
+    while True:
+        bp = bounded_pattern(g)
+        if bp is not None:
+            g = bp[2]
+            continue
+        if isinstance(g, Exists):
+            word.append("E")
+            g = g.body
+            continue
+        if isinstance(g, Forall):
+            word.append("A")
+            g = g.body
+            continue
+        break
+    if not _decidable_matrix(g):
+        return False
+    blocks = 1
+    for a, b in zip(word, word[1:]):
+        if a != b:
+            blocks += 1
+    if blocks > 3:
+        return False
+    if blocks == 3:
+        return word[0] == "E"
+    if blocks == 2:
+        return True  # EA, AE both fit inside E A E
+    return True
+
+
+def classify(f: Formula) -> Classification:
+    """Structural classification used by the checker and the games."""
+    pol: dict = {}
+    _walk_polarity(f, (), True, pol)
+    return Classification(
+        is_arithmetical=not _contains(f, Box),
+        implication_free=not _contains(f, Implies),
+        exists_free=not _contains(f, Exists),
+        impl_nesting_depth=impl_depth(f),
+        sigma03_shape=_sigma03(f),
+        occurrence_polarity=pol,
+    )
+
+
+def add_eq(self, other):
+    """Structural; a run of `+1` steps is walked in a loop."""
+    if other.__class__ is not Add:
+        return NotImplemented
+    a, b = self, other
+    while a.right.__class__ is One and b.right.__class__ is One:
+        a, b = a.left, b.left
+        if a is b:
+            return True
+        if a.__class__ is not Add or b.__class__ is not Add:
+            return a == b
+    return (a.left, a.right) == (b.left, b.right)
+
+
+def add_hash(self):
+    """Agrees with __eq__; a run of `+1` steps is counted in a loop."""
+    t, steps = self, 0
+    while t.__class__ is Add and t.right.__class__ is One:
+        t, steps = t.left, steps + 1
+    return hash((steps, t.left, t.right) if t.__class__ is Add else (steps, t))

@@ -399,3 +399,58 @@ def test_a_failure_the_step_budget_cuts_off_is_not_rejected(tmp_path, capsys):
     assert out.splitlines()[-1] == "VERDICT pending missing=()"
     code, out = _box_check(tmp_path, capsys, _FROB_LATE, "--vm-steps", "10000")
     assert out.splitlines()[-1].endswith("reason=decoded program fails: unknown operation 'frob'")
+
+
+# The antecedent's conjunction gives each of its pairs a selector slot.
+_SEL_ANTE = "(:) (0,0:) (0,1:)"
+
+
+@pytest.mark.parametrize("answer,line", [
+    ("1", "VERDICT accepted_up_to pulls=3 numerals=0"),
+    ("0", f'VERDICT rejected pair=("{_SEL_ANTE}":0) reason=0=1'),
+], ids=["right", "wrong"])
+def test_a_probe_matches_a_prefix_with_selector_slots(tmp_path, capsys, answer, line):
+    files = {
+        "f.fml": "(A x. (x=x /\\ x=x)) -> E y. y=1",
+        "a.fml": "A x. (x=x /\\ x=x)",
+        "a.wit": _SEL_ANTE,
+        "w.wit": f'(:) ("{_SEL_ANTE}":{answer})',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    code, out = run(capsys, "check", "--pulls", "3", "--numerals", "0",
+                    "--formula", str(tmp_path / "f.fml"), "--witness", str(tmp_path / "w.wit"),
+                    "--ante-formula", str(tmp_path / "a.fml"),
+                    "--ante-witness", str(tmp_path / "a.wit"))
+    assert out.splitlines()[-1] == line
+    assert code == (0 if answer == "1" else 1)
+
+
+_SUPERSCRIPT = "(prog (emit ²))"  # '²' is a digit to str.isdigit, not to int()
+
+
+def test_a_non_decimal_digit_in_a_witness_program_gets_a_verdict(tmp_path, capsys):
+    code, out = _box_check(tmp_path, capsys, _SUPERSCRIPT)
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        f"VERDICT rejected pair=(:{godel_encode(_SUPERSCRIPT)})"
+        " reason=decoded program fails: unbound machine variable '²'")
+    wc = tmp_path / "sup.wc"
+    wc.write_text(_SUPERSCRIPT + "\n", encoding="utf-8")
+    code, out = run(capsys, "realizability", "--formula", str(tmp_path / "box.fml"),
+                    "--code", str(wc))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR unbound machine variable '²'"
+
+
+def test_formula_numbers_are_decimal_digits(tmp_path, capsys):
+    fml = tmp_path / "f.fml"
+    fml.write_text("0=²\n", encoding="utf-8")
+    code, out = run(capsys, "parse", "--formula", str(fml))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR unexpected character '²' (at position 2)"
+    # a decimal digit of another script still reads as its value
+    fml.write_text("E x. x=٣\n", encoding="utf-8")
+    code, out = run(capsys, "parse", "--formula", str(fml))
+    assert code == 0
+    assert out.splitlines()[-1] == "FORMULA E x. x=3"
