@@ -464,7 +464,12 @@ def _synth(g: Formula, env: dict, budget: Budget):
             out.extend(((Selector(choice),) + i, o) for i, o in sub)
         return out
     if kind == IN_PREFIX:
-        raise ValueError("implications are outside the synthesizable shape")
+        # in the recognized shape only a bounded universal's v<t gets here:
+        # false, it holds vacuously; true, the empty prefix answers it
+        if not eval2(s[1], env, *bounds):
+            return [((), ())]
+        sub = _synth(s[2], env, budget)
+        return sub if sub is EXHAUSTED else [((Prefix(()),) + i, o) for i, o in sub]
     if kind == OUT_NUM:
         _, var, body = s
         for v in range(budget.search_bound + 1):

@@ -104,7 +104,7 @@ def _probes(ns):
         return None, ()
     af = _load_formula(ns, "ante_formula")
     aw = _load_witness(ns, "ante_witness")
-    return {"0": aw.copy()}, (Probe(af, aw),)
+    return {"0": aw}, (Probe(af, aw),)
 
 
 def _items_line(label, stream, pulls):
@@ -153,7 +153,7 @@ def _cmd_synthesize(ns, budget, out):
         return 1
     text = serialize_items(w.pull(budget.pull_limit))
     out.append(f"WITNESS {text}")
-    v = check_witness(w.copy(), f, budget)
+    v = check_witness(w, f, budget)
     out.append(v.line())
     if ns.out:
         Path(ns.out).write_text(text + "\n")
@@ -179,7 +179,7 @@ def _cmd_apply(ns, budget, out):
     result = apply_implication(w, x)
     out.append(_items_line("ITEMS", result, budget.pull_limit))
     if ns.formula:
-        v = check_witness(apply_implication(w.copy(), x.copy()), _load_formula(ns, "formula"), budget)
+        v = check_witness(result, _load_formula(ns, "formula"), budget)
         out.append(v.line())
         return 0 if v.status == "accepted_up_to" else 1
     return 0

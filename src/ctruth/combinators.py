@@ -88,15 +88,12 @@ def apply_implication(w: WitnessStream, x: WitnessStream) -> WitnessStream:
     is fixed by round max(i + 1, L), so each pair is judged once, in
     that round; a round emits its pairs in index order.
     """
-    wsrc = w.copy()
-    xsrc = x.copy()
-
     def gen():
         later = {}  # round -> the pairs to judge then, in index order
         r = 0
         while True:
             due = later.pop(r, [])
-            item = wsrc.at(r - 1) if r else None
+            item = w.at(r - 1) if r else None
             if is_pair(item):
                 if not item.inputs and not item.outputs:
                     due.append(item)
@@ -111,7 +108,7 @@ def apply_implication(w: WitnessStream, x: WitnessStream) -> WitnessStream:
                     yield TRIVIAL
                     continue
                 lead = item.inputs[0]
-                if Prefix(xsrc.pull(len(lead.items))).extends(lead):
+                if Prefix(x.pull(len(lead.items))).extends(lead):
                     yield IOPair(item.inputs[1:], item.outputs)
             yield WS
             r += 1
@@ -141,9 +138,6 @@ def compose(left: WitnessStream, right: WitnessStream) -> WitnessStream:
     1); whitespace is dropped.  A trivial pair is forwarded from the
     left only, so a decompose round trip does not duplicate it.
     """
-    lsrc = left.copy()
-    rsrc = right.copy()
-
     def tag(which, p):
         if not p.inputs and not p.outputs:
             return TRIVIAL
@@ -152,7 +146,7 @@ def compose(left: WitnessStream, right: WitnessStream) -> WitnessStream:
     def gen():
         i = 0
         while True:
-            left_item, right_item = lsrc.at(i), rsrc.at(i)
+            left_item, right_item = left.at(i), right.at(i)
             if left_item is None and right_item is None:
                 return
             if is_pair(left_item):

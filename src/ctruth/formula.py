@@ -416,9 +416,12 @@ def parse_term(text: str, free=()) -> Term:
 
 def print_term(t: Term, level=0) -> str:
     # level 0 = sum position, 1 = product position, 2 = factor position
-    v = numeral_value(t)
-    if v is not None:
-        return str(v)
+    base, k = peel(t)
+    if base.__class__ is Zero or base.__class__ is One:
+        return str(k + (base.__class__ is One))
+    if k:
+        s = print_term(base) + "+1" * k
+        return f"({s})" if level > 0 else s
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Add):

@@ -33,8 +33,11 @@ from . import vm
 from .checker import Budget, Probe, check_witness
 from .combinators import apply_implication, normalize_strict
 from .formula import (
+    _CONNECTIVES,
     And,
     Implies,
+    Not,
+    Or,
     Var,
     disj_all,
     eq,
@@ -618,56 +621,37 @@ class TooManyAtoms(Exception):
     pass
 
 
-def _pe(f, env):
-    """Partial evaluation of a propositional formula; None is unknown."""
+def _kleene(f, names):
+    """f's three-valued closure built from formula's connectives; an
+    unset atom reads None, unknown.  Adds each atom's index to names."""
     tag = f[0]
     if tag == "var":
-        return env.get(f[1])
+        i = f[1]
+        names.add(i)
+        return lambda env, fb, eb: env.get(i)
     if tag == "const":
-        return f[1]
-    if tag == "not":
-        v = _pe(f[1], env)
-        return None if v is None else not v
-    a, b = _pe(f[1], env), _pe(f[2], env)
-    if tag == "and":
-        if a is False or b is False:
-            return False
-        return True if a is True and b is True else None
-    if tag == "or":
-        if a is True or b is True:
-            return True
-        return False if a is False and b is False else None
-    if tag == "imp":
-        if a is False or b is True:
-            return True
-        return False if a is True and b is False else None
-    raise ValueError(f"unknown connective {tag!r}")
-
-
-def _vars_of(f, acc):
-    if f[0] == "var":
-        acc.add(f[1])
-    elif f[0] == "not":
-        _vars_of(f[1], acc)
-    elif f[0] != "const":
-        _vars_of(f[1], acc)
-        _vars_of(f[2], acc)
+        b = f[1]
+        return lambda env, fb, eb: b
+    kind = {"not": Not, "and": And, "or": Or, "imp": Implies}.get(tag)
+    if kind is None:
+        raise ValueError(f"unknown connective {tag!r}")
+    return _CONNECTIVES[True][kind](*(_kleene(g, names) for g in f[1:]))
 
 
 DPLL_ATOM_CAP = 24
 
 
 def dpll_tautology(f) -> bool:
-    """Splitting tautology check with partial-evaluation pruning; raises
+    """Splitting tautology check with three-valued pruning; raises
     TooManyAtoms past DPLL_ATOM_CAP atoms."""
     names = set()
-    _vars_of(f, names)
+    run = _kleene(f, names)
     if len(names) > DPLL_ATOM_CAP:
         raise TooManyAtoms(f"{len(names)} atoms exceeds the cap of {DPLL_ATOM_CAP}")
     order = sorted(names)
 
     def solve(env):
-        v = _pe(f, env)
+        v = run(env, 0, 0)
         if v is not None:
             return v
         x = next(n for n in order if n not in env)

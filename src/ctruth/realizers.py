@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import vm
 from .checker import Budget, _synth, EXHAUSTED
-from .combinators import apply_implication, decompose, project_forall, select
+from .combinators import _shape_or_none, apply_implication, decompose, project_forall, select
 from .formula import (
     Add,
     And,
@@ -64,13 +64,11 @@ from .witness import (
     OUT_SEL,
     Prefix,
     Selector,
-    ShapeMismatch,
     TRIVIAL,
     WS,
     WitnessStream,
     input_rooted,
     is_pair,
-    shape_check,
     slot,
 )
 
@@ -487,31 +485,18 @@ def normalize(p):
 # input-only statements and their enumerators
 
 
-def _demand_only(f: Formula) -> bool:
-    """True when the spine never produces: such statements are witnessed
-    by enumerating input paths (the proof already certifies truth)."""
+def _effective(f: Formula, decided: bool = True) -> bool:
+    """True when the spine never produces, up to disjunctions that bounded
+    evaluation decides if `decided`.  A demand-only statement (decided False)
+    is witnessed by enumerating input paths: its proof certifies truth."""
     s = slot(f)
     if s[0] == END:
         return True
     if s[0] in (IN_NUM, IN_PREFIX):  # a prefix is never answered, so owes no output
-        return _demand_only(s[2])
+        return _effective(s[2], decided)
     if s[0] == IN_SEL:
-        return _demand_only(s[1]) and _demand_only(s[2])
-    return False
-
-
-def _effective(f: Formula) -> bool:
-    """Demand-only up to disjunctions that bounded evaluation decides."""
-    s = slot(f)
-    if s[0] == END:
-        return True
-    if s[0] in (IN_NUM, IN_PREFIX):
-        return _effective(s[2])
-    if s[0] == IN_SEL:
-        return _effective(s[1]) and _effective(s[2])
-    if s[0] == OUT_SEL:
-        return _quantifier_free(f)
-    return False
+        return _effective(s[1], decided) and _effective(s[2], decided)
+    return decided and s[0] == OUT_SEL and _quantifier_free(f)
 
 
 def _enum_tokens(f: Formula, k: int, env: dict):
@@ -553,52 +538,44 @@ def _enum_stream(f: Formula) -> WitnessStream:
     return WitnessStream(items)
 
 
-def _vm_ins(f: Formula, i: int) -> str:
+def _vm_enum(f: Formula, i: int):
+    """Machine expressions (valid, ins) over the index k{i} of a
+    demand-only statement's enumeration: whether k{i} names a pair, and
+    the code of that pair's input list."""
     s = slot(f)
     kind = s[0]
     if kind == END:
-        return "0"
+        return f"(= k{i} 0)", "0"
     if kind == IN_NUM:
-        inner = _vm_ins(s[2], i + 1)
+        valid, ins = _vm_enum(s[2], i + 1)
         return (
+            f"(let k{i + 1} (snd k{i}) {valid})",
             f"(let v{i} (fst k{i}) (let k{i + 1} (snd k{i})"
-            f" (+ 1 (cantor (* 3 v{i}) {inner}))))"
+            f" (+ 1 (cantor (* 3 v{i}) {ins}))))",
         )
     if kind == IN_SEL:
-        left = _vm_ins(s[1], i + 1)
-        right = _vm_ins(s[2], i + 1)
+        (lv, li), (rv, ri) = _vm_enum(s[1], i + 1), _vm_enum(s[2], i + 1)
+        split = f"(let b{i} (mod k{i} 2) (let k{i + 1} (div k{i} 2) (if (= b{i} 0)"
         return (
-            f"(let b{i} (mod k{i} 2) (let k{i + 1} (div k{i} 2)"
-            f" (if (= b{i} 0) (+ 1 (cantor 1 {left})) (+ 1 (cantor 4 {right})))))"
+            f"{split} {lv} {rv})))",
+            f"{split} (+ 1 (cantor 1 {li})) (+ 1 (cantor 4 {ri})))))",
         )
     # IN_PREFIX: the empty prefix has token code 2 and consumes no index
-    inner = _vm_ins(s[2], i)
-    return f"(+ 1 (cantor 2 {inner}))"
+    valid, ins = _vm_enum(s[2], i)
+    return valid, f"(+ 1 (cantor 2 {ins}))"
 
 
-def _vm_valid(f: Formula, i: int) -> str:
-    s = slot(f)
-    kind = s[0]
-    if kind == END:
-        return f"(= k{i} 0)"
-    if kind == IN_NUM:
-        return f"(let k{i + 1} (snd k{i}) {_vm_valid(s[2], i + 1)})"
-    if kind == IN_SEL:
-        left = _vm_valid(s[1], i + 1)
-        right = _vm_valid(s[2], i + 1)
-        return (
-            f"(let b{i} (mod k{i} 2) (let k{i + 1} (div k{i} 2)"
-            f" (if (= b{i} 0) {left} {right})))"
-        )
-    return _vm_valid(s[2], i)
+def _enum_item(f: Formula) -> str:
+    """The enumerator's item at index k0: its pair's code, or 0."""
+    valid, ins = _vm_enum(f, 0)
+    return f"(if {valid} (+ 1 (cantor {ins} 0)) 0)"
 
 
 def _enum_code(f: Formula) -> vm.WCode:
-    item = f"(if {_vm_valid(f, 0)} (+ 1 (cantor {_vm_ins(f, 0)} 0)) 0)"
     lead = "(emit 1) " if input_rooted(f) else ""
     return vm.program(
         f"(prog {vm.CANTOR}"
-        f" (seq {lead}(set k0 0) (while 1 (seq (emit {item}) (set k0 (+ k0 1))))))"
+        f" (seq {lead}(set k0 0) (while 1 (seq (emit {_enum_item(f)}) (set k0 (+ k0 1))))))"
     )
 
 
@@ -651,8 +628,7 @@ def _realize(p, ctx, env):
     if _effective(target):
         return _enum_stream(target)
     if isinstance(p, Hyp):
-        got = ctx[p.index][1]
-        return got.copy() if isinstance(got, WitnessStream) else got
+        return ctx[p.index][1]
     if isinstance(p, Lam):
         ante = p.ante
 
@@ -745,14 +721,10 @@ def _realize_case(p: Case, ctx, env) -> WitnessStream:
 
     def items():
         for item in scrut:
-            if is_pair(item):
-                try:
-                    norm = shape_check(whole, item)
-                except ShapeMismatch:
-                    norm = None
-                if norm is not None and norm.outputs:
-                    choice = norm.outputs[0].choice
-                    break
+            norm = _shape_or_none(whole, item) if is_pair(item) else None
+            if norm is not None and norm.outputs:
+                choice = norm.outputs[0].choice
+                break
             yield WS
         else:
             return  # the scrutinee never commits; nothing to emit
@@ -871,11 +843,8 @@ def _item_expr(p, hyps: tuple, env: dict, idx: str, d: int) -> str:
     holding their current instance; d keeps generated names fresh.
     """
     target = infer(p, hyps)
-    if _demand_only(target):
-        return (
-            f"(let k0 {idx} (if {_vm_valid(target, 0)}"
-            f" (+ 1 (cantor {_vm_ins(target, 0)} 0)) 0))"
-        )
+    if _effective(target, decided=False):
+        return f"(let k0 {idx} {_enum_item(target)})"
     if isinstance(p, Exi):
         v = _vm_term_env(p.term, env)
         return f"(preout (* 3 {v}) {_item_expr(p.body, hyps, env, idx, d)})"
@@ -980,7 +949,7 @@ def extract(proof) -> Extraction:
         if normal == Lam(normal.ante, Hyp(0)):
             code = identity_code()
         return Extraction(target, None, r, code)
-    if _demand_only(target):
+    if _effective(target, decided=False):
         return Extraction(target, r, None, _enum_code(target))
     if isinstance(normal, Markov) and isinstance(target, Exists):
         return Extraction(target, r, None, _search_code(target))

@@ -17,6 +17,7 @@ program is the byte string of its canonical printed form read base-256.
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 from .witness import IOPair, Numeral, Prefix, Selector, Whitespace, WS, WitnessStream
@@ -106,46 +107,35 @@ def decode_item(code: int):
 # s-expressions
 
 
+# one token after optional blanks: a parenthesis (group 1) or a word
+# (group 2); neither matches only at the end of the text
+_SEXPR_TOKEN = re.compile(r"\s*(?:([()])|([^\s()]+))?")
+
+
 def parse_sexpr(text: str):
+    """The one s-expression in text, its lists as tuples and its decimal
+    words as ints, read in one loop over its tokens."""
+    stack = [[]]  # the lists still open, innermost last; stack[0] gets the result
     pos = 0
-
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def rec():
-        nonlocal pos
-        skip()
-        if pos >= len(text):
-            raise VMError("unexpected end of program text")
-        if text[pos] == "(":
-            pos += 1
-            items = []
-            while True:
-                skip()
-                if pos >= len(text):
-                    raise VMError("unbalanced parentheses")
-                if text[pos] == ")":
-                    pos += 1
-                    return items
-                items.append(rec())
-        if text[pos] == ")":
-            raise VMError(f"stray ')' at {pos}")
-        j = pos
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        word = text[pos:j]
-        pos = j
-        if word.isdecimal():
-            return int(word)
-        return word
-
-    expr = rec()
-    skip()
-    if pos != len(text):
-        raise VMError(f"trailing program text at {pos}")
-    return expr
+    while True:
+        m = _SEXPR_TOKEN.match(text, pos)
+        if stack[0]:
+            if m.lastindex:
+                raise VMError(f"trailing program text at {m.start(m.lastindex)}")
+            return stack[0][0]
+        paren, word = m.groups()
+        if word is not None:
+            stack[-1].append(int(word) if word.isdecimal() else word)
+        elif paren == "(":
+            stack.append([])
+        elif paren is None:
+            raise VMError("unbalanced parentheses" if len(stack) > 1
+                          else "unexpected end of program text")
+        elif len(stack) == 1:
+            raise VMError(f"stray ')' at {m.start(1)}")
+        else:
+            stack[-2].append(tuple(stack.pop()))
+        pos = m.end()
 
 
 def print_sexpr(x) -> str:
@@ -166,10 +156,10 @@ class WCode:
     def from_text(cls, text: str) -> "WCode":
         expr = parse_sexpr(text)
         _validate_program(expr)
-        return cls(_freeze(expr))
+        return cls(expr)
 
     def text(self) -> str:
-        return print_sexpr(_thaw(self.expr))
+        return print_sexpr(self.expr)
 
     def godel(self) -> int:
         return godel_encode(self.text())
@@ -178,23 +168,15 @@ class WCode:
         return self.text()
 
 
-def _freeze(x):
-    return tuple(_freeze(e) for e in x) if isinstance(x, list) else x
-
-
-def _thaw(x):
-    return [_thaw(e) for e in x] if isinstance(x, tuple) else x
-
-
 def _validate_program(expr):
-    if not isinstance(expr, list) or not expr or expr[0] != "prog":
+    if not isinstance(expr, tuple) or not expr or expr[0] != "prog":
         raise VMError("a program is (prog def* main)")
     if len(expr) < 2:
         raise VMError("program has no main expression")
     for d in expr[1:-1]:
-        if not (isinstance(d, list) and len(d) == 4 and d[0] == "def"):
+        if not (isinstance(d, tuple) and len(d) == 4 and d[0] == "def"):
             raise VMError("bad definition (want (def name (params) body))")
-        if not (isinstance(d[1], str) and isinstance(d[2], list)
+        if not (isinstance(d[1], str) and isinstance(d[2], tuple)
                 and all(isinstance(param, str) for param in d[2])):
             raise VMError("bad definition header")
         _validate_form(d[3])
@@ -211,7 +193,7 @@ _BUILTIN = frozenset(_ARITY) | {"seq"}
 def _validate_form(x):
     """Every form starts with a name, gives a built-in its argument count
     and gives let and set a name to bind."""
-    if not isinstance(x, list):
+    if not isinstance(x, tuple):
         return
     if not x:
         raise VMError("empty form")
@@ -263,14 +245,13 @@ class VM:
     budget has ended the stream."""
 
     def __init__(self, program: WCode, inputs=None, step_budget: int = 10000):
-        expr = _thaw(program.expr)
-        defs = {d[1]: (d[2], d[3]) for d in expr[1:-1]}
+        defs = {d[1]: (d[2], d[3]) for d in program.expr[1:-1]}
         emitters = _emitters(defs)
         cells = {name: [None] for name in defs}
         for name, (_, body) in defs.items():
             cells[name][0] = _compile(body, defs, cells, emitters)[0]
-        self._main, self._emits = _compile(expr[-1], defs, cells, emitters)
-        self.inputs = {str(k): v.copy() for k, v in (inputs or {}).items()}
+        self._main, self._emits = _compile(program.expr[-1], defs, cells, emitters)
+        self.inputs = {str(k): v for k, v in (inputs or {}).items()}
         self.cursors = {k: 0 for k in self.inputs}
         self.budget = step_budget
         self.steps = 0
@@ -307,17 +288,33 @@ def _tick(vm):
         raise _OutOfSteps()
 
 
+# A number past MAX_BITS bits is an error, so that a step budget bounds
+# memory too.  `*` and `pair` test their results: they are the only
+# built-ins that can double a length in one step.  The corpus's largest
+# number has 20,798 bits.
+MAX_BITS = 1 << 20
+
+
+def _sized(op):
+    def run(a, b):
+        n = op(a, b)
+        if n >> MAX_BITS:
+            raise VMError(f"number past {MAX_BITS} bits")
+        return n
+    return run
+
+
 # the arithmetic built-ins: "-" is monus, div and mod by 0 give 0, and
 # fst and snd take a Cantor pair apart
 _OPS = {
     "+": operator.add,
     "-": lambda a, b: a - b if a > b else 0,
-    "*": operator.mul,
+    "*": _sized(operator.mul),
     "div": lambda a, b: a // b if b else 0,
     "mod": lambda a, b: a % b if b else 0,
     "<": lambda a, b: 1 if a < b else 0,
     "=": lambda a, b: 1 if a == b else 0,
-    "pair": cantor,
+    "pair": _sized(cantor),
     "fst": lambda z: uncantor(z)[0],
     "snd": lambda z: uncantor(z)[1],
 }
@@ -340,7 +337,7 @@ def _emitters(defs) -> set:
         todo = [body]
         while todo:
             x = todo.pop()
-            if isinstance(x, list) and not _fails(x, defs):
+            if isinstance(x, tuple) and not _fails(x, defs):
                 if x[0] == "emit":
                     found.append(name)
                 elif x[0] not in _BUILTIN:

@@ -159,8 +159,8 @@ class WitnessStream:
 
     def copy(self) -> "WitnessStream":
         """The stream itself: with no read position to keep apart, a copy
-        is the same stream.  Kept for the callers that hand a stream on
-        as a copy."""
+        is the same stream.  Kept for callers outside the package that
+        hand a stream on as a copy."""
         return self
 
     @classmethod

@@ -31,6 +31,8 @@ from ctruth.formula import (
     instantiate,
     print_term,
 )
+from ctruth.games import DPLL_ATOM_CAP, TooManyAtoms
+from ctruth.realizers import _quantifier_free
 from ctruth.witness import (
     END,
     IN_NUM,
@@ -1221,3 +1223,178 @@ def add_hash(self):
     while t.__class__ is Add and t.right.__class__ is One:
         t, steps = t.left, steps + 1
     return hash((steps, t.left, t.right) if t.__class__ is Add else (steps, t))
+
+
+# ---------------------------------------------------------------------------
+# the games, extraction and machine walks, each as its own copy
+#
+# As they were before games evaluated through formula's connectives,
+# realizers walked a statement's demand space in one walk per fact and
+# the machine read programs as tuples: _pe is the propositional
+# evaluator games kept beside eval3, _demand_only and _effective the two
+# demand walks, _vm_ins and _vm_valid the two halves of the enumerator
+# item, and parse_sexpr the recursive reader that gave nested lists.
+
+
+def _pe(f, env):
+    """Partial evaluation of a propositional formula; None is unknown."""
+    tag = f[0]
+    if tag == "var":
+        return env.get(f[1])
+    if tag == "const":
+        return f[1]
+    if tag == "not":
+        v = _pe(f[1], env)
+        return None if v is None else not v
+    a, b = _pe(f[1], env), _pe(f[2], env)
+    if tag == "and":
+        if a is False or b is False:
+            return False
+        return True if a is True and b is True else None
+    if tag == "or":
+        if a is True or b is True:
+            return True
+        return False if a is False and b is False else None
+    if tag == "imp":
+        if a is False or b is True:
+            return True
+        return False if a is True and b is False else None
+    raise ValueError(f"unknown connective {tag!r}")
+
+
+def _vars_of(f, acc):
+    if f[0] == "var":
+        acc.add(f[1])
+    elif f[0] == "not":
+        _vars_of(f[1], acc)
+    elif f[0] != "const":
+        _vars_of(f[1], acc)
+        _vars_of(f[2], acc)
+
+
+def dpll_tautology(f) -> bool:
+    """Splitting tautology check with partial-evaluation pruning; raises
+    TooManyAtoms past DPLL_ATOM_CAP atoms."""
+    names = set()
+    _vars_of(f, names)
+    if len(names) > DPLL_ATOM_CAP:
+        raise TooManyAtoms(f"{len(names)} atoms exceeds the cap of {DPLL_ATOM_CAP}")
+    order = sorted(names)
+
+    def solve(env):
+        v = _pe(f, env)
+        if v is not None:
+            return v
+        x = next(n for n in order if n not in env)
+        return solve({**env, x: False}) and solve({**env, x: True})
+
+    return solve({})
+
+
+def _demand_only(f: Formula) -> bool:
+    """True when the spine never produces: such statements are witnessed
+    by enumerating input paths (the proof already certifies truth)."""
+    s = slot(f)
+    if s[0] == END:
+        return True
+    if s[0] in (IN_NUM, IN_PREFIX):  # a prefix is never answered, so owes no output
+        return _demand_only(s[2])
+    if s[0] == IN_SEL:
+        return _demand_only(s[1]) and _demand_only(s[2])
+    return False
+
+
+def _effective(f: Formula) -> bool:
+    """Demand-only up to disjunctions that bounded evaluation decides."""
+    s = slot(f)
+    if s[0] == END:
+        return True
+    if s[0] in (IN_NUM, IN_PREFIX):
+        return _effective(s[2])
+    if s[0] == IN_SEL:
+        return _effective(s[1]) and _effective(s[2])
+    if s[0] == OUT_SEL:
+        return _quantifier_free(f)
+    return False
+
+
+def _vm_ins(f: Formula, i: int) -> str:
+    s = slot(f)
+    kind = s[0]
+    if kind == END:
+        return "0"
+    if kind == IN_NUM:
+        inner = _vm_ins(s[2], i + 1)
+        return (
+            f"(let v{i} (fst k{i}) (let k{i + 1} (snd k{i})"
+            f" (+ 1 (cantor (* 3 v{i}) {inner}))))"
+        )
+    if kind == IN_SEL:
+        left = _vm_ins(s[1], i + 1)
+        right = _vm_ins(s[2], i + 1)
+        return (
+            f"(let b{i} (mod k{i} 2) (let k{i + 1} (div k{i} 2)"
+            f" (if (= b{i} 0) (+ 1 (cantor 1 {left})) (+ 1 (cantor 4 {right})))))"
+        )
+    # IN_PREFIX: the empty prefix has token code 2 and consumes no index
+    inner = _vm_ins(s[2], i)
+    return f"(+ 1 (cantor 2 {inner}))"
+
+
+def _vm_valid(f: Formula, i: int) -> str:
+    s = slot(f)
+    kind = s[0]
+    if kind == END:
+        return f"(= k{i} 0)"
+    if kind == IN_NUM:
+        return f"(let k{i + 1} (snd k{i}) {_vm_valid(s[2], i + 1)})"
+    if kind == IN_SEL:
+        left = _vm_valid(s[1], i + 1)
+        right = _vm_valid(s[2], i + 1)
+        return (
+            f"(let b{i} (mod k{i} 2) (let k{i + 1} (div k{i} 2)"
+            f" (if (= b{i} 0) {left} {right})))"
+        )
+    return _vm_valid(s[2], i)
+
+
+def parse_sexpr(text: str):
+    pos = 0
+
+    def skip():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def rec():
+        nonlocal pos
+        skip()
+        if pos >= len(text):
+            raise VMError("unexpected end of program text")
+        if text[pos] == "(":
+            pos += 1
+            items = []
+            while True:
+                skip()
+                if pos >= len(text):
+                    raise VMError("unbalanced parentheses")
+                if text[pos] == ")":
+                    pos += 1
+                    return items
+                items.append(rec())
+        if text[pos] == ")":
+            raise VMError(f"stray ')' at {pos}")
+        j = pos
+        while j < len(text) and not text[j].isspace() and text[j] not in "()":
+            j += 1
+        word = text[pos:j]
+        pos = j
+        if word.isdecimal():
+            return int(word)
+        return word
+
+    expr = rec()
+    skip()
+    if pos != len(text):
+        raise VMError(f"trailing program text at {pos}")
+    return expr

@@ -454,3 +454,53 @@ def test_formula_numbers_are_decimal_digits(tmp_path, capsys):
     code, out = run(capsys, "parse", "--formula", str(fml))
     assert code == 0
     assert out.splitlines()[-1] == "FORMULA E x. x=3"
+
+
+# A bounded universal's antecedent v<t is decided at synthesis: a false
+# one ends the pair at the prefix slot, a true one is the empty prefix.
+@pytest.mark.parametrize("text,code,line", [
+    ("A x<3. x=x", 0, 'WITNESS (:) (0,"":) (1,"":) (2,"":) (3:) (4:)'),
+    ("A x<3. E y. y=x", 0, 'WITNESS (:) (0,"":0) (1,"":1) (2,"":2) (3:) (4:)'),
+    ("E y. A x<3. x<y+3", 0, 'WITNESS (0,"":0) (1,"":0) (2,"":0) (3:0) (4:0)'),
+    ("A x<3. x=5", 1,
+     "SYNTHESIS exhausted no witness found within numerals<=16: A x. (x<3 -> x=5)"),
+])
+def test_synthesis_answers_a_bounded_universal(tmp_path, capsys, text, code, line):
+    fml, wit = tmp_path / "f.fml", tmp_path / "w.wit"
+    fml.write_text(text + "\n")
+    budget = ("--pulls", "16", "--numerals", "4")
+    got, out = run(capsys, "synthesize", "--formula", str(fml), "--out", str(wit), *budget)
+    assert got == code
+    assert out.splitlines()[1] == line
+    if code == 0:
+        assert out.splitlines()[-1] == "VERDICT accepted_up_to pulls=16 numerals=4"
+        got, out = run(capsys, "check", "--formula", str(fml), "--witness", str(wit), *budget)
+        assert (got, out.splitlines()[-1]) == (0, "VERDICT accepted_up_to pulls=16 numerals=4")
+
+
+# squaring doubles the number's length each step: a step budget of 10,000
+# alone would let it grow past any memory
+_SQUARING = "(prog (def g (a n) (g (* a a) n)) (seq (emit 1) (g 3 0)))"
+
+
+def test_a_program_outgrowing_the_bit_ceiling_fails_fast(tmp_path, capsys):
+    code, out = _box_check(tmp_path, capsys, _SQUARING)
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        f"VERDICT rejected pair=(:{godel_encode(_SQUARING)})"
+        " reason=decoded program fails: number past 1048576 bits")
+    wc = tmp_path / "squaring.wc"
+    wc.write_text(_SQUARING + "\n")
+    code, out = run(capsys, "realizability", "--formula", str(tmp_path / "box.fml"),
+                    "--code", str(wc))
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR number past 1048576 bits"
+
+
+def test_a_long_run_of_steps_over_a_variable_prints(tmp_path, capsys):
+    text = "A y. y" + "+1" * 3000 + "=0"
+    fml = tmp_path / "f.fml"
+    fml.write_text(text + "\n")
+    code, out = run(capsys, "parse", "--formula", str(fml))
+    assert code == 0
+    assert out.splitlines()[-1] == "FORMULA " + text

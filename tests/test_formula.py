@@ -126,6 +126,17 @@ def test_box_parses_and_prints():
     assert parse(print_formula(f)) == f
 
 
+# a `+1` run after its base, and where the run stands as a factor
+@pytest.mark.parametrize("text,shown", [
+    ("x+1+1=0+1+1", "x+1+1=2"),
+    ("(x+1+1)*2=2*(x*y+1)", "(x+1+1)*2=2*(x*y+1)"),
+    ("x+(y+1)=(x+y)+1", "x+(y+1)=x+y+1"),
+    ("x*(y+1)+1<x+y*1+1", "x*(y+1)+1<x+y*1+1"),
+])
+def test_a_run_of_steps_prints_after_its_base(text, shown):
+    assert print_formula(parse(text, free=("x", "y"))) == shown
+
+
 def test_parse_errors():
     for bad in ["", "E x.", "0=", "(0=0", "0 ? 1", "A . x=x"]:
         with pytest.raises(ParseError):

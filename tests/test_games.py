@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctruth import games
 from ctruth.checker import Budget
@@ -27,6 +27,7 @@ from ctruth.games import (
 )
 from ctruth.witness import TRIVIAL
 
+import oracles
 from oracles import is_tautology
 
 
@@ -122,6 +123,46 @@ def test_dpll_matches_truth_table_on_samples():
     for length, break_at in [(2, None), (2, 0), (4, None), (4, 2)]:
         r = prop3_duality(length, break_at)
         assert dpll_tautology(r["combination"]) == is_tautology(r["combination"])
+
+
+# propositional tuples over up to 8 atoms and all six tags
+_PROP = st.recursive(
+    st.integers(0, 7).map(lambda i: ("var", i)) | st.booleans().map(lambda b: ("const", b)),
+    lambda ch: ch.map(lambda a: ("not", a))
+    | st.tuples(st.sampled_from(("and", "or", "imp")), ch, ch),
+    max_leaves=14,
+)
+# a truth table reads every leaf as an atom, so a constant goes to it as a
+# formula over a fresh atom
+_TOP = ("imp", ("var", 8), ("var", 8))
+
+
+def _const_free(f):
+    if f[0] == "const":
+        return _TOP if f[1] else ("not", _TOP)
+    if f[0] == "var":
+        return f
+    return (f[0],) + tuple(map(_const_free, f[1:]))
+
+
+@given(_PROP)
+@example(("or", ("var", 0), ("not", ("var", 0))))
+@example(("imp", ("const", False), ("var", 3)))
+@settings(max_examples=300, deadline=None)
+def test_dpll_agrees_with_its_copy_and_the_truth_table(f):
+    got = dpll_tautology(f)
+    assert got is oracles.dpll_tautology(f)
+    assert got == is_tautology(_const_free(f))
+
+
+def test_dpll_refuses_unknown_tags_and_too_many_atoms():
+    with pytest.raises(ValueError, match="unknown connective 'xor'"):
+        dpll_tautology(("xor", ("var", 0), ("var", 1)))
+    wide = ("var", 0)
+    for i in range(1, games.DPLL_ATOM_CAP + 1):
+        wide = ("and", wide, ("var", i))
+    with pytest.raises(games.TooManyAtoms):
+        dpll_tautology(wide)
 
 
 def test_seq_codes_round_trip():

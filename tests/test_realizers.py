@@ -1,9 +1,21 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctruth.checker import Budget, Probe, check_realizability, check_witness
-from ctruth.formula import Add, One, UnboundVariable, Var, numeral, parse
+from ctruth.formula import (
+    Add,
+    And,
+    Forall,
+    Implies,
+    One,
+    Or,
+    UnboundVariable,
+    Var,
+    numeral,
+    parse,
+)
 from ctruth.realizers import (
     AXIOMS,
     App,
@@ -23,7 +35,9 @@ from ctruth.realizers import (
     Pair,
     ProofError,
     Snd,
+    _effective,
     _psubst,
+    _vm_enum,
     decider_code,
     extract,
     identity_code,
@@ -39,6 +53,7 @@ from ctruth.vm import run_stream
 from ctruth.witness import IOPair, Numeral, Selector, TRIVIAL, WS, WitnessStream
 
 from conftest import FIXTURES
+import oracles
 from oracles import is_linear_extension, least_satisfying
 
 PROOFS = FIXTURES / "proofs"
@@ -395,3 +410,30 @@ def test_identity_code_echoes_within_horizon():
     applied = apply_implication(out, ante.copy())
     got = [p for p in applied.pull(40) if isinstance(p, IOPair)]
     assert IOPair((Numeral(1),), (Numeral(2),)) in got
+
+
+_ATOMS = [parse(t, free=("x", "y")) for t in ("x=y", "0<x+1", "y*y=x", "1=0")]
+# a disjunct under a quantifier is not decided by bounded evaluation
+_DISJUNCTS = st.sampled_from(_ATOMS + [parse("A x. x=y", free=("y",))])
+
+
+@st.composite
+def _demand_statements(draw, depth=3):
+    """Statements over A, /\\, ->, atoms and \\/ of atoms or universals."""
+    kind = draw(st.sampled_from(("atom", "or") + (("forall", "and", "imp") if depth else ())))
+    if kind == "atom":
+        return draw(st.sampled_from(_ATOMS))
+    if kind == "or":
+        return Or(draw(_DISJUNCTS), draw(_DISJUNCTS))
+    if kind == "forall":
+        return Forall(draw(st.sampled_from("xy")), draw(_demand_statements(depth - 1)))
+    cls = And if kind == "and" else Implies
+    return cls(draw(_demand_statements(depth - 1)), draw(_demand_statements(depth - 1)))
+
+
+@given(_demand_statements())
+@settings(max_examples=300, deadline=None)
+def test_one_demand_walk_and_one_enumerator_walk_agree_with_their_copies(f):
+    assert _effective(f, False) is oracles._demand_only(f)
+    assert _effective(f) is oracles._effective(f)
+    assert _vm_enum(f, 0) == (oracles._vm_valid(f, 0), oracles._vm_ins(f, 0))

@@ -19,6 +19,7 @@ from ctruth.vm import (
     godel_encode,
     list_decode,
     list_encode,
+    parse_sexpr,
     program,
     run_stream,
     successor_program,
@@ -26,6 +27,7 @@ from ctruth.vm import (
     uncantor,
 )
 
+import oracles
 from oracles import vm_run
 
 
@@ -265,3 +267,34 @@ def test_compiled_machine_agrees_with_the_walker(text, budget, pulls):
     assert m.steps == want_steps
     assert (type(error), str(error)) == (type(want_error), str(want_error))
     assert m.cut == (m.steps > budget)
+
+
+def _reading(read, text, seq):
+    """read(text) as a token list, its lists (of type seq) spelt with
+    parentheses, or its error as (type, text)."""
+    try:
+        x = read(text)
+    except (VMError, RecursionError) as e:
+        return type(e), str(e)
+    todo, out = [x], []  # a loop, so that deep nesting compares too
+    while todo:
+        x = todo.pop()
+        if type(x) is seq:
+            out.append("(")
+            todo.append(")")
+            todo += reversed(x)
+        else:
+            out.append(x)
+    return out
+
+
+@given(st.lists(st.sampled_from(["(", ")", "a", "bc", "1", "23", "²", "٣", "x_1", " ", "\n"]),
+                max_size=16).map("".join))
+@example("(" * 5000 + "a" + ")" * 5000)
+@settings(max_examples=500, deadline=None)
+def test_reader_agrees_with_the_recursive_reader(text):
+    want = _reading(oracles.parse_sexpr, text, list)
+    if want[0] is RecursionError:  # too deep for the recursive reader, not for the loop
+        words = text.replace("(", " ( ").replace(")", " ) ").split()
+        want = [int(w) if w.isdecimal() else w for w in words]
+    assert _reading(parse_sexpr, text, tuple) == want
