@@ -14,7 +14,6 @@ from .checker import (
 )
 from .combinators import (
     apply_implication,
-    box_decode,
     compose,
     decompose,
     normalize_strict,
@@ -30,7 +29,6 @@ from .realizers import (
     infer,
     markov_realizer,
     parse_proof_text,
-    search_realizer,
     ti_realizer,
 )
 from .vm import WCode, godel_decode, godel_encode, program, run_stream
@@ -62,7 +60,6 @@ __all__ = [
     "WS",
     "WitnessStream",
     "apply_implication",
-    "box_decode",
     "check_realizability",
     "check_witness",
     "classify",
@@ -83,7 +80,6 @@ __all__ = [
     "program",
     "project_forall",
     "run_stream",
-    "search_realizer",
     "semantic_content",
     "serialize_items",
     "shape_check",

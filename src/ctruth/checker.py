@@ -384,19 +384,14 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
 
 
 def check_realizability(f: Formula, code, budget: Budget, inputs=None, probes=()) -> Verdict:
-    """Run witness-machine code under the budget and judge its stream.
+    """Run a witness-machine program under the budget and judge its stream.
 
-    The code is a program, or its Gödel code as an int or a Numeral.
     Boxed positions keep their usual demand for further codes, and
     transformer programs are exercised by naming their input streams
     (keys of inputs, queried by number from inside the machine) and
     supplying matching trusted probes.
     """
-    if isinstance(code, vm.WCode):
-        prog = code
-    else:
-        prog = vm.godel_decode(code.value if isinstance(code, Numeral) else int(code))
-    stream = vm.run_stream(prog, inputs or {}, budget.vm_steps)
+    stream = vm.run_stream(code, inputs or {}, budget.vm_steps)
     return check_witness(stream, f, budget, probes)
 
 
@@ -415,10 +410,10 @@ def synthesize_sigma03(f: Formula, budget: Budget) -> WitnessStream:
 
     Universal inputs are answered for every numeral up to the bound,
     existential outputs take the least value that survives checking at
-    the full bound, and boxed parts become literal emitter programs.
-    Pairs come out in input order; input-rooted statements lead with
-    the trivial pair.  Raises SynthesisFailed when some search runs out
-    of budget, and ValueError outside the recognized shape.
+    the full bound.  Pairs come out in input order; input-rooted
+    statements lead with the trivial pair.  Raises SynthesisFailed when
+    some search runs out of budget, and ValueError outside the
+    recognized shape.
     """
     if not classify(f).sigma03_shape:
         raise ValueError("statement is not in the recognized low-complexity shape")
@@ -481,25 +476,14 @@ def _synth(g: Formula, env: dict, budget: Budget):
                 continue
             return [(i, (Numeral(v),) + o) for i, o in sub]
         return EXHAUSTED
-    if kind == OUT_SEL:
-        for choice in (0, 1):
-            side = s[1 + choice]
-            if not eval2(side, env, *bounds):
-                continue
-            sub = _synth(side, env, budget)
-            if sub is EXHAUSTED:
-                continue
-            return [(i, (Selector(choice),) + o) for i, o in sub]
-        return EXHAUSTED
-    # OUT_CODE: bake the body's witness into a literal emitter program
-    body = s[1]
-    sub = _synth(body, env, budget)
-    if sub is EXHAUSTED:
-        return EXHAUSTED
-    inner = []
-    if input_rooted(body):
-        inner.append(TRIVIAL)
-    inner.extend(IOPair(tuple(i), tuple(o)) for i, o in sub)
-    emits = " ".join(f"(emit {vm.encode_item(it)})" for it in inner)
-    prog = vm.program(f"(prog (seq {emits}))")
-    return [((), (Numeral(prog.godel()),))]
+    # OUT_SEL: no box arrives, since both callers admit only decidable
+    # matrices (classify's sigma03 shape and the search's quantifier-free one)
+    for choice in (0, 1):
+        side = s[1 + choice]
+        if not eval2(side, env, *bounds):
+            continue
+        sub = _synth(side, env, budget)
+        if sub is EXHAUSTED:
+            continue
+        return [(i, (Selector(choice),) + o) for i, o in sub]
+    return EXHAUSTED

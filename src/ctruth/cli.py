@@ -61,7 +61,7 @@ _PARSE_ERRORS = (
     ShapeMismatch,
     vm.VMError,
     ValueError,
-    RecursionError,  # deeply nested input, such as a large literal in a formula
+    RecursionError,  # deeply nested input, such as deeply nested parentheses
 )
 
 

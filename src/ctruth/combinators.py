@@ -158,17 +158,6 @@ def compose(left: WitnessStream, right: WitnessStream) -> WitnessStream:
     return WitnessStream(gen)
 
 
-def box_decode(token) -> vm.WCode:
-    """Read a produced code token back as a machine program."""
-    if isinstance(token, Numeral):
-        code = token.value
-    elif isinstance(token, int):
-        code = token
-    else:
-        raise TypeError(f"not a code token: {token!r}")
-    return vm.godel_decode(code)
-
-
 STRICT_SCAN = 64
 
 

@@ -948,26 +948,12 @@ def eval3(f: Formula, env: dict, forall_bound: int, exists_bound: int):
 
 # convenience constructors used across the package
 
-def forall(var, body) -> Formula:
-    return Forall(var, body)
-
-
-def exists(var, body) -> Formula:
-    return Exists(var, body)
-
-
 def eq(left: Term, right: Term) -> Formula:
     return Atom("=", left, right)
 
 
-def lt(left: Term, right: Term) -> Formula:
-    return Atom("<", left, right)
-
-
 def conj_all(parts) -> Formula:
     parts = list(parts)
-    if not parts:
-        return eq(Zero(), Zero())
     f = parts[0]
     for p in parts[1:]:
         f = And(f, p)

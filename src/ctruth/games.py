@@ -35,14 +35,14 @@ from .combinators import apply_implication, normalize_strict
 from .formula import (
     _CONNECTIVES,
     And,
+    Exists,
+    Forall,
     Implies,
     Not,
     Or,
     Var,
     disj_all,
     eq,
-    exists,
-    forall,
     numeral,
     print_formula,
 )
@@ -180,7 +180,7 @@ def antecedent_formula(tree, labels):
     """Every length is realized by a decided in-tree node."""
     n, s, b = Var("n"), Var("s"), Var("b")
     matrix = And(inlen_table(n, s, tree), label_table(s, b, tree, labels))
-    return forall("n", exists("s", exists("b", matrix)))
+    return Forall("n", Exists("s", Exists("b", matrix)))
 
 
 def consequent_formula(tree, labels):
@@ -190,7 +190,7 @@ def consequent_formula(tree, labels):
         And(incomp_table(s, u, tree), label_table(s, b, tree, labels)),
         label_table(u, c, tree, labels),
     )
-    return exists("s", exists("u", exists("b", exists("c", matrix))))
+    return Exists("s", Exists("u", Exists("b", Exists("c", matrix))))
 
 
 @lru_cache(maxsize=1)
@@ -587,8 +587,8 @@ def build_chain(length: int, break_at=None):
         fake = i + 100 if break_at == i else None
         links.append(
             (
-                exists("y", eq(Var("y"), _num(i if fake is None else fake))),
-                exists("y", eq(Var("y"), _num(i + 1))),
+                Exists("y", eq(Var("y"), _num(i if fake is None else fake))),
+                Exists("y", eq(Var("y"), _num(i + 1))),
                 chain_link_witness(i, fake),
             )
         )
@@ -672,11 +672,11 @@ def prop3_duality(length: int, break_at=None, budget=None):
     links = build_chain(length, break_at)
     stream = WitnessStream.from_items([IOPair((), (Numeral(0),))])
     for i, (_, _, w) in enumerate(links):
-        stage = exists("y", eq(Var("y"), _num(i + 1)))
+        stage = Exists("y", eq(Var("y"), _num(i + 1)))
         stream = normalize_strict(apply_implication(w, stream), stage)
-    goal = exists("y", eq(Var("y"), _num(length)))
+    goal = Exists("y", eq(Var("y"), _num(length)))
     verdict = check_witness(stream, goal, budget)
-    start = exists("y", eq(Var("y"), _num(0)))
+    start = Exists("y", eq(Var("y"), _num(0)))
     combination, n_atoms = extract_combination(links, start, goal)
     return {
         "length": length,
@@ -781,16 +781,14 @@ class _Instance:
     def __init__(self, factory):
         self.strategy = factory()
         self.feeds = []
-        self.pulls = []  # (feeds snapshot, overall index, item)
+        self.pulls = []  # the items pulled, in order
 
     def feed(self, item):
         self.strategy.feed(item)
         self.feeds.append(item)
 
     def pull(self):
-        item = self.strategy.pull()
-        self.pulls.append((tuple(self.feeds), len(self.pulls), item))
-        return item
+        self.pulls.append(self.strategy.pull())
 
 
 def parse_script(text: str):
@@ -857,21 +855,16 @@ def narrow_play(factory, script_text: str) -> NarrowReport:
             fa, fb = tuple(a.feeds), tuple(b.feeds)
             if _incomparable(fa, fb):
                 continue
-            for (_, ia, va) in a.pulls:
-                for (_, ib, vb) in b.pulls:
-                    if ia != ib:
-                        continue
-                    if isinstance(va, Whitespace) or isinstance(vb, Whitespace):
-                        continue
-                    compared += 1
-                    if va != vb:
-                        conflicts.append((x, y, ia, str(va), str(vb)))
+            for k, (va, vb) in enumerate(zip(a.pulls, b.pulls)):
+                if isinstance(va, Whitespace) or isinstance(vb, Whitespace):
+                    continue
+                compared += 1
+                if va != vb:
+                    conflicts.append((x, y, k, str(va), str(vb)))
     status = (
         "violated" if conflicts else "met_so_far" if compared else "undetermined"
     )
-    outputs = {
-        n: [str(v) for (_, _, v) in inst.pulls] for n, inst in instances.items()
-    }
+    outputs = {n: [str(v) for v in inst.pulls] for n, inst in instances.items()}
     return NarrowReport(status, compared, conflicts, outputs)
 
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, fields, replace
 
 from . import vm
-from .checker import Budget, _synth, EXHAUSTED
+from .checker import Budget, _synth
 from .combinators import _shape_or_none, apply_implication, decompose, project_forall, select
 from .formula import (
     Add,
@@ -282,10 +282,29 @@ def _absurd_atom(f: Formula) -> bool:
     return not eval2(f, {}, 0, 0)
 
 
+def _same(a: Formula, b: Formula) -> bool:
+    """Whether a and b agree up to the values of closed terms, the
+    conversion rule of Heyting arithmetic: 0<0+1 is 0<1.  No numeral is
+    built, so a large closed term costs no memory."""
+    if a == b:
+        return True
+    if a.__class__ is not b.__class__:
+        return False
+    if isinstance(a, Atom):
+        return a.rel == b.rel and all(
+            s == t or not (term_vars(s) or term_vars(t)) and eval_term(s, {}) == eval_term(t, {})
+            for s, t in ((a.left, b.left), (a.right, b.right))
+        )
+    if isinstance(a, (Forall, Exists)) and a.var != b.var:
+        return False
+    return all(map(_same, parts(a), parts(b)))
+
+
 def infer(p, hyps: tuple = ()) -> Formula:
     """The statement a proof term establishes, given hypothesis types.
 
-    hyps[0] is the innermost binder.  Raises ProofError on any misfit.
+    hyps[0] is the innermost binder.  Statements are compared up to the
+    values of closed terms (_same).  Raises ProofError on any misfit.
     """
     if isinstance(p, Hyp):
         if not 0 <= p.index < len(hyps):
@@ -300,7 +319,7 @@ def infer(p, hyps: tuple = ()) -> Formula:
         if not isinstance(ft, Implies):
             raise ProofError(f"applying a non-implication: {print_formula(ft)}")
         at = infer(p.arg, hyps)
-        if at != ft.left:
+        if not _same(at, ft.left):
             raise ProofError(
                 f"argument proves {print_formula(at)}, wanted {print_formula(ft.left)}"
             )
@@ -322,7 +341,7 @@ def infer(p, hyps: tuple = ()) -> Formula:
             raise ProofError("case split on a non-disjunction")
         lt = infer(p.left, (st.left,) + hyps)
         rt = infer(p.right, (st.right,) + hyps)
-        if lt != rt:
+        if not _same(lt, rt):
             raise ProofError("case branches prove different statements")
         return lt
     if isinstance(p, Gen):
@@ -339,7 +358,7 @@ def infer(p, hyps: tuple = ()) -> Formula:
         _no_capture(p.target.body, p.target.var, p.term)
         want = subst_term(p.target.body, p.target.var, p.term)
         got = infer(p.body, hyps)
-        if got != want:
+        if not _same(got, want):
             raise ProofError(
                 f"body proves {print_formula(got)}, wanted {print_formula(want)}"
             )
@@ -347,13 +366,13 @@ def infer(p, hyps: tuple = ()) -> Formula:
     if isinstance(p, Ind):
         want0 = subst_term(p.motive, p.var, numeral(0))
         got0 = infer(p.base, hyps)
-        if got0 != want0:
+        if not _same(got0, want0):
             raise ProofError(
                 f"base proves {print_formula(got0)}, wanted {print_formula(want0)}"
             )
         wants = subst_term(p.motive, p.var, Add(Var(p.var), One()))
         gots = infer(p.step, (p.motive,) + hyps)
-        if gots != wants:
+        if not _same(gots, wants):
             raise ProofError(
                 f"step proves {print_formula(gots)}, wanted {print_formula(wants)}"
             )
@@ -617,8 +636,8 @@ def _interleave_tagged(left: WitnessStream, right: WitnessStream) -> WitnessStre
 # compilation to streams
 
 
-def _realize(p, ctx, env):
-    """A witness stream (or, for implications, a stream transformer).
+def _realize(p, ctx, env) -> WitnessStream:
+    """A witness stream.
 
     ctx is the hypothesis list, innermost first, as (statement, stream)
     with the statement as written (open); env carries the numeric values
@@ -630,56 +649,40 @@ def _realize(p, ctx, env):
     if isinstance(p, Hyp):
         return ctx[p.index][1]
     if isinstance(p, Lam):
-        ante = p.ante
-
-        def transformer(xs: WitnessStream) -> WitnessStream:
-            return _stream(p.body, [(ante, xs)] + ctx, env)
-
-        return transformer
+        # only a whole proof realizes as a transformer, which extract builds
+        raise ExtractionError("an implication value cannot be used as a stream here")
     if isinstance(p, App):
-        fn = _realize(p.fn, ctx, env)
-        arg = _stream(p.arg, ctx, env)
-        if callable(fn):
-            return fn(arg)
-        return apply_implication(fn, arg)
+        return apply_implication(_realize(p.fn, ctx, env), _realize(p.arg, ctx, env))
     if isinstance(p, Pair):
-        return _interleave_tagged(_stream(p.left, ctx, env), _stream(p.right, ctx, env))
+        return _interleave_tagged(_realize(p.left, ctx, env), _realize(p.right, ctx, env))
     if isinstance(p, (Fst, Snd)):
-        left, right = decompose(_stream(p.arg, ctx, env), _statement(p.arg, ctx, env))
+        left, right = decompose(_realize(p.arg, ctx, env), _statement(p.arg, ctx, env))
         return left if isinstance(p, Fst) else right
     if isinstance(p, (Inl, Inr)):
         side = Selector(0 if isinstance(p, Inl) else 1)
-        return _map_stream(_stream(p.arg, ctx, env), lambda it: _prepend_out(side, it))
+        return _map_stream(_realize(p.arg, ctx, env), lambda it: _prepend_out(side, it))
     if isinstance(p, Case):
         return _realize_case(p, ctx, env)
     if isinstance(p, Gen):
-        return _dovetail(lambda n: _stream(p.body, ctx, {**env, p.var: n}))
+        return _dovetail(lambda n: _realize(p.body, ctx, {**env, p.var: n}))
     if isinstance(p, Inst):
         v = eval_term(p.term, env)
-        return project_forall(_stream(p.fn, ctx, env), _statement(p.fn, ctx, env), v)
+        return project_forall(_realize(p.fn, ctx, env), _statement(p.fn, ctx, env), v)
     if isinstance(p, Exi):
         v = eval_term(p.term, env)
         return _map_stream(
-            _stream(p.body, ctx, env), lambda it: _prepend_out(Numeral(v), it)
+            _realize(p.body, ctx, env), lambda it: _prepend_out(Numeral(v), it)
         )
     if isinstance(p, Ind):
         return _realize_ind(p, ctx, env)
     if isinstance(p, Markov):
-        ex = target
-        return _search_stream(ex)
+        return _search_stream(target)
     raise ExtractionError(f"no compilation for this stuck form: {type(p).__name__}")
 
 
 def _statement(p, ctx, env) -> Formula:
     """What p proves under the hypotheses of ctx, closed by env."""
     return instantiate(infer(p, tuple(f for f, _ in ctx)), env)
-
-
-def _stream(p, ctx, env) -> WitnessStream:
-    r = _realize(p, ctx, env)
-    if callable(r):
-        raise ExtractionError("an implication value cannot be used as a stream here")
-    return r
 
 
 def _dovetail(instantiate) -> WitnessStream:
@@ -706,10 +709,10 @@ def _realize_ind(p: Ind, ctx, env) -> WitnessStream:
     def core(n: int) -> WitnessStream:
         for k in range(len(cores), n + 1):
             if k == 0:
-                cores.append(_stream(p.base, ctx, env))
+                cores.append(_realize(p.base, ctx, env))
             else:
                 hyp_ctx = [(p.motive, cores[k - 1])] + ctx
-                cores.append(_stream(p.step, hyp_ctx, {**env, p.var: k - 1}))
+                cores.append(_realize(p.step, hyp_ctx, {**env, p.var: k - 1}))
         return cores[n]
 
     return _dovetail(core)
@@ -717,7 +720,7 @@ def _realize_ind(p: Ind, ctx, env) -> WitnessStream:
 
 def _realize_case(p: Case, ctx, env) -> WitnessStream:
     whole = _statement(p.scrut, ctx, env)
-    scrut = _stream(p.scrut, ctx, env)
+    scrut = _realize(p.scrut, ctx, env)
 
     def items():
         for item in scrut:
@@ -737,7 +740,7 @@ def _realize_case(p: Case, ctx, env) -> WitnessStream:
         side = select(scrut, whole, chosen)
         branch = p.left if choice == 0 else p.right
         side_formula = slot(whole)[1 + choice]
-        yield from _stream(branch, [(side_formula, side)] + ctx, env)
+        yield from _realize(branch, [(side_formula, side)] + ctx, env)
 
     return WitnessStream(items)
 
@@ -752,11 +755,8 @@ def _search_stream(ex: Exists) -> WitnessStream:
             if not eval2(ex.body, env, tiny.numeral_bound, tiny.search_bound):
                 yield WS
                 continue
-            sub = _synth(ex.body, env, tiny)
-            if sub is EXHAUSTED:
-                yield WS
-                continue
-            for i, o in sub:
+            # a true quantifier-free matrix is always answered
+            for i, o in _synth(ex.body, env, tiny):
                 yield IOPair(tuple(i), (Numeral(v),) + tuple(o))
             return
 
@@ -943,12 +943,14 @@ def extract(proof) -> Extraction:
     """Typecheck, normalize and compile a closed proof."""
     target = infer(proof, ())
     normal = normalize(proof)
+    if isinstance(normal, Lam) and not _effective(target):
+
+        def transform(xs: WitnessStream) -> WitnessStream:
+            return _realize(normal.body, [(normal.ante, xs)], {})
+
+        code = identity_code() if normal == Lam(normal.ante, Hyp(0)) else None
+        return Extraction(target, None, transform, code)
     r = _realize(normal, [], {})
-    if callable(r):
-        code = None
-        if normal == Lam(normal.ante, Hyp(0)):
-            code = identity_code()
-        return Extraction(target, None, r, code)
     if _effective(target, decided=False):
         return Extraction(target, r, None, _enum_code(target))
     if isinstance(normal, Markov) and isinstance(target, Exists):
@@ -958,13 +960,6 @@ def extract(proof) -> Extraction:
     except ExtractionError:
         code = None
     return Extraction(target, r, None, code)
-
-
-def search_realizer(ex: Exists) -> Extraction:
-    """The searching realizer for a decidable existential, proof aside."""
-    if not isinstance(ex, Exists) or not _quantifier_free(ex.body):
-        raise ExtractionError("search needs an existential with a decidable matrix")
-    return Extraction(ex, _search_stream(ex), None, _search_code(ex))
 
 
 def decider_code(matrix: Formula, var: str) -> vm.WCode:

@@ -161,9 +161,6 @@ class WCode:
     def text(self) -> str:
         return print_sexpr(self.expr)
 
-    def godel(self) -> int:
-        return godel_encode(self.text())
-
     def __str__(self):
         return self.text()
 

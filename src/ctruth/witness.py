@@ -38,7 +38,16 @@ class ShapeMismatch(Exception):
 
 
 class WitnessTextError(Exception):
-    """Malformed witness text."""
+    """Malformed witness text; offset is where an unexpected character
+    stands in the text read, None for any other fault."""
+
+    def __init__(self, message, offset=None):
+        super().__init__(message)
+        self.offset = offset
+
+
+def _unexpected(text, i):
+    return WitnessTextError(f"unexpected {text[i]!r} at {i}", i)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +244,23 @@ def _tokens(text, i, stop):
             m = _QUOTED.match(text, m.start(2))
             if m is None:
                 raise WitnessTextError("unterminated quote")
-            toks.append(Prefix(parse_witness_text(_ESCAPED.sub(r"\1", m.group(1)))))
+            try:
+                toks.append(Prefix(parse_witness_text(_ESCAPED.sub(r"\1", m.group(1)))))
+            except WitnessTextError as e:
+                if e.offset is None:
+                    raise
+                # back to the quote's own text: an escape is two characters
+                # of it, and the character it stands for is the second
+                j = m.start(1)
+                for _ in range(e.offset):
+                    j += 2 if text[j] == "\\" else 1
+                raise _unexpected(text, j + (text[j] == "\\")) from None
         elif other == stop:
             return tuple(toks), m.end()
         elif other is None:
             raise WitnessTextError("unterminated pair")
         else:
-            raise WitnessTextError(f"unexpected {other!r} at {m.start(3)}")
+            raise _unexpected(text, m.start(3))
         i = m.end()
 
 
@@ -250,8 +269,8 @@ def parse_witness_text(text: str) -> tuple:
 
     Number tokens come back as numerals; the selector role is assigned
     later by shape checking against a statement.  A prefix's text is
-    unescaped and read as witness text of its own, so the offset in an
-    error inside it counts from the prefix's first character.
+    unescaped and read as witness text of its own; the offset in an
+    error inside it is mapped back to the text given.
     """
     items = []
     i = 0
@@ -266,7 +285,7 @@ def parse_witness_text(text: str) -> tuple:
         if i == len(text):
             return tuple(items)
         if text[i] != "(":
-            raise WitnessTextError(f"unexpected {text[i]!r} at {i}")
+            raise _unexpected(text, i)
         ins, i = _tokens(text, i + 1, ":")
         outs, i = _tokens(text, i, ")")
         items.append(IOPair(ins, outs))

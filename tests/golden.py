@@ -22,7 +22,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ctruth import vm  # noqa: E402
-from ctruth.checker import Budget, Probe, check_witness  # noqa: E402
+from ctruth.checker import (  # noqa: E402
+    Budget,
+    Probe,
+    SynthesisFailed,
+    check_realizability,
+    check_witness,
+    synthesize_sigma03,
+)
 from ctruth.cli import main  # noqa: E402
 from ctruth.formula import parse, print_formula  # noqa: E402
 from ctruth.games import (  # noqa: E402
@@ -34,6 +41,7 @@ from ctruth.games import (  # noqa: E402
     prop3_duality,
     subtrees_of_depth,
 )
+from ctruth.realizers import extract, parse_proof_text  # noqa: E402
 from ctruth.witness import (  # noqa: E402
     IOPair,
     Numeral,
@@ -46,9 +54,11 @@ from ctruth.witness import (  # noqa: E402
 )
 
 from oracles import all_tables, render_table, table_correct  # noqa: E402
-from test_acceptance import _FAMILY, _rep_commands  # noqa: E402
+from test_acceptance import _FAMILY, _corpus_budgets, _ladder, _rep_commands  # noqa: E402
+from test_realizers import _FORMS_BUDGET, EXTRACTION_FORMS  # noqa: E402
 
-PINNED = Path(__file__).parent.parent / "fixtures" / "golden" / "verdicts.txt"
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+PINNED = FIXTURES / "golden" / "verdicts.txt"
 SEED = 20261019
 
 
@@ -290,6 +300,75 @@ def _clis():
             yield f"cli check box {name}: {_cli(argv)}"
 
 
+# ---------------------------------------------------------------------------
+# proof extraction: the fixture corpus at its budgets and the proof forms
+# it does not reach; sigma-0-3 synthesis at every rung of the ladder
+
+EXTRACTED_ITEMS = 40
+
+
+def _extraction(label, text, budget, ante=None):
+    """The theorem and code of a proof, the code's verdict, and the
+    realizer's verdict and first items; a transformer is applied to the
+    antecedent witness, given as (statement, witness text), and judged
+    against the consequent."""
+    claimed, proof = parse_proof_text(text)
+    ext = extract(proof)
+    code = "none" if ext.code is None else ext.code.text()
+    yield f"extract {label}: THEOREM {print_formula(claimed)} | CODE {code}"
+    inputs, probes = None, ()
+    if ante is not None:
+        af, aw = ante[0], WitnessStream.from_text(ante[1])
+        inputs, probes = {"0": aw}, (Probe(af, aw),)
+    if ext.code is not None:
+        got = _outcome(
+            lambda: check_realizability(claimed, ext.code, budget, inputs, probes).line()
+        )
+        yield f"extract {label} code: {got}"
+
+    def realized():
+        if ext.stream is not None:
+            w, f = ext.stream, claimed
+        else:
+            w, f = ext.apply(WitnessStream.from_text(ante[1])), claimed.right
+        items = serialize_items(w.pull(EXTRACTED_ITEMS))
+        return f"{check_witness(w, f, budget).line()} | {items}"
+
+    yield f"extract {label} realizer: {_outcome(realized)}"
+
+
+def _extractions():
+    for name, budget in _corpus_budgets():
+        ante = None
+        if (FIXTURES / "proofs" / f"{name}_ante.fml").exists():
+            ante = (
+                parse((FIXTURES / "proofs" / f"{name}_ante.fml").read_text().strip()),
+                (FIXTURES / "witnesses" / f"{name}_ante.wit").read_text(),
+            )
+        yield from _extraction(name, (FIXTURES / "proofs" / f"{name}.prf").read_text(), budget, ante)
+    forms = EXTRACTION_FORMS + [
+        ("A x. A y. (x=y \\/ ~(x=y))", "(ax eq_dec)", None),
+        ("(E x. x=1) -> (E y. y=2) -> E y. y=2",
+         "(lam {E x. x=1} (lam {E y. y=2} (hyp 0)))", "(:1)"),
+    ]
+    for statement, proof, ante in forms:
+        if ante is not None:
+            ante = (parse(statement).left, ante)
+        yield from _extraction(statement, f"{statement}\n{proof}", _FORMS_BUDGET, ante)
+
+
+def _synthesis():
+    for kind in ("true", "false"):
+        for path in sorted((FIXTURES / "sigma03" / kind).glob("*.fml")):
+            f = parse(path.read_text().strip())
+            for rung, budget in enumerate(_ladder(), 1):
+                try:
+                    got = f"WITNESS {serialize_items(tuple(synthesize_sigma03(f, budget)))}"
+                except SynthesisFailed as e:
+                    got = f"SYNTHESIS exhausted {e}"
+                yield f"synth {kind}/{path.name} rung={rung}: {got}"
+
+
 def lines():
     rng = random.Random(SEED)
     yield from _tables(rng)
@@ -299,6 +378,8 @@ def lines():
     yield from _boxes()
     yield from _games(rng)
     yield from _clis()
+    yield from _extractions()
+    yield from _synthesis()
 
 
 if __name__ == "__main__":

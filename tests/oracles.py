@@ -575,10 +575,13 @@ def is_linear_extension(sequence, precedes, universe):
 
 
 def propositional_leaves(f, acc=None):
-    """Atoms of a propositional skeleton, tuple-coded or Formula."""
+    """Atoms of a propositional skeleton, tuple-coded or Formula; a
+    ("const", b) is no atom."""
     if acc is None:
         acc = []
-    if isinstance(f, tuple) and f[0] in ("and", "or", "imp"):
+    if isinstance(f, tuple) and f[0] == "const":
+        pass
+    elif isinstance(f, tuple) and f[0] in ("and", "or", "imp"):
         propositional_leaves(f[1], acc)
         propositional_leaves(f[2], acc)
     elif isinstance(f, tuple) and f[0] == "not":
@@ -595,6 +598,8 @@ def propositional_leaves(f, acc=None):
 
 
 def _prop_eval(f, assign):
+    if isinstance(f, tuple) and f[0] == "const":
+        return f[1]
     if isinstance(f, tuple) and f[0] in ("and", "or", "imp", "not"):
         op = f[0]
         if op == "not":

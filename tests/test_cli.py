@@ -6,6 +6,7 @@ from ctruth.cli import main
 from ctruth.vm import godel_encode
 
 from conftest import FIXTURES
+from test_realizers import induction_text
 
 
 def run(capsys, *argv):
@@ -504,3 +505,37 @@ def test_a_long_run_of_steps_over_a_variable_prints(tmp_path, capsys):
     code, out = run(capsys, "parse", "--formula", str(fml))
     assert code == 0
     assert out.splitlines()[-1] == "FORMULA " + text
+
+
+_FST = "((E x. x=1) /\\ 0=0) -> E x. x=1\n(lam {(E x. x=1) /\\ 0=0} (fst (hyp 0)))\n"
+
+
+def test_parse_reads_a_witness_a_proof_and_a_program(tmp_path, capsys):
+    wit, prf, wc = tmp_path / "a.wit", tmp_path / "a.prf", tmp_path / "a.wc"
+    wit.write_text('(:) (3:"(:1)",1) _\n')
+    prf.write_text(_FST)
+    wc.write_text("(prog (emit 1))\n")
+    code, out = run(capsys, "parse", "--witness", str(wit), "--proof", str(prf), "--code", str(wc))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        'WITNESS (:) (3:"(:1)",1) _',
+        "THEOREM E x. x=1 /\\ 0=0 -> E x. x=1",
+        "CODE (prog (emit 1))",
+    ]
+
+
+def test_extract_without_code_exits_one(tmp_path, capsys):
+    prf = tmp_path / "fst.prf"
+    prf.write_text(_FST)
+    code, out = run(capsys, "extract", "--proof", str(prf))
+    assert code == 1
+    assert out.splitlines()[-1] == "CODE none"
+
+
+def test_extract_of_an_induction_compared_up_to_conversion(tmp_path, capsys):
+    prf = tmp_path / "ind.prf"
+    prf.write_text(induction_text(2) + "\n")
+    code, out = run(capsys, "extract", "--proof", str(prf))
+    assert code == 0
+    assert out.splitlines()[1] == "THEOREM 0<3"
+    assert out.splitlines()[2].startswith("CODE (prog ")

@@ -3,7 +3,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctruth.combinators import (
     apply_implication,
-    box_decode,
     compose,
     decompose,
     normalize_strict,
@@ -11,7 +10,7 @@ from ctruth.combinators import (
 )
 from ctruth.checker import Budget, check_witness
 from ctruth.formula import parse
-from ctruth.vm import godel_encode, run_stream
+from ctruth.vm import godel_decode, godel_encode, run_stream
 from ctruth.witness import (
     IOPair,
     Numeral,
@@ -90,12 +89,9 @@ def test_decompose_wants_a_conjunction():
         decompose(WitnessStream.from_items([]), parse("0=0"))
 
 
-def test_box_decode_runs_the_coded_machine():
-    code = godel_encode("(prog (emit 1))")
-    p = box_decode(Numeral(code))
+def test_a_godel_code_decodes_to_the_coded_machine():
+    p = godel_decode(godel_encode("(prog (emit 1))"))
     assert run_stream(p, {}, 100).pull(1) == (TRIVIAL,)
-    with pytest.raises(TypeError):
-        box_decode(Selector(0))
 
 
 def test_normalize_strict_sorts_and_drops_noise():

@@ -37,6 +37,7 @@ from ctruth.realizers import (
     Snd,
     _effective,
     _psubst,
+    _same,
     _vm_enum,
     decider_code,
     extract,
@@ -45,7 +46,6 @@ from ctruth.realizers import (
     markov_realizer,
     normalize,
     parse_proof_text,
-    search_realizer,
     ti_realizer,
 )
 from ctruth.combinators import apply_implication
@@ -437,3 +437,88 @@ def test_one_demand_walk_and_one_enumerator_walk_agree_with_their_copies(f):
     assert _effective(f, False) is oracles._demand_only(f)
     assert _effective(f) is oracles._effective(f)
     assert _vm_enum(f, 0) == (oracles._vm_valid(f, 0), oracles._vm_ins(f, 0))
+
+
+# Proof forms the fixture corpus does not reach, each with the antecedent
+# witness its transformer is applied to (None for a stream): a pair of
+# existentials, projections from a hypothesis, an instantiated
+# hypothesis, an application of a projected implication, a pair of two
+# finite streams, and the enumerator's selector and prefix inputs.
+EXTRACTION_FORMS = [
+    ("E x. x=1 /\\ E y. y=2",
+     "(pair (exi {E x. x=1} {1} (inst (ax refl) {1})) (exi {E y. y=2} {2} (inst (ax refl) {2})))",
+     None),
+    ("((E x. x=1) /\\ 0=0) -> E x. x=1",
+     "(lam {(E x. x=1) /\\ 0=0} (fst (hyp 0)))",
+     "(0:1) (1:)"),
+    ("(A x. E y. y=x) -> E y. y=3",
+     "(lam {A x. E y. y=x} (inst (hyp 0) {3}))",
+     "(:) (0:0) (1:1) (2:2) (3:3) (4:4)"),
+    ("(((E x. x=1) -> E y. y=1) /\\ E x. x=1) -> E y. y=1",
+     "(lam {((E x. x=1) -> E y. y=1) /\\ E x. x=1} (app (fst (hyp 0)) (snd (hyp 0))))",
+     '(0,"_ (:1)":1) (1:1)'),
+    ("A x. x=x /\\ 0=0", "(pair (ax refl) (inst (ax refl) {0}))", None),
+    ("(E x. x=1) -> (E x. x=1) /\\ (E x. x=1)",
+     "(lam {E x. x=1} (pair (hyp 0) (hyp 0)))",
+     "(:1)"),
+    ("0=0 -> 0=0", "(lam {0=0} (hyp 0))", None),
+]
+
+_FORMS_BUDGET = Budget(32, 4, 10000)
+
+
+def _extracted(statement, proof, ante):
+    """The extracted witness and the statement it is judged against: the
+    consequent, for a transformer applied to the antecedent witness."""
+    f, p = parse_proof_text(f"{statement}\n{proof}")
+    ext = extract(p)
+    if ante is None:
+        return ext.stream, f
+    return ext.apply(WitnessStream.from_text(ante)), f.right
+
+
+@pytest.mark.parametrize("statement, proof, ante", EXTRACTION_FORMS)
+def test_each_proof_form_extracts_an_accepted_witness(statement, proof, ante):
+    w, f = _extracted(statement, proof, ante)
+    assert check_witness(w, f, _FORMS_BUDGET).status == "accepted_up_to"
+
+
+def test_a_decided_disjunction_enumerates_the_true_side():
+    w, f = _extracted("A x. A y. (x=y \\/ ~(x=y))", "(ax eq_dec)", None)
+    # the enumerator is sparse: 32 items do not reach every bounded input
+    assert check_witness(w, f, _FORMS_BUDGET).line() == "VERDICT pending missing=(0,4)"
+    assert check_witness(w, f, Budget(256, 4, 10000)).status == "accepted_up_to"
+
+
+def test_a_curried_implication_is_not_a_stream():
+    w = WitnessStream.from_text("(:1)")
+    ext = extract(parse_proof_text(
+        "(E x. x=1) -> (E y. y=2) -> E y. y=2\n(lam {E x. x=1} (lam {E y. y=2} (hyp 0)))"
+    )[1])
+    with pytest.raises(ExtractionError, match="an implication value cannot be used as a stream here"):
+        ext.apply(w)
+
+
+def induction_text(n):
+    """0<n+1 by induction on the motive 0<m+1, whose step chains 0<m+1
+    and m+1<m+1+1 through lt_trans: unrolled, step 0 proves the motive at
+    0+1 and step 1 assumes it at 1."""
+    step = ("(app (app (inst (inst (inst (ax lt_trans) {0}) {n+1}) {n+1+1}) (hyp 0))"
+            " (inst (ax lt_succ) {n+1}))")
+    return f"0<{n}+1\n(inst (ind n {{0<n+1}} (inst (ax lt_succ) {{0}}) {step}) {{{n}}})"
+
+
+def test_statements_are_compared_up_to_closed_term_values():
+    zero_lt_one = Inst(Ax("lt_succ"), numeral(0))  # proves 0<0+1
+    assert infer(App(Lam(parse("0<1"), Hyp(0)), zero_lt_one)) == parse("0<1")
+    with pytest.raises(ProofError, match="argument proves"):
+        infer(App(Lam(parse("0<2"), Hyp(0)), zero_lt_one))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_induction_whose_motive_mentions_its_variable_extracts(n):
+    stmt, proof = parse_proof_text(induction_text(n))
+    assert _same(infer(normalize(proof)), parse(f"0<{n + 1}"))
+    ext = extract(proof)
+    assert ext.code is not None
+    assert check_witness(ext.stream, stmt, Budget(8, 4, 1000)).status == "accepted_up_to"

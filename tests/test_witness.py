@@ -10,6 +10,7 @@ from ctruth.formula import (
     And,
     Atom,
     Box,
+    Exists,
     Forall,
     Implies,
     Not,
@@ -18,7 +19,6 @@ from ctruth.formula import (
     Zero,
     disj_all,
     eq,
-    exists,
     parse,
 )
 from ctruth.witness import (
@@ -95,7 +95,12 @@ def test_reader_faults_are_text_errors():
     # a backslash that ends the text inside a quote, and a character that
     # str.isdigit accepts but int() refuses
     for text, error in [('(:"\\', "unterminated quote"), ('("(:\\', "unterminated quote"),
-                        ("(²:)", "unexpected '²' at 1"), ("(1²:)", "unexpected '²' at 2")]:
+                        ("(²:)", "unexpected '²' at 1"), ("(1²:)", "unexpected '²' at 2"),
+                        # a fault inside a quote, at its offset in the text: each
+                        # escape is one more character of the text
+                        ('("(x:)":)', "unexpected 'x' at 3"),
+                        ('("(:\\"\\") (x:)":)', "unexpected 'x' at 11"),
+                        ('("(\\"(x:)\\":)":)', "unexpected 'x' at 6")]:
         with pytest.raises(WitnessTextError) as e:
             parse_witness_text(text)
         assert str(e.value) == error
@@ -111,6 +116,19 @@ def _read(parse, text):
         return "error", str(e)
     except (IndexError, ValueError) as e:
         return type(e).__name__, None
+
+
+def _in_quote(text, offset):
+    """Whether offset lies inside a quoted prefix of text."""
+    inside = False
+    i = 0
+    while i < offset:
+        if inside and text[i] == "\\":
+            i += 1
+        elif text[i] == '"':
+            inside = not inside
+        i += 1
+    return inside
 
 
 def _quoted(text):
@@ -133,6 +151,7 @@ _TEXTS = st.recursive(
 @example('(0:"(:) (٣:2)" ,1) _')
 @example('(0, x:)')  # the offset of a fault past blanks and commas
 @example('("\\\n":)')  # an escaped line end
+@example('("(\\"(\\\\x:)\\":)":)')  # a fault two quotes in, past an escape
 @settings(max_examples=400, deadline=None)
 def test_reader_matches_the_character_reader(text):
     got, want = _read(parse_witness_text, text), _read(oracles.parse_witness_text, text)
@@ -142,7 +161,14 @@ def test_reader_matches_the_character_reader(text):
         c = re.fullmatch(r"unexpected '(.)' at \d+", got[1]).group(1)
         assert c.isdigit() and not c.isdecimal()
     else:
-        assert got == want
+        fault = re.fullmatch(r"unexpected .+ at (\d+)", got[1], re.S) if got[0] == "error" else None
+        if fault and _in_quote(text, int(fault[1])):
+            # the character reader counts from the start of the quote's text
+            k = int(fault[1])
+            assert got[1] == f"unexpected {text[k]!r} at {k}"
+            assert want[1].startswith(f"unexpected {text[k]!r} at ")
+        else:
+            assert got == want
 
 
 def test_serialization_round_trip_on_sample():
@@ -231,7 +257,7 @@ def test_serialize_parse_round_trip(items):
 # the offset walks against the recursive oracles, on five spines
 _SPINES = [
     parse("A x. E y. y=x+1"),
-    exists("x", disj_all(eq(Var("x"), Zero()) for _ in range(6))),
+    Exists("x", disj_all(eq(Var("x"), Zero()) for _ in range(6))),
     parse("A x. (E y. y=x /\\ A z. E w. w=z+x)"),
     parse("(A x. E y. y=x+1) -> A x. E y. y=x+2"),
     parse("A x. box E y. y=x"),
@@ -349,7 +375,7 @@ def test_a_prefix_is_shaped_once_per_antecedent_object():
 def test_long_selector_path_needs_no_recursion():
     # E x. over a left-folded run of 5,001 disjuncts: the leftmost one is
     # 5,000 selectors deep
-    f = exists("x", disj_all(eq(Var("x"), Zero()) for _ in range(5001)))
+    f = Exists("x", disj_all(eq(Var("x"), Zero()) for _ in range(5001)))
     p = IOPair((), (Numeral(0),) * 5001)
     shaped = shape_check(f, p)
     assert len(shaped.outputs) == 5001
