@@ -1118,6 +1118,8 @@ def _proof_tokens(text: str):
             toks.append(("brace", text[i + 1 : j].strip()))
             i = j + 1
             continue
+        if c == "}":
+            raise ProofError(f"stray }} at token {len(toks)}")
         j = i
         while j < len(text) and not text[j].isspace() and text[j] not in "(){}":
             j += 1

@@ -11,10 +11,15 @@ Items cross the machine boundary as numeric codes:
     item:  whitespace = 0, pair = 1 + cantor(listcode(ins), listcode(outs))
 
 Every evaluation step costs one unit against an externally supplied
-budget; an exhausted budget ends the emitted stream.  The code of a
-program is the byte string of its canonical printed form read base-256.
+budget; an exhausted budget ends the emitted stream.  A pure block (a
+form of literals, variables and arithmetic only) is charged its form
+count at once and runs as one compiled expression, or form by form at
+the budget's edge and on an error, so every count and error is the same.
+The code of a program is the byte string of its canonical printed form
+read base-256.
 """
 
+import functools
 import math
 import operator
 import re
@@ -276,9 +281,9 @@ class VM:
         return encode_item(item)
 
 
-# one step; the pure closures, which take nearly every step, inline it:
-# calling _tick from them made extract_run's wall_s 6.8 % slower
-# (BENCH_10.json, "tick_inlining")
+# one step of a form run on its own.  Pure blocks take three quarters of
+# extract_run's steps, in one addition each, so inlining this (BENCH_10's
+# "tick_inlining") would now save only 1.7 % of its wall_s (BENCH_16)
 def _tick(vm):
     vm.steps += 1
     if vm.steps > vm.budget:
@@ -315,6 +320,43 @@ _OPS = {
     "fst": lambda z: uncantor(z)[0],
     "snd": lambda z: uncantor(z)[1],
 }
+
+
+# A pure block runs as one Python expression over env: _SPELL writes each
+# built-in as a Python operator where one means the same, else as a call
+# of the built-in itself.
+_SPELL = {"+": "({} + {})", "<": "(1 if {} < {} else 0)", "=": "(1 if {} == {} else 0)"}
+_SPELL.update((h, f"_ops[{h!r}]({{}})") for h in ("fst", "snd"))
+_SPELL.update((h, f"_ops[{h!r}]({{}}, {{}})") for h in ("-", "*", "div", "mod", "pair"))
+# compile() refuses an expression nested past about 200 parentheses, and
+# the cache keeps at most 1024 blocks of at most 256 forms each; a larger
+# pure form runs its outer forms one by one and the blocks below fused
+_BLOCK_DEPTH, _BLOCK_FORMS = 60, 256
+
+
+def _spell(x, depth):
+    """The form x as (Python expression, form count), or None when x is
+    not pure or nests deeper than depth."""
+    if isinstance(x, int):
+        return str(x), 1
+    if isinstance(x, str):
+        return f"env[{x!r}]", 1
+    if not depth or x[0] not in _OPS:
+        return None
+    parts = [_spell(e, depth - 1) for e in x[1:]]
+    if None in parts:
+        return None
+    return _SPELL[x[0]].format(*(s for s, _ in parts)), 1 + sum(n for _, n in parts)
+
+
+@functools.lru_cache(maxsize=1024)
+def _block(x):
+    """The form x as (function of env, form count), or None when it is not
+    a pure block: compiled once per distinct form, not once per run."""
+    spelt = _spell(x, _BLOCK_DEPTH)
+    if spelt and spelt[1] <= _BLOCK_FORMS:
+        code = compile("lambda env: " + spelt[0], "<block>", "eval")
+        return eval(code, {"_ops": _OPS}), spelt[1]
 
 
 def _fails(x, defs) -> bool:
@@ -364,7 +406,7 @@ def _restore(env, name, had, old):
         del env[name]
 
 
-def _compile(x, defs, cells, emitters):
+def _compile(x, defs, cells, emitters, in_block=False):
     """Compile the validated form x to (closure, emits).
 
     The closure maps (vm, env) to the form's value.  When emits is true
@@ -374,19 +416,17 @@ def _compile(x, defs, cells, emitters):
     Every closure takes one step on entry, before its operands run, and
     runs them left to right.  `cells` maps each definition's name to a
     one-element list that holds its compiled body by the time it runs.
+    A pure block outside any other runs fused, and it keeps its per-form
+    closures for the budget's edge and for errors: a rerun has no effect.
     """
     if isinstance(x, int):
         def literal(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             return x
         return literal, False
     if isinstance(x, str):
         def variable(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             try:
                 return env[x]
             except KeyError:
@@ -408,7 +448,21 @@ def _compile(x, defs, cells, emitters):
             _tick(vm)
             raise VMError(message)
         return fail, False
-    parts = [_compile(e, defs, cells, emitters) for e in _operands(x)]
+    if head in _OPS and not in_block and (block := _block(x)):
+        fast, n = block
+        slow = _compile(x, defs, cells, emitters, True)[0]
+
+        def fused(vm, env):
+            if vm.steps + n <= vm.budget:
+                try:
+                    val = fast(env)
+                except (KeyError, VMError):  # an unbound name, or past MAX_BITS
+                    return slow(vm, env)
+                vm.steps += n
+                return val
+            return slow(vm, env)
+        return fused, False
+    parts = [_compile(e, defs, cells, emitters, in_block) for e in _operands(x)]
     fs = [f for f, _ in parts]
     callee = head not in _BUILTIN and head in emitters
     emits = head == "emit" or callee or any(e for _, e in parts)
@@ -424,17 +478,13 @@ def _compile(x, defs, cells, emitters):
             (a,) = fs
 
             def unary(vm, env):
-                vm.steps += 1
-                if vm.steps > vm.budget:
-                    raise _OutOfSteps()
+                _tick(vm)
                 return op(a(vm, env))
             return unary, False
         a, b = fs
 
         def binary(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             return op(a(vm, env), b(vm, env))
         return binary, False
 
@@ -460,9 +510,7 @@ def _compile(x, defs, cells, emitters):
         (v,) = fs
 
         def set_(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             env[name] = val = v(vm, env)
             return val
         return set_, False
@@ -478,9 +526,7 @@ def _compile(x, defs, cells, emitters):
             return seq, True
 
         def seq(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             val = 0
             for f in fs:
                 val = f(vm, env)
@@ -498,9 +544,7 @@ def _compile(x, defs, cells, emitters):
             return if_, True
 
         def if_(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             return (t if c(vm, env) else e)(vm, env)
         return if_, False
 
@@ -520,9 +564,7 @@ def _compile(x, defs, cells, emitters):
             return let, True
 
         def let(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             val = v(vm, env)
             had, old = name in env, env.get(name)
             env[name] = val
@@ -546,9 +588,7 @@ def _compile(x, defs, cells, emitters):
             return while_, True
 
         def while_(vm, env):
-            vm.steps += 1
-            if vm.steps > vm.budget:
-                raise _OutOfSteps()
+            _tick(vm)
             while c(vm, env):
                 body(vm, env)
             return 0
@@ -564,9 +604,7 @@ def _compile(x, defs, cells, emitters):
         return call, True
 
     def call(vm, env):
-        vm.steps += 1
-        if vm.steps > vm.budget:
-            raise _OutOfSteps()
+        _tick(vm)
         args = []  # a loop, not a comprehension: no frame per call
         for f in fs:
             args.append(f(vm, env))

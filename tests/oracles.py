@@ -57,7 +57,7 @@ from ctruth.witness import (
     is_pair,
     slot,
 )
-from ctruth.vm import VMError, cantor, decode_item, encode_item, uncantor
+from ctruth.vm import MAX_BITS, VMError, cantor, decode_item, encode_item, uncantor
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +668,13 @@ class _WalkerOutOfSteps(Exception):
     pass
 
 
+def _sized(n):
+    """A product or pair past MAX_BITS bits is an error, as in the package."""
+    if n >> MAX_BITS:
+        raise VMError(f"number past {MAX_BITS} bits")
+    return n
+
+
 class _Walker:
     """The reference interpreter: every form is a generator, driven with
     `yield from`, that ticks once on entry and then runs its operands
@@ -722,7 +729,7 @@ class _Walker:
             b = yield from self._eval(x[2], env)
             return a - b if a > b else 0
         if head == "*":
-            return (yield from self._eval(x[1], env)) * (yield from self._eval(x[2], env))
+            return _sized((yield from self._eval(x[1], env)) * (yield from self._eval(x[2], env)))
         if head == "div":
             a = yield from self._eval(x[1], env)
             b = yield from self._eval(x[2], env)
@@ -742,7 +749,7 @@ class _Walker:
         if head == "pair":
             a = yield from self._eval(x[1], env)
             b = yield from self._eval(x[2], env)
-            return cantor(a, b)
+            return _sized(cantor(a, b))
         if head == "fst":
             return uncantor((yield from self._eval(x[1], env)))[0]
         if head == "snd":

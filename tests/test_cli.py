@@ -1,3 +1,4 @@
+import signal
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,26 @@ def test_extract_unbound_variable_exits_one(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[-1] == "ERROR unbound variable: y"
     assert "Traceback" not in out
+
+
+def test_extract_stray_brace_exits_one(tmp_path, capsys):
+    prf = tmp_path / "brace.prf"
+    prf.write_text("A x. x=x\n(ax refl})\n")
+
+    def hang(signum, frame):
+        raise TimeoutError("extract did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        code, out = run(capsys, "extract", "--proof", str(prf))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("ERROR")] == [
+        "ERROR stray } at token 3"]
+    assert out.splitlines()[-1].startswith("ERROR") and "Traceback" not in out
 
 
 def test_check_missing_file_is_usage_error(capsys):

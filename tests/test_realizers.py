@@ -87,6 +87,8 @@ def test_proof_errors():
             parse_proof_text(truncated)
     with pytest.raises(ProofError, match="unclosed { at token 6"):
         parse_proof_text("0=0\n(inst (ax refl) {0)")
+    with pytest.raises(ProofError, match="stray } at token 3"):
+        parse_proof_text("A x. x=x\n(ax refl})")
     with pytest.raises(ProofError, match="expected index at token 2, found 'x'"):
         parse_proof_text("0=0\n(hyp x)")
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctruth.witness import IOPair, Numeral, Prefix, Selector, TRIVIAL, WS, WitnessStream
 from ctruth.vm import (
+    CANTOR,
     VM,
     DecodeError,
     VMError,
@@ -252,6 +253,12 @@ def _programs(draw):
 @example("(prog (def f (a) (if a (frob (emit 1)) 0)) (seq (emit 1) (emit (f 0))))", 400, None)
 @example("(prog (def g (a b) (emit a)) (def f (a) (if a (g (emit 1)) 0))"
          " (seq (emit 1) (emit (f 0)) (emit (f 1))))", 400, None)  # wrong arity
+# the fused path's fallbacks: an unbound name deep in a pure block, a
+# product past MAX_BITS inside one, and a budget that ends inside one
+@example("(prog (seq (emit 1) (emit (+ 1 (* 2 x)))))", 400, None)
+@example("(prog (seq (set a 3) (set n 0) (while (< n 19) (seq (set a (* a a)) (set n (+ n 1))))"
+         " (emit (+ 1 (* a a)))))", 400, None)
+@example(f"(prog {CANTOR} (seq (emit 1) (emit (cantor 2 3))))", 12, None)
 @settings(max_examples=600, deadline=None)
 def test_compiled_machine_agrees_with_the_walker(text, budget, pulls):
     prog = program(text)
@@ -267,6 +274,15 @@ def test_compiled_machine_agrees_with_the_walker(text, budget, pulls):
     assert m.steps == want_steps
     assert (type(error), str(error)) == (type(want_error), str(want_error))
     assert m.cut == (m.steps > budget)
+
+
+@pytest.mark.parametrize("depth, steps", [(250, 502), (400, 802)])
+def test_deep_pure_nest_runs_as_the_walker_does(depth, steps):
+    # deeper than one compiled expression may nest
+    prog = program("(prog (emit " + "(+ 1 " * depth + "0" + ")" * depth + "))")
+    m = VM(prog, {}, 10000)
+    assert (list(m.items()), m.steps) == vm_run(prog, {}, 10000)[:2]
+    assert m.steps == steps
 
 
 def _reading(read, text, seq):
