@@ -7,18 +7,20 @@ case split, generalization and instantiation, existential introduction,
 induction, a search rule turning no-counterexample premises into
 decidable existentials, and a fixed table of arithmetic axioms.
 
-Extraction first normalizes the proof, then compiles it to a witness
-stream.  Statements whose spine only ever demands input (universal
+Extraction normalizes the proof, then walks it once into a realizer
+giving item k of the witness from k, run in Python or printed as machine
+code.  A statement whose spine only ever demands input (universal
 quantifiers, conjunction sides, implication prefixes feeding an
-input-only consequent, atoms) need no computation at all: a proof of
-one certifies its truth, so a plain enumerator of input paths is a
-correct witness, and that enumerator also exists as machine code.
-Genuinely productive forms (existential values, disjunct choices,
-induction with content, search) compile to stream transformations.
+input-only consequent, atoms) needs no computation: a proof of one
+certifies its truth, so an enumerator of input paths is a witness.
+Existential values and disjunct choices prepend output tokens, pairs and
+generalizations split the index, and the forms with no index form keep
+stream combinators.
 """
 
 import itertools
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from . import vm
 from .checker import Budget, _synth
@@ -306,6 +308,13 @@ def infer(p, hyps: tuple = ()) -> Formula:
     hyps[0] is the innermost binder.  Statements are compared up to the
     values of closed terms (_same).  Raises ProofError on any misfit.
     """
+    return _infer(p, hyps, infer)
+
+
+def _infer(p, hyps: tuple, rec) -> Formula:
+    """infer's rule for the form of p, rec(q, hyps) giving the statement
+    of each subproof q: it is called once per subproof, in _SUBPROOFS
+    order."""
     if isinstance(p, Hyp):
         if not 0 <= p.index < len(hyps):
             raise ProofError(f"hypothesis {p.index} is not in scope")
@@ -313,41 +322,41 @@ def infer(p, hyps: tuple = ()) -> Formula:
     if isinstance(p, (Gen, Ind)) and any(p.var in free_vars(h) for h in hyps):
         raise ProofError(f"{p.var} is free in an open hypothesis")
     if isinstance(p, Lam):
-        return Implies(p.ante, infer(p.body, (p.ante,) + hyps))
+        return Implies(p.ante, rec(p.body, (p.ante,) + hyps))
     if isinstance(p, App):
-        ft = infer(p.fn, hyps)
+        ft = rec(p.fn, hyps)
         if not isinstance(ft, Implies):
             raise ProofError(f"applying a non-implication: {print_formula(ft)}")
-        at = infer(p.arg, hyps)
+        at = rec(p.arg, hyps)
         if not _same(at, ft.left):
             raise ProofError(
                 f"argument proves {print_formula(at)}, wanted {print_formula(ft.left)}"
             )
         return ft.right
     if isinstance(p, Pair):
-        return And(infer(p.left, hyps), infer(p.right, hyps))
+        return And(rec(p.left, hyps), rec(p.right, hyps))
     if isinstance(p, (Fst, Snd)):
-        t = infer(p.arg, hyps)
+        t = rec(p.arg, hyps)
         if not isinstance(t, And):
             raise ProofError("projecting a non-conjunction")
         return t.left if isinstance(p, Fst) else t.right
     if isinstance(p, Inl):
-        return Or(infer(p.arg, hyps), p.other)
+        return Or(rec(p.arg, hyps), p.other)
     if isinstance(p, Inr):
-        return Or(p.other, infer(p.arg, hyps))
+        return Or(p.other, rec(p.arg, hyps))
     if isinstance(p, Case):
-        st = infer(p.scrut, hyps)
+        st = rec(p.scrut, hyps)
         if not isinstance(st, Or):
             raise ProofError("case split on a non-disjunction")
-        lt = infer(p.left, (st.left,) + hyps)
-        rt = infer(p.right, (st.right,) + hyps)
+        lt = rec(p.left, (st.left,) + hyps)
+        rt = rec(p.right, (st.right,) + hyps)
         if not _same(lt, rt):
             raise ProofError("case branches prove different statements")
         return lt
     if isinstance(p, Gen):
-        return Forall(p.var, infer(p.body, hyps))
+        return Forall(p.var, rec(p.body, hyps))
     if isinstance(p, Inst):
-        t = infer(p.fn, hyps)
+        t = rec(p.fn, hyps)
         if not isinstance(t, Forall):
             raise ProofError("instantiating a non-universal")
         _no_capture(t.body, t.var, p.term)
@@ -357,7 +366,7 @@ def infer(p, hyps: tuple = ()) -> Formula:
             raise ProofError("existential introduction needs an existential target")
         _no_capture(p.target.body, p.target.var, p.term)
         want = subst_term(p.target.body, p.target.var, p.term)
-        got = infer(p.body, hyps)
+        got = rec(p.body, hyps)
         if not _same(got, want):
             raise ProofError(
                 f"body proves {print_formula(got)}, wanted {print_formula(want)}"
@@ -365,13 +374,13 @@ def infer(p, hyps: tuple = ()) -> Formula:
         return p.target
     if isinstance(p, Ind):
         want0 = subst_term(p.motive, p.var, numeral(0))
-        got0 = infer(p.base, hyps)
+        got0 = rec(p.base, hyps)
         if not _same(got0, want0):
             raise ProofError(
                 f"base proves {print_formula(got0)}, wanted {print_formula(want0)}"
             )
         wants = subst_term(p.motive, p.var, Add(Var(p.var), One()))
-        gots = infer(p.step, (p.motive,) + hyps)
+        gots = rec(p.step, (p.motive,) + hyps)
         if not _same(gots, wants):
             raise ProofError(
                 f"step proves {print_formula(gots)}, wanted {print_formula(wants)}"
@@ -379,7 +388,7 @@ def infer(p, hyps: tuple = ()) -> Formula:
         return Forall(p.var, p.motive)
     if isinstance(p, Markov):
         # body : (A x. (D -> absurd)) -> absurd, for a closed false atom
-        t = infer(p.body, hyps)
+        t = rec(p.body, hyps)
         ok = (
             isinstance(t, Implies)
             and isinstance(t.left, Forall)
@@ -518,43 +527,27 @@ def _effective(f: Formula, decided: bool = True) -> bool:
     return decided and s[0] == OUT_SEL and _quantifier_free(f)
 
 
-def _enum_tokens(f: Formula, k: int, env: dict):
-    """Decode index k into the k-th answered pair of f, or None.
+def _enum_pair(f: Formula, k: int, env: dict):
+    """Decode index k into the k-th answered pair of f, or whitespace.
 
     Input slots branch on k; a decided disjunction contributes the true
     side's selector as output.  env holds the values of f's instantiated
-    variables.  Returns (input tokens, output tokens).
+    variables.
     """
     s = slot(f)
     kind = s[0]
     if kind == END:
-        return ([], []) if k == 0 else None
+        return WS if k else TRIVIAL
     if kind == IN_NUM:
         v, rest = vm.uncantor(k)
-        sub = _enum_tokens(s[2], rest, {**env, s[1]: v})
-        return None if sub is None else ([Numeral(v)] + sub[0], sub[1])
+        return _tagged(Numeral(v), _enum_pair(s[2], rest, {**env, s[1]: v}))
     if kind == IN_SEL:
-        side = s[1 + (k % 2)]
-        sub = _enum_tokens(side, k // 2, env)
-        return None if sub is None else ([Selector(k % 2)] + sub[0], sub[1])
+        return _tagged(Selector(k % 2), _enum_pair(s[1 + (k % 2)], k // 2, env))
     if kind == IN_PREFIX:
-        sub = _enum_tokens(s[2], k, env)
-        return None if sub is None else ([Prefix(())] + sub[0], sub[1])
+        return _tagged(Prefix(()), _enum_pair(s[2], k, env))
     # OUT_SEL over a decidable matrix: assert the side that holds
     choice = 0 if eval2(s[1], env, 0, 0) else 1
-    sub = _enum_tokens(s[1 + choice], k, env)
-    return None if sub is None else (sub[0], [Selector(choice)] + sub[1])
-
-
-def _enum_stream(f: Formula) -> WitnessStream:
-    def items():
-        if input_rooted(f):
-            yield TRIVIAL
-        for k in itertools.count():
-            toks = _enum_tokens(f, k, {})
-            yield WS if toks is None else IOPair(tuple(toks[0]), tuple(toks[1]))
-
-    return WitnessStream(items)
+    return _answered(Selector(choice), _enum_pair(s[1 + choice], k, env))
 
 
 def _vm_enum(f: Formula, i: int):
@@ -586,141 +579,171 @@ def _vm_enum(f: Formula, i: int):
 
 def _enum_item(f: Formula) -> str:
     """The enumerator's item at index k0: its pair's code, or 0."""
+    if not _effective(f, decided=False):
+        raise ExtractionError("a decided disjunction has no enumerator code")
     valid, ins = _vm_enum(f, 0)
     return f"(if {valid} (+ 1 (cantor {ins} 0)) 0)"
 
 
-def _enum_code(f: Formula) -> vm.WCode:
-    lead = "(emit 1) " if input_rooted(f) else ""
-    return vm.program(
-        f"(prog {vm.CANTOR}"
-        f" (seq {lead}(set k0 0) (while 1 (seq (emit {_enum_item(f)}) (set k0 (+ k0 1))))))"
+# ---------------------------------------------------------------------------
+# the realizer: one walk over a normal proof, two back ends
+#
+# The walk gives each subproof a node: "enum", the enumerator of a
+# statement that is demand-only, or decided at a form with no index form;
+# "index", a form giving item k from k (Exi, Inl and Inr prepend an output
+# token, Pair splits k by parity and Gen and Ind by Cantor pairing, each
+# prepending the input token it splits on); or "stream", a form with no
+# index form, realized by the stream combinators.  The Python back end
+# runs a node as a function of (k, env); the machine back end prints it
+# as an expression over a machine index, and has no form for a stream
+# node.  A node consumed as a stream, at the root or by a combinator,
+# leads with the trivial pair where its statement is input-rooted; one
+# composed by index has no lead.  So a proof's stream and code agree.
+
+
+@dataclass(frozen=True)
+class _Node:
+    how: str  # "enum", "index" or "stream"
+    statement: Formula  # as written, over the variables generalized above
+    proof: object
+    kids: tuple  # the nodes of the subproofs, in _SUBPROOFS order
+
+    @property
+    def lead(self) -> tuple:
+        """What the node starts with when consumed as a stream."""
+        return (TRIVIAL,) if input_rooted(self.statement) else ()
+
+
+def _walk(p, hyps: tuple) -> _Node:
+    """The realizer node of a normal proof p under the hypothesis
+    statements hyps, innermost first.  infer's rule for p's form gives its
+    statement from the nodes of its subproofs, each walked once."""
+    kids = []
+
+    def rec(q, q_hyps):
+        kids.append(_walk(q, q_hyps))
+        return kids[-1].statement
+
+    f = _infer(p, hyps, rec)
+    if _effective(f, decided=False):
+        return _Node("enum", f, p, ())
+    if isinstance(p, (Exi, Inl, Inr, Pair, Gen)) or (
+            isinstance(p, Ind) and not _uses_hyp(p.step, 0)):
+        return _Node("index", f, p, tuple(kids))
+    return _Node("enum" if _effective(f) else "stream", f, p, tuple(kids))
+
+
+def _uses_hyp(p, j: int, n: int = 1) -> bool:
+    """Whether p uses one of the hypotheses j, ..., j + n - 1."""
+    if isinstance(p, Hyp):
+        return j <= p.index < j + n
+    kids = _SUBPROOFS.get(type(p), {})
+    return any(_uses_hyp(getattr(p, name), j + binds, n) for name, binds in kids.items())
+
+
+# -- the Python back end
+
+
+def _stream(node: _Node, env: dict, ctx: tuple) -> WitnessStream:
+    """node consumed as a stream.  env holds the values of the variables
+    generalized above it, ctx the hypotheses' streams, innermost first."""
+    if node.how == "stream":
+        return _leaf(node, env, ctx)
+    found = map(_items(node, ctx), itertools.count(), itertools.repeat(env))
+    return WitnessStream(
+        itertools.chain(node.lead, itertools.takewhile(lambda it: it is not None, found))
     )
 
 
-# ---------------------------------------------------------------------------
-# stream surgery helpers
+def _tagged(tok, item):
+    """item with tok as its first input: whitespace for no item."""
+    if item is None:
+        return WS
+    return IOPair((tok,) + item.inputs, item.outputs) if is_pair(item) else item
 
 
-def _prepend_in(tok, item):
-    if not is_pair(item):
-        return item
-    return IOPair((tok,) + item.inputs, item.outputs)
+def _by_index(w: WitnessStream, k: int):
+    """Item k of a stream composed by index, where a trivial pair is a lead
+    passed on: it commits to nothing, so it reads as whitespace."""
+    item = w.at(k)
+    return WS if item == TRIVIAL else item
 
 
-def _prepend_out(tok, item):
-    if not is_pair(item):
-        return item
-    return IOPair(item.inputs, (tok,) + item.outputs)
+def _answered(tok, item):
+    """item with tok as its first output."""
+    return IOPair(item.inputs, (tok,) + item.outputs) if is_pair(item) else item
 
 
-def _map_stream(src: WitnessStream, fn) -> WitnessStream:
-    return WitnessStream(lambda: map(fn, src))
+def _items(node: _Node, ctx: tuple):
+    """node as a function of (k, env) giving its item k, or None past the
+    end of a finite stream."""
+    p, how = node.proof, node.how
+    if how == "enum":
+        return partial(_enum_pair, node.statement)
+    if how == "stream":
+        instances = {}  # a stream per instance of the variables above
 
+        def leaf(k, env):
+            key = tuple(env.items())
+            if key not in instances:
+                instances[key] = _leaf(node, env, ctx)
+            return _by_index(instances[key], k)
+        return leaf
+    # an Ind step binds a hypothesis, which it does not use
+    binds = _SUBPROOFS[type(p)].values()
+    kids = [_items(kid, (None,) * b + ctx) for kid, b in zip(node.kids, binds)]
+    if isinstance(p, (Gen, Ind)):
+        shift = 1 if isinstance(p, Ind) else 0  # Ind: instance 0 is the base
 
-def _interleave_tagged(left: WitnessStream, right: WitnessStream) -> WitnessStream:
-    def items():
-        i = 0
-        while True:
-            left_item, right_item = left.at(i), right.at(i)
-            if left_item is None and right_item is None:
-                return
-            yield WS if left_item is None else _prepend_in(Selector(0), left_item)
-            yield WS if right_item is None else _prepend_in(Selector(1), right_item)
-            i += 1
-
-    return WitnessStream(items)
-
-
-# ---------------------------------------------------------------------------
-# compilation to streams
-
-
-def _realize(p, ctx, env) -> WitnessStream:
-    """A witness stream.
-
-    ctx is the hypothesis list, innermost first, as (statement, stream)
-    with the statement as written (open); env carries the numeric values
-    of the first-order variables currently generalized over.
-    """
-    target = _statement(p, ctx, env)
-    if _effective(target):
-        return _enum_stream(target)
-    if isinstance(p, Hyp):
-        return ctx[p.index][1]
-    if isinstance(p, Lam):
-        # only a whole proof realizes as a transformer, which extract builds
-        raise ExtractionError("an implication value cannot be used as a stream here")
-    if isinstance(p, App):
-        return apply_implication(_realize(p.fn, ctx, env), _realize(p.arg, ctx, env))
-    if isinstance(p, Pair):
-        return _interleave_tagged(_realize(p.left, ctx, env), _realize(p.right, ctx, env))
-    if isinstance(p, (Fst, Snd)):
-        left, right = decompose(_realize(p.arg, ctx, env), _statement(p.arg, ctx, env))
-        return left if isinstance(p, Fst) else right
-    if isinstance(p, (Inl, Inr)):
-        side = Selector(0 if isinstance(p, Inl) else 1)
-        return _map_stream(_realize(p.arg, ctx, env), lambda it: _prepend_out(side, it))
-    if isinstance(p, Case):
-        return _realize_case(p, ctx, env)
-    if isinstance(p, Gen):
-        return _dovetail(lambda n: _realize(p.body, ctx, {**env, p.var: n}))
-    if isinstance(p, Inst):
-        v = eval_term(p.term, env)
-        return project_forall(_realize(p.fn, ctx, env), _statement(p.fn, ctx, env), v)
-    if isinstance(p, Exi):
-        v = eval_term(p.term, env)
-        return _map_stream(
-            _realize(p.body, ctx, env), lambda it: _prepend_out(Numeral(v), it)
-        )
-    if isinstance(p, Ind):
-        return _realize_ind(p, ctx, env)
-    if isinstance(p, Markov):
-        return _search_stream(target)
-    raise ExtractionError(f"no compilation for this stuck form: {type(p).__name__}")
-
-
-def _statement(p, ctx, env) -> Formula:
-    """What p proves under the hypotheses of ctx, closed by env."""
-    return instantiate(infer(p, tuple(f for f, _ in ctx)), env)
-
-
-def _dovetail(instantiate) -> WitnessStream:
-    """Fair merge of instance streams, tagging each item with its input."""
-    cache = {}
-
-    def inst(n):
-        if n not in cache:
-            cache[n] = instantiate(n)
-        return cache[n]
-
-    def items():
-        for k in itertools.count():
+        def cantor(k, env):
             n, r = vm.uncantor(k)
-            item = inst(n).at(r)
-            yield WS if item is None else _prepend_in(Numeral(n), item)
+            item = kids[0](r, env) if n < shift else kids[-1](r, {**env, p.var: n - shift})
+            return _tagged(Numeral(n), item)
+        return cantor
+    if isinstance(p, Pair):
 
-    return WitnessStream(items)
+        def parity(k, env):
+            j, side = divmod(k, 2)
+            item = kids[side](j, env)
+            if item is None:  # the pair ends where both sides end
+                return None if kids[1 - side](j, env) is None else WS
+            return _tagged(Selector(side), item)
+        return parity
+
+    def out(k, env):  # Exi, Inl, Inr
+        if isinstance(p, Exi):
+            return _answered(Numeral(eval_term(p.term, env)), kids[0](k, env))
+        return _answered(Selector(0 if isinstance(p, Inl) else 1), kids[0](k, env))
+    return out
 
 
-def _realize_ind(p: Ind, ctx, env) -> WitnessStream:
-    cores = []  # cores[k] realizes the motive at k
+def _leaf(node: _Node, env: dict, ctx: tuple) -> WitnessStream:
+    """A form with no index form, realized with the stream combinators."""
+    p, kids = node.proof, node.kids
+    if isinstance(p, Hyp):
+        return ctx[p.index]
+    if isinstance(p, App):
+        return apply_implication(*(_stream(kid, env, ctx) for kid in kids))
+    if isinstance(p, (Fst, Snd)):
+        left, right = decompose(_stream(kids[0], env, ctx), instantiate(kids[0].statement, env))
+        return left if isinstance(p, Fst) else right
+    if isinstance(p, Inst):
+        f = instantiate(kids[0].statement, env)
+        return project_forall(_stream(kids[0], env, ctx), f, eval_term(p.term, env))
+    if isinstance(p, Case):
+        return _case_stream(node, env, ctx)
+    if isinstance(p, Ind):
+        return _ind_stream(node, env, ctx)
+    if isinstance(p, Markov):
+        return _search_stream(instantiate(node.statement, env))
+    # a Lam: only a whole proof realizes as a transformer, which extract builds
+    raise ExtractionError("an implication value cannot be used as a stream here")
 
-    def core(n: int) -> WitnessStream:
-        for k in range(len(cores), n + 1):
-            if k == 0:
-                cores.append(_realize(p.base, ctx, env))
-            else:
-                hyp_ctx = [(p.motive, cores[k - 1])] + ctx
-                cores.append(_realize(p.step, hyp_ctx, {**env, p.var: k - 1}))
-        return cores[n]
 
-    return _dovetail(core)
-
-
-def _realize_case(p: Case, ctx, env) -> WitnessStream:
-    whole = _statement(p.scrut, ctx, env)
-    scrut = _realize(p.scrut, ctx, env)
+def _case_stream(node: _Node, env: dict, ctx: tuple) -> WitnessStream:
+    scrut_node, *branches = node.kids
+    whole = instantiate(scrut_node.statement, env)
+    scrut = _stream(scrut_node, env, ctx)
 
     def items():
         for item in scrut:
@@ -738,11 +761,25 @@ def _realize_case(p: Case, ctx, env) -> WitnessStream:
             return None
 
         side = select(scrut, whole, chosen)
-        branch = p.left if choice == 0 else p.right
-        side_formula = slot(whole)[1 + choice]
-        yield from _realize(branch, [(side_formula, side)] + ctx, env)
+        yield from _stream(branches[choice], env, (side,) + ctx)
 
     return WitnessStream(items)
+
+
+def _ind_stream(node: _Node, env: dict, ctx: tuple) -> WitnessStream:
+    """An induction whose step uses its hypothesis: the motive at n + 1 is
+    realized with the motive's stream at n as that hypothesis."""
+    p, (base, step) = node.proof, node.kids
+    cores = []  # cores[n] realizes the motive at n
+
+    def core(n: int) -> WitnessStream:
+        for k in range(len(cores), n + 1):
+            cores.append(_stream(step, {**env, p.var: k - 1}, (cores[-1],) + ctx) if k
+                         else _stream(base, env, ctx))
+        return cores[n]
+
+    instances = map(vm.uncantor, itertools.count())
+    return WitnessStream(_tagged(Numeral(n), _by_index(core(n), r)) for n, r in instances)
 
 
 def _search_stream(ex: Exists) -> WitnessStream:
@@ -763,47 +800,7 @@ def _search_stream(ex: Exists) -> WitnessStream:
     return WitnessStream(items)
 
 
-def _atom_test(matrix: Formula, var: str) -> str:
-    """A machine expression in var that is 1 where an atomic or
-    negated-atomic matrix holds and 0 where it fails."""
-    body, negated = matrix, False
-    if isinstance(body, Not):
-        body, negated = body.body, True
-    if not isinstance(body, Atom):
-        raise ExtractionError("only atoms and their negations decide this way")
-    a = _vm_term_env(body.left, {var: var})
-    b = _vm_term_env(body.right, {var: var})
-    test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
-    return f"(- 1 {test})" if negated else test
-
-
-def _search_code(ex: Exists):
-    """Machine code for the search, for atomic or negated-atomic matrices."""
-    try:
-        test = _atom_test(ex.body, ex.var)
-    except ExtractionError:
-        return None
-    x = ex.var
-    return vm.program(
-        f"(prog {vm.CANTOR}"
-        f" (seq (set {x} 0)"
-        f" (while (= {test} 0) (seq (emit 0) (set {x} (+ {x} 1))))"
-        f" (emit (+ 1 (cantor 0 (+ 1 (cantor (* 3 {x}) 0)))))))"
-    )
-
-
-# ---------------------------------------------------------------------------
-# compilation to machine code
-#
-# Productive proofs compile to a program computing the i-th item of the
-# realized stream directly from i, then emitting them in an endless
-# loop.  Each construct contributes one wrapper around its subproof's
-# item expression, mirroring the stream combinators above: universal
-# generalization splits the index into (instance, position) and tags
-# inputs, existential introduction and injections prepend output
-# tokens, pairing alternates, induction dispatches on the instance.
-# Statements whose spine only demands input fall back to the plain
-# enumerator regardless of how they were proved.
+# -- the machine back end
 
 _CODE_PRELUDE = (
     vm.CANTOR
@@ -812,12 +809,56 @@ _CODE_PRELUDE = (
 )
 
 
-def _uses_hyp(p, j: int, n: int = 1) -> bool:
-    """Whether p uses one of the hypotheses j, ..., j + n - 1."""
-    if isinstance(p, Hyp):
-        return j <= p.index < j + n
-    kids = _SUBPROOFS.get(type(p), {})
-    return any(_uses_hyp(getattr(p, name), j + binds, n) for name, binds in kids.items())
+def _machine(node: _Node) -> vm.WCode:
+    """A program emitting node's stream: its lead, then item i for i = 0,
+    1, ...; an enumerator counts its own index and a search, over an
+    atomic or negated-atomic matrix, runs its own loop.  Raises
+    ExtractionError where a node has no machine form."""
+    if node.how == "stream" and isinstance(node.proof, Markov):
+        x, test = node.statement.var, _atom_test(node.statement.body, node.statement.var)
+        return vm.program(
+            f"(prog {vm.CANTOR} (seq (set {x} 0)"
+            f" (while (= {test} 0) (seq (emit 0) (set {x} (+ {x} 1))))"
+            f" (emit (+ 1 (cantor 0 (+ 1 (cantor (* 3 {x}) 0)))))))"
+        )
+    lead = "(emit 1) " if node.lead else ""
+    if node.how == "enum":
+        return vm.program(
+            f"(prog {vm.CANTOR} (seq {lead}(set k0 0)"
+            f" (while 1 (seq (emit {_enum_item(node.statement)}) (set k0 (+ k0 1))))))"
+        )
+    item = _code(node, {}, "i", 0)
+    return vm.program(
+        "(prog "
+        + _CODE_PRELUDE
+        + f" (seq {lead}(set i 0) (while 1 (seq (emit {item}) (set i (+ 1 i))))))"
+    )
+
+
+def _code(node: _Node, syms: dict, idx: str, d: int) -> str:
+    """node's item at the machine index idx, as an expression.  syms maps
+    the generalized variables to the machine symbols holding their
+    instances; d keeps generated names fresh."""
+    p, kids = node.proof, node.kids
+    if node.how == "enum":
+        return f"(let k0 {idx} {_enum_item(node.statement)})"
+    if node.how == "stream":
+        raise ExtractionError(f"no machine form for {type(p).__name__} here")
+    if isinstance(p, Exi):
+        v = _vm_term_env(p.term, syms)
+        return f"(preout (* 3 {v}) {_code(kids[0], syms, idx, d)})"
+    if isinstance(p, (Inl, Inr)):
+        return f"(preout {1 if isinstance(p, Inl) else 4} {_code(kids[0], syms, idx, d)})"
+    j, u = f"j{d}", f"u{d}"
+    if isinstance(p, Pair):
+        left, right = (_code(kid, syms, j, d + 1) for kid in kids)
+        return (f"(let {j} (div {idx} 2)"
+                f" (if (= (mod {idx} 2) 0) (prein 1 {left}) (prein 4 {right})))")
+    body = _code(kids[-1], {**syms, p.var: u}, j, d + 1)
+    n = u if isinstance(p, Gen) else f"n{d}"
+    if isinstance(p, Ind):  # instance 0 is the base, n + 1 the step at n
+        body = f"(if (= {n} 0) {_code(kids[0], syms, j, d + 1)} (let {u} (- {n} 1) {body}))"
+    return f"(let {n} (fst {idx}) (let {j} (snd {idx}) (prein (* 3 {n}) {body})))"
 
 
 def _vm_term_env(t: Term, env: dict) -> str:
@@ -836,58 +877,18 @@ def _vm_term_env(t: Term, env: dict) -> str:
     raise ExtractionError(f"no machine form for {t!r}")
 
 
-def _item_expr(p, hyps: tuple, env: dict, idx: str, d: int) -> str:
-    """A machine expression for the idx-th item of p's realized stream.
-
-    env maps generalized first-order variables to the machine symbols
-    holding their current instance; d keeps generated names fresh.
-    """
-    target = infer(p, hyps)
-    if _effective(target, decided=False):
-        return f"(let k0 {idx} {_enum_item(target)})"
-    if isinstance(p, Exi):
-        v = _vm_term_env(p.term, env)
-        return f"(preout (* 3 {v}) {_item_expr(p.body, hyps, env, idx, d)})"
-    if isinstance(p, Inl):
-        return f"(preout 1 {_item_expr(p.arg, hyps, env, idx, d)})"
-    if isinstance(p, Inr):
-        return f"(preout 4 {_item_expr(p.arg, hyps, env, idx, d)})"
-    if isinstance(p, Pair):
-        left = _item_expr(p.left, hyps, env, f"j{d}", d + 1)
-        right = _item_expr(p.right, hyps, env, f"j{d}", d + 1)
-        return (
-            f"(let j{d} (div {idx} 2)"
-            f" (if (= (mod {idx} 2) 0) (prein 1 {left}) (prein 4 {right})))"
-        )
-    if isinstance(p, Gen):
-        sym = f"u{d}"
-        inner = _item_expr(p.body, hyps, {**env, p.var: sym}, f"j{d}", d + 1)
-        return (
-            f"(let {sym} (fst {idx}) (let j{d} (snd {idx})"
-            f" (prein (* 3 {sym}) {inner})))"
-        )
-    if isinstance(p, Ind):
-        if _uses_hyp(p.step, 0):
-            raise ExtractionError("a step that consumes its hypothesis has no direct code")
-        sym = f"u{d}"
-        base = _item_expr(p.base, hyps, env, f"j{d}", d + 1)
-        step = _item_expr(p.step, (p.motive,) + hyps, {**env, p.var: sym}, f"j{d}", d + 1)
-        return (
-            f"(let n{d} (fst {idx}) (let j{d} (snd {idx})"
-            f" (prein (* 3 n{d})"
-            f" (if (= n{d} 0) {base} (let {sym} (- n{d} 1) {step})))))"
-        )
-    raise ExtractionError(f"no machine form for {type(p).__name__} here")
-
-
-def _compile_code(p, target: Formula) -> vm.WCode:
-    item = _item_expr(p, (), {}, "i", 0)
-    lead = "(emit 1) " if input_rooted(target) else ""
-    return vm.program(
-        "(prog "
-        + _CODE_PRELUDE
-        + f" (seq {lead}(set i 0) (while 1 (seq (emit {item}) (set i (+ 1 i))))))"
-    )
+def _atom_test(matrix: Formula, var: str) -> str:
+    """A machine expression in var that is 1 where an atomic or
+    negated-atomic matrix holds and 0 where it fails."""
+    body, negated = matrix, False
+    if isinstance(body, Not):
+        body, negated = body.body, True
+    if not isinstance(body, Atom):
+        raise ExtractionError("only atoms and their negations decide this way")
+    a = _vm_term_env(body.left, {var: var})
+    b = _vm_term_env(body.right, {var: var})
+    test = f"(= {a} {b})" if body.rel == "=" else f"(< {a} {b})"
+    return f"(- 1 {test})" if negated else test
 
 
 def identity_code(horizon: int = 16) -> vm.WCode:
@@ -922,10 +923,10 @@ def identity_code(horizon: int = 16) -> vm.WCode:
 class Extraction:
     """What a proof yields: the statement, and its realizer.
 
-    For implication statements the realizer is a transformer from
-    antecedent streams to consequent streams (use .apply); otherwise it
-    is a stream.  .code is a machine program computing the same witness
-    when one of the compilable shapes applies, else None.
+    .stream and .code are the two back ends of the one realizer the proof
+    walk builds, and emit the same items; .code is None where a node has
+    no machine form.  A proof of an implication that computes realizes as
+    a transformer from antecedent to consequent streams (use .apply).
     """
 
     formula: Formula
@@ -940,26 +941,18 @@ class Extraction:
 
 
 def extract(proof) -> Extraction:
-    """Typecheck, normalize and compile a closed proof."""
+    """Typecheck, normalize and realize a closed proof."""
     target = infer(proof, ())
     normal = normalize(proof)
-    if isinstance(normal, Lam) and not _effective(target):
-
-        def transform(xs: WitnessStream) -> WitnessStream:
-            return _realize(normal.body, [(normal.ante, xs)], {})
-
+    node = _walk(normal, ())
+    if isinstance(normal, Lam) and node.how == "stream":  # an implication that computes
         code = identity_code() if normal == Lam(normal.ante, Hyp(0)) else None
-        return Extraction(target, None, transform, code)
-    r = _realize(normal, [], {})
-    if _effective(target, decided=False):
-        return Extraction(target, r, None, _enum_code(target))
-    if isinstance(normal, Markov) and isinstance(target, Exists):
-        return Extraction(target, r, None, _search_code(target))
+        return Extraction(target, None, lambda xs: _stream(node.kids[0], {}, (xs,)), code)
     try:
-        code = _compile_code(normal, target)
+        code = _machine(node)
     except ExtractionError:
         code = None
-    return Extraction(target, r, None, code)
+    return Extraction(target, _stream(node, {}, ()), None, code)
 
 
 def decider_code(matrix: Formula, var: str) -> vm.WCode:
@@ -1092,7 +1085,7 @@ def parse_proof_text(text: str):
     if pos != len(toks):
         raise ProofError(f"trailing proof text: {toks[pos:]}")
     got = infer(proof, ())
-    if got != claimed:
+    if not _same(got, claimed):
         raise ProofError(
             f"proof establishes {print_formula(got)}, file claims {print_formula(claimed)}"
         )

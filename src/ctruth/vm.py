@@ -334,18 +334,20 @@ _SPELL.update((h, f"_ops[{h!r}]({{}}, {{}})") for h in ("-", "*", "div", "mod", 
 _BLOCK_DEPTH, _BLOCK_FORMS = 60, 256
 
 
-def _spell(x, depth):
+def _spell(x, depth, room=_BLOCK_FORMS):
     """The form x as (Python expression, form count), or None when x is
-    not pure or nests deeper than depth."""
+    not pure, nests deeper than depth or has an operator past room forms."""
     if isinstance(x, int):
         return str(x), 1
     if isinstance(x, str):
         return f"env[{x!r}]", 1
-    if not depth or x[0] not in _OPS:
+    if not depth or room < 1 or x[0] not in _OPS:
         return None
-    parts = [_spell(e, depth - 1) for e in x[1:]]
-    if None in parts:
-        return None
+    parts = []
+    for e in x[1:]:
+        parts.append(_spell(e, depth - 1, room - 1 - sum(n for _, n in parts)))
+        if parts[-1] is None:
+            return None
     return _SPELL[x[0]].format(*(s for s, _ in parts)), 1 + sum(n for _, n in parts)
 
 

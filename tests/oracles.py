@@ -8,7 +8,7 @@ from these functions, written before the assertions that use them.
 
 import itertools
 
-from ctruth import checker, vm
+from ctruth import checker, realizers, vm
 from ctruth.formula import (
     NEGATIVE,
     POSITIVE,
@@ -1410,3 +1410,94 @@ def parse_sexpr(text: str):
     if pos != len(text):
         raise VMError(f"trailing program text at {pos}")
     return expr
+
+
+# ---------------------------------------------------------------------------
+# extraction's machine code, by its own proof walk
+#
+# As realizers printed machine code before one walk built one realizer
+# for both the stream and the code: _item_expr re-infers each subproof's
+# statement and writes the item expression of the productive forms, and
+# extraction_code picks the enumerator, the search or the item loop for
+# a whole proof as extract did.
+
+
+def _item_expr(p, hyps: tuple, env: dict, idx: str, d: int) -> str:
+    target = realizers.infer(p, hyps)
+    if realizers._effective(target, decided=False):
+        return f"(let k0 {idx} {realizers._enum_item(target)})"
+    if isinstance(p, realizers.Exi):
+        v = realizers._vm_term_env(p.term, env)
+        return f"(preout (* 3 {v}) {_item_expr(p.body, hyps, env, idx, d)})"
+    if isinstance(p, realizers.Inl):
+        return f"(preout 1 {_item_expr(p.arg, hyps, env, idx, d)})"
+    if isinstance(p, realizers.Inr):
+        return f"(preout 4 {_item_expr(p.arg, hyps, env, idx, d)})"
+    if isinstance(p, realizers.Pair):
+        left = _item_expr(p.left, hyps, env, f"j{d}", d + 1)
+        right = _item_expr(p.right, hyps, env, f"j{d}", d + 1)
+        return (
+            f"(let j{d} (div {idx} 2)"
+            f" (if (= (mod {idx} 2) 0) (prein 1 {left}) (prein 4 {right})))"
+        )
+    if isinstance(p, realizers.Gen):
+        sym = f"u{d}"
+        inner = _item_expr(p.body, hyps, {**env, p.var: sym}, f"j{d}", d + 1)
+        return (
+            f"(let {sym} (fst {idx}) (let j{d} (snd {idx})"
+            f" (prein (* 3 {sym}) {inner})))"
+        )
+    if isinstance(p, realizers.Ind):
+        if realizers._uses_hyp(p.step, 0):
+            raise realizers.ExtractionError("a step that consumes its hypothesis")
+        sym = f"u{d}"
+        base = _item_expr(p.base, hyps, env, f"j{d}", d + 1)
+        step = _item_expr(p.step, (p.motive,) + hyps, {**env, p.var: sym}, f"j{d}", d + 1)
+        return (
+            f"(let n{d} (fst {idx}) (let j{d} (snd {idx})"
+            f" (prein (* 3 n{d})"
+            f" (if (= n{d} 0) {base} (let {sym} (- n{d} 1) {step})))))"
+        )
+    raise realizers.ExtractionError(f"no machine form for {type(p).__name__} here")
+
+
+_CODE_PRELUDE = (
+    vm.CANTOR
+    + " (def prein (t e) (if e (+ 1 (cantor (+ 1 (cantor t (fst (- e 1)))) (snd (- e 1)))) 0)) "
+    "(def preout (t e) (if e (+ 1 (cantor (fst (- e 1)) (+ 1 (cantor t (snd (- e 1)))))) 0))"
+)
+
+
+def extraction_code(proof):
+    """The machine code of a closed proof whose statement is not an
+    implication realized as a transformer, or None."""
+    target = realizers.infer(proof, ())
+    normal = realizers.normalize(proof)
+    lead = "(emit 1) " if realizers.input_rooted(target) else ""
+    if realizers._effective(target, decided=False):
+        return vm.program(
+            f"(prog {vm.CANTOR}"
+            f" (seq {lead}(set k0 0) (while 1 (seq (emit {realizers._enum_item(target)})"
+            " (set k0 (+ k0 1))))))"
+        )
+    if isinstance(normal, realizers.Markov) and isinstance(target, Exists):
+        try:
+            test = realizers._atom_test(target.body, target.var)
+        except realizers.ExtractionError:
+            return None
+        x = target.var
+        return vm.program(
+            f"(prog {vm.CANTOR}"
+            f" (seq (set {x} 0)"
+            f" (while (= {test} 0) (seq (emit 0) (set {x} (+ {x} 1))))"
+            f" (emit (+ 1 (cantor 0 (+ 1 (cantor (* 3 {x}) 0)))))))"
+        )
+    try:
+        item = _item_expr(normal, (), {}, "i", 0)
+    except realizers.ExtractionError:
+        return None
+    return vm.program(
+        "(prog "
+        + _CODE_PRELUDE
+        + f" (seq {lead}(set i 0) (while 1 (seq (emit {item}) (set i (+ 1 i))))))"
+    )

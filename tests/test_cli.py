@@ -114,6 +114,16 @@ def test_extract_unbound_variable_exits_one(tmp_path, capsys):
     assert "Traceback" not in out
 
 
+def test_extract_claim_is_compared_up_to_closed_term_values(tmp_path, capsys):
+    # the proof establishes 0<0+1, which converts to the claimed 0<1
+    prf = tmp_path / "lt.prf"
+    prf.write_text("0<1\n(inst (ax lt_succ) {0})\n")
+    code, out = run(capsys, "extract", "--proof", str(prf))
+    assert code == 0
+    assert out.splitlines()[1] == "THEOREM 0<1"
+    assert out.splitlines()[2].startswith("CODE (prog ")
+
+
 def test_extract_stray_brace_exits_one(tmp_path, capsys):
     prf = tmp_path / "brace.prf"
     prf.write_text("A x. x=x\n(ax refl})\n")

@@ -1,12 +1,15 @@
+import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctruth.checker import Budget, Probe, check_realizability, check_witness
 from ctruth.formula import (
     Add,
     And,
+    Atom,
+    Exists,
     Forall,
     Implies,
     One,
@@ -38,6 +41,7 @@ from ctruth.realizers import (
     _effective,
     _psubst,
     _same,
+    _shift,
     _vm_enum,
     decider_code,
     extract,
@@ -49,7 +53,7 @@ from ctruth.realizers import (
     ti_realizer,
 )
 from ctruth.combinators import apply_implication
-from ctruth.vm import run_stream
+from ctruth.vm import VM, run_stream
 from ctruth.witness import IOPair, Numeral, Selector, TRIVIAL, WS, WitnessStream
 
 from conftest import FIXTURES
@@ -492,11 +496,21 @@ def test_a_decided_disjunction_enumerates_the_true_side():
     assert check_witness(w, f, Budget(256, 4, 10000)).status == "accepted_up_to"
 
 
+def test_a_hypothesis_lead_composed_by_index_commits_to_nothing():
+    # the projected antecedent passes on its lead (:); tagged with the
+    # instance, (0:) was refuted against (0:0) by functionality
+    w, f = _extracted("(A x. E y. y=x) -> A z. E y. y=z",
+                      "(lam {A x. E y. y=x} (gen z (inst (hyp 0) {z})))",
+                      "(:) (0:0) (1:1) (2:2) (3:3)")
+    assert check_witness(w, f, Budget(48, 3, 1000)).status == "accepted_up_to"
+
+
+_CURRIED = "(E x. x=1) -> (E y. y=2) -> E y. y=2\n(lam {E x. x=1} (lam {E y. y=2} (hyp 0)))"
+
+
 def test_a_curried_implication_is_not_a_stream():
     w = WitnessStream.from_text("(:1)")
-    ext = extract(parse_proof_text(
-        "(E x. x=1) -> (E y. y=2) -> E y. y=2\n(lam {E x. x=1} (lam {E y. y=2} (hyp 0)))"
-    )[1])
+    ext = extract(parse_proof_text(_CURRIED)[1])
     with pytest.raises(ExtractionError, match="an implication value cannot be used as a stream here"):
         ext.apply(w)
 
@@ -524,3 +538,165 @@ def test_induction_whose_motive_mentions_its_variable_extracts(n):
     ext = extract(proof)
     assert ext.code is not None
     assert check_witness(ext.stream, stmt, Budget(8, 4, 1000)).status == "accepted_up_to"
+
+
+def _with_code():
+    """The corpus and proof-form extractions that have both a stream and code."""
+    texts = [path.read_text() for path in sorted(PROOFS.glob("*.prf"))]
+    texts += [f"{statement}\n{proof}" for statement, proof, _ in EXTRACTION_FORMS]
+    for text in texts:
+        ext = extract(parse_proof_text(text)[1])
+        if ext.stream is not None and ext.code is not None:
+            yield text.splitlines()[0], ext
+
+
+def _agree(ext, pulls=40):
+    machine = VM(ext.code, step_budget=10**6)
+    return ext.stream.pull(pulls) == tuple(itertools.islice(machine.items(), pulls))
+
+
+def test_the_stream_and_the_code_of_a_proof_emit_the_same_items():
+    agreed = {name: _agree(ext) for name, ext in _with_code()}
+    assert len(agreed) == 12 and all(agreed.values()), agreed
+
+
+def _inl_chain(k):
+    """A k-deep chain of inl around 0=0, paired with an exi."""
+    p = Inst(Ax("refl"), numeral(0))
+    for _ in range(k):
+        p = Inl(p, parse("0=1"))
+    return Pair(p, Exi(parse("E y. y=0"), numeral(0), Inst(Ax("refl"), numeral(0))))
+
+
+def test_extraction_infers_each_subproof_once(monkeypatch):
+    # re-inferring each node's statement made 147, 362, 1,092 and 3,752
+    # calls at k = 10, 20, 40 and 80
+    from ctruth import realizers
+
+    calls = []
+    infer_ = realizers.infer
+    monkeypatch.setattr(realizers, "infer", lambda *a: calls.append(1) or infer_(*a))
+    counts = {}
+    for k in (10, 20, 40, 80):
+        calls.clear()
+        extract(_inl_chain(k))
+        counts[k] = len(calls)
+    assert counts[80] - counts[40] == 2 * (counts[40] - counts[20]) == 4 * (counts[20] - counts[10])
+    assert counts[80] <= 2 * 80
+
+
+# Well-typed proofs, built rule by rule: each rule draws the subproofs it
+# needs under the hypotheses and first-order variables it puts in scope.
+# Generalized variables come from _NAMES, which no axiom and no other
+# binder here uses, so an instance never captures.
+_NAMES = "abcd"
+_OTHERS = [parse(t) for t in ("0=1", "E y. y=2", "A y. y=y")]
+_RULES = ("pair", "inl", "inr", "exi", "gen", "inst", "beta", "proj", "case", "ind",
+          "ind_hyp", "markov")
+
+
+@st.composite
+def _terms(draw, scope):
+    n = numeral(draw(st.integers(0, 3)))
+    if not scope:
+        return n
+    v = Var(draw(st.sampled_from(scope)))
+    return draw(st.sampled_from([n, v, Add(v, One())]))
+
+
+@st.composite
+def _proofs(draw, hyps=(), scope=(), depth=3):
+    """A proof well typed under the hypothesis statements hyps, innermost
+    first, with the variables of scope generalized above it."""
+    fresh = [x for x in _NAMES if x not in scope]
+    rule = draw(st.sampled_from(("refl", "lt", "ax") + ("hyp",) * bool(hyps)
+                                + (_RULES if depth and fresh else ())))
+
+    def sub(hyps=hyps, scope=scope):
+        return draw(_proofs(hyps, scope, depth - 1))
+
+    if rule == "refl" or rule == "lt":
+        return Inst(Ax("refl" if rule == "refl" else "lt_succ"), draw(_terms(scope)))
+    if rule == "ax":
+        return Ax(draw(st.sampled_from(sorted(AXIOMS))))
+    if rule == "hyp":
+        return Hyp(draw(st.integers(0, len(hyps) - 1)))
+    if rule == "pair":
+        return Pair(sub(), sub())
+    if rule in ("inl", "inr"):
+        other = draw(st.sampled_from(_OTHERS))
+        return Inl(sub(), other) if rule == "inl" else Inr(other, sub())
+    if rule == "exi":
+        p = sub()
+        f = infer(p, hyps)
+        if isinstance(f, Atom):  # abstract the left side
+            return Exi(Exists("e", Atom(f.rel, Var("e"), f.right)), f.left, p)
+        return Exi(Exists("e", f), draw(_terms(scope)), p)
+    x = fresh[0]
+    if rule == "gen":
+        return Gen(x, sub(scope=scope + (x,)))
+    if rule == "inst":
+        return Inst(Gen(x, sub(scope=scope + (x,))), draw(_terms(scope)))
+    if rule == "beta":
+        arg = sub()
+        return App(Lam(infer(arg, hyps), sub(hyps=(infer(arg, hyps),) + hyps)), arg)
+    if rule == "proj":
+        return (Fst if draw(st.booleans()) else Snd)(Pair(sub(), sub()))
+    if rule == "case":
+        left, right = draw(st.sampled_from(_OTHERS)), draw(st.sampled_from(_OTHERS))
+        scrut = draw(st.sampled_from([
+            Inl(sub(), right), Inr(left, sub()),
+            Inst(Inst(Ax("eq_dec"), draw(_terms(scope))), draw(_terms(scope))),
+        ]))
+        sides = infer(scrut, hyps)
+        if draw(st.booleans()):  # both branches rebuild the disjunction
+            return Case(scrut, Inl(Hyp(0), sides.right), Inr(sides.left, Hyp(0)))
+        q = _shift(sub(), 1)
+        return Case(scrut, q, q)
+    if rule == "ind":  # the motive holds at every instance by one proof
+        q = sub(scope=scope + (x,))
+        step = _shift(_psubst(q, x, Add(Var(x), One())), 1)
+        return Ind(x, infer(q, hyps), _psubst(q, x, numeral(0)), step)
+    if rule == "ind_hyp":  # the step passes its hypothesis on
+        q = sub()
+        return Ind(x, infer(q, hyps), q, Hyp(0))
+    c = draw(st.integers(0, 3))  # markov: search for c
+    return Markov(Lam(
+        parse(f"A v. (v={c} -> 0=1)"),
+        App(Inst(Hyp(0), numeral(c)), Inst(Ax("refl"), numeral(c))),
+    ))
+
+
+@given(_proofs())
+@example(parse_proof_text(induction_text(3))[1])
+@example(parse_proof_text(_CURRIED)[1])
+@example(_FLIP)
+@settings(max_examples=200, deadline=None)
+def test_extraction_of_generated_proofs(p):
+    f = infer(p)
+    assert _same(infer(normalize(p)), f)
+    ext = extract(p)
+    if ext.stream is None:
+        return  # a transformer; its code is the identity's echo or none
+    assert check_witness(ext.stream, f, Budget(12, 3, 2000)).status != "rejected"
+    want = oracles.extraction_code(p)
+    assert (ext.code and ext.code.text()) == (want and want.text())
+    if ext.code is not None:
+        assert _agree(ext)
+
+
+@st.composite
+def _implications(draw):
+    """A proof of an antecedent, and a Lam over it whose body uses it."""
+    ante = draw(_proofs(depth=2))
+    return ante, Lam(infer(ante), draw(_proofs(hyps=(infer(ante),), depth=2)))
+
+
+@given(_implications())
+@settings(max_examples=100, deadline=None)
+def test_transformers_of_generated_proofs(proofs):
+    ante, p = proofs
+    ext = extract(p)
+    if ext.transform is not None:
+        w = ext.apply(extract(ante).stream)
+        assert check_witness(w, ext.formula.right, Budget(12, 3, 2000)).status != "rejected"

@@ -285,6 +285,32 @@ def test_deep_pure_nest_runs_as_the_walker_does(depth, steps):
     assert m.steps == steps
 
 
+def _balanced_sum(lo, depth):
+    """A balanced tree of + with the distinct literals lo, ..., lo + 2**depth - 1."""
+    if not depth:
+        return str(lo)
+    half = 1 << (depth - 1)
+    return f"(+ {_balanced_sum(lo, depth - 1)} {_balanced_sum(lo + half, depth - 1)})"
+
+
+def test_a_pure_form_past_the_block_cap_is_spelt_once(monkeypatch):
+    # 32,767 forms, each spelt about twice: once under the cap while a
+    # block over it is tried, once as part of its own block.  Spelling
+    # every over-cap subtree whole took 261,889 calls.
+    from ctruth import vm
+
+    calls = []
+    spell = vm._spell
+    monkeypatch.setattr(vm, "_spell", lambda *a: calls.append(1) or spell(*a))
+    vm._block.cache_clear()
+    prog = program(f"(prog (emit {_balanced_sum(0, 14)}))")
+    m = VM(prog, {}, 40000)
+    (item,) = m.items()
+    assert len(calls) <= 3 * 32767
+    assert m.steps == 32768
+    assert item == decode_item(sum(range(1 << 14)))
+
+
 def _reading(read, text, seq):
     """read(text) as a token list, its lists (of type seq) spelt with
     parentheses, or its error as (type, text)."""
