@@ -5,13 +5,15 @@ Decimal literals in source text are sugar for left-nested sums of 1, and
 the printer folds that canonical shape back into a decimal, so `3` and
 `2+1` denote the same term object.
 
-Connective precedence, loosest to tightest: `->` (right associative),
-`\\/`, `/\\`, `~`, then quantifiers / `box`, which take the smallest
-possible scope.  A quantifier body cannot start with `~` unless
-parenthesized.
+Each infix operator's token, precedence and associativity are in one
+table, `_INFIX`, read by both the reader and the printer.  `~` binds
+tighter than any of them; quantifiers and `box` take the smallest
+possible scope, so a quantifier body starting with `~` needs parentheses.
 """
 
+import re
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import add, eq as eq_, is_, itemgetter, lt as lt_, mul
 
 
@@ -124,9 +126,11 @@ def numeral_value(t: Term):
 class Formula:
     # eval3's and eval2's closures for this node, filled in by _compile
     _compiled: list = field(default=None, init=False, repr=False, compare=False)
-    # witness.slot's spine record and checker._decision_cost's costs by bounds
+    # witness.slot's spine record, checker._decision_cost's costs by bounds
+    # and realizers._effective's answers by mode
     _spine: tuple = field(default=None, init=False, repr=False, compare=False)
     _costs: dict = field(default=None, init=False, repr=False, compare=False)
+    _effective: list = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
         return print_formula(self)
@@ -197,62 +201,63 @@ def parts(f: Formula) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# syntax: one table of infix operators drives the reader and the printer
+#
+# Each sort's precedences count up from 0, the loosest.  The reader climbs
+# them (Pratt, "Top down operator precedence", 1973).  The printer puts
+# an operator's left operand at its precedence and its right one a level
+# tighter, the other way round when it is right-associative, and adds
+# parentheses where the enclosing level is tighter.  A run of one
+# operator is read and printed in a loop.  `~` binds one level tighter
+# than every formula operator, a quantifier's or box's body one more.
 
+_INFIX = {  # sort: {class: (token, precedence, right-associative)}
+    Formula: {Implies: ("->", 0, True), Or: ("\\/", 1, False), And: ("/\\", 2, False)},
+    Term: {Add: ("+", 0, False), Mul: ("*", 1, False)},
+}
+_NOT = len(_INFIX[Formula])
+_BY_TOKEN = {  # the reader's view: each sort's operators by token
+    sort: {tok: (cls, prec, right) for cls, (tok, prec, right) in ops.items()}
+    for sort, ops in _INFIX.items()
+}
 _KEYWORDS = {"box", "forall", "exists"}
+_SYMBOLS = [tok for ops in _BY_TOKEN.values() for tok in ops] + list("~().=<,AE")
+
+# one token after its blanks (group 1): a symbol (group 2), a decimal
+# literal (group 3), a run of characters that start no symbol (group 4),
+# whose leading identifier the tokenizer cuts out since re has no class
+# for lower case, or any other character (group 5)
+_TOKEN = re.compile(r"(\s*)(?:(%s)|(\d+)|([^\s%s]+)|(\S))" % (
+    "|".join(map(re.escape, _SYMBOLS)), re.escape("".join(s[0] for s in _SYMBOLS))))
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    tokens, pos = [], 0
+    for blank, symbol, literal, run, _ in _TOKEN.findall(text):
+        pos += len(blank)
+        if symbol or literal:
+            tokens.append((symbol or "num:" + literal, pos))
+            pos += len(symbol or literal)
             continue
-        two = text[i : i + 2]
-        if two in ("/\\", "\\/", "->"):
-            tokens.append((two, i))
-            i += 2
-            continue
-        if c in "~().=<+*,":
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c in "AE":
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("num:" + text[i:j], i))
-            i = j
-            continue
-        if c.islower():
-            j = i
-            while j < n and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                tokens.append((word, i))
-            else:
-                tokens.append(("id:" + word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", n))
-    return tokens
+        # an identifier: lower case, then lower case, digits and "_"; a
+        # run character it cannot take starts no token either
+        n = 0
+        if run and run[0].islower():
+            n = 1
+            while n < len(run) and (run[n].islower() or run[n].isdigit() or run[n] == "_"):
+                n += 1
+        if not run or n < len(run):
+            raise ParseError(f"unexpected character {text[pos + n]!r}", pos + n)
+        tokens.append((run if run in _KEYWORDS else "id:" + run, pos))
+        pos += n
+    return tokens + [("eof", len(text))]
 
 
 class _Parser:
     def __init__(self, tokens, free):
         self.tokens = tokens
         self.pos = 0
-        self.bound = []
-        self.free = set(free)
+        self.names = list(free)  # the variables in scope, innermost binder last
 
     def _peek(self):
         return self.tokens[self.pos][0]
@@ -270,30 +275,26 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {self._peek()!r}", self._here())
         return self._advance()
 
-    # formula := imp
-    def formula(self):
-        return self.imp()
-
-    def imp(self):
-        left = self.disj()
-        if self._peek() == "->":
+    def infix(self, sort, floor=0):
+        """Operands of sort, a negation-level formula or a factor, joined
+        by its operators of precedence floor or tighter.  A run of one
+        operator is read in a loop, each operand a level tighter: a
+        left-associative run folds as it is read, a right-associative
+        one from its end."""
+        ops = _BY_TOKEN[sort]
+        left = self.neg() if sort is Formula else self.factor()
+        while (op := ops.get(self._peek())) is not None and op[1] >= floor:
+            cls, prec, right = op
             self._advance()
-            return Implies(left, self.imp())
+            if not right:
+                left = cls(left, self.infix(sort, prec + 1))
+                continue
+            run = [left, self.infix(sort, prec + 1)]
+            while ops.get(self._peek()) is op:
+                self._advance()
+                run.append(self.infix(sort, prec + 1))
+            left = reduce(lambda r, l: cls(l, r), reversed(run))
         return left
-
-    def disj(self):
-        f = self.conj()
-        while self._peek() == "\\/":
-            self._advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.neg()
-        while self._peek() == "/\\":
-            self._advance()
-            f = And(f, self.neg())
-        return f
 
     def neg(self):
         if self._peek() == "~":
@@ -309,21 +310,18 @@ class _Parser:
             bound_term = None
             if self._peek() == "<":
                 self._advance()
-                bound_term = self.term()
+                bound_term = self.infix(Term)
                 if name in term_vars(bound_term):
                     raise ParseError(f"bound of {name} mentions {name}", self._here())
             if self._peek() == ".":
                 self._advance()
-            self.bound.append(name)
+            self.names.append(name)
             body = self.quant()
-            self.bound.pop()
-            if tok in ("A", "forall"):
-                if bound_term is None:
-                    return Forall(name, body)
-                return Forall(name, Implies(Atom("<", Var(name), bound_term), body))
-            if bound_term is None:
-                return Exists(name, body)
-            return Exists(name, And(Atom("<", Var(name), bound_term), body))
+            self.names.pop()
+            binder, guard = (Forall, Implies) if tok in ("A", "forall") else (Exists, And)
+            if bound_term is not None:
+                body = guard(Atom("<", Var(name), bound_term), body)
+            return binder(name, body)
         if tok == "box":
             self._advance()
             return Box(self.quant())
@@ -341,34 +339,19 @@ class _Parser:
         # try the atom reading first and rewind on failure.
         save = self.pos
         try:
-            left = self.term()
+            left = self.infix(Term)
             rel = self._peek()
             if rel not in ("=", "<"):
                 raise ParseError(f"expected relation, found {rel!r}", self._here())
             self._advance()
-            right = self.term()
+            right = self.infix(Term)
             return Atom(rel, left, right)
         except ParseError:
             self.pos = save
         self._expect("(")
-        f = self.formula()
+        f = self.infix(Formula)
         self._expect(")")
         return f
-
-    # term := summand ("+" summand)*
-    def term(self):
-        t = self.summand()
-        while self._peek() == "+":
-            self._advance()
-            t = Add(t, self.summand())
-        return t
-
-    def summand(self):
-        t = self.factor()
-        while self._peek() == "*":
-            self._advance()
-            t = Mul(t, self.factor())
-        return t
 
     def factor(self):
         tok = self._peek()
@@ -377,16 +360,24 @@ class _Parser:
             return numeral(int(tok[4:]))
         if tok.startswith("id:"):
             name = tok[3:]
-            if name not in self.bound and name not in self.free:
+            if name not in self.names:
                 raise UnboundVariable(name)
             self._advance()
             return Var(name)
         if tok == "(":
             self._advance()
-            t = self.term()
+            t = self.infix(Term)
             self._expect(")")
             return t
         raise ParseError(f"expected term, found {tok!r}", self._here())
+
+
+def _read(text, free, sort):
+    p = _Parser(_tokenize(text), free)
+    got = p.infix(sort)
+    if p._peek() != "eof":
+        raise ParseError(f"trailing input {p._peek()!r}", p._here())
+    return got
 
 
 def parse(text: str, free=()) -> Formula:
@@ -395,27 +386,31 @@ def parse(text: str, free=()) -> Formula:
     Variables must be bound or listed in `free`.  Raises ParseError on
     syntax errors and UnboundVariable on stray names.
     """
-    p = _Parser(_tokenize(text), free)
-    f = p.formula()
-    if p._peek() != "eof":
-        raise ParseError(f"trailing input {p._peek()!r}", p._here())
-    return f
+    return _read(text, free, Formula)
 
 
 def parse_term(text: str, free=()) -> Term:
-    p = _Parser(_tokenize(text), free)
-    p.bound = list(free)
-    t = p.term()
-    if p._peek() != "eof":
-        raise ParseError(f"trailing input {p._peek()!r}", p._here())
-    return t
+    return _read(text, free, Term)
 
 
-# ---------------------------------------------------------------------------
-# printing
+def _print_infix(node, op, level, show, pad):
+    """node, an op node, printed by show with the whole run of op along
+    its associative spine (the left one, or the right one when op is
+    right-associative) in one loop.  A `+1` step ends a run: it is
+    print_term's peel case."""
+    tok, prec, right = op
+    cls, operands = node.__class__, []
+    while True:
+        operand, node = (node.left, node.right) if right else (node.right, node.left)
+        operands.append(show(operand, prec + 1))
+        if node.__class__ is not cls or peel(node)[1]:
+            break
+    operands.append(show(node, prec))
+    s = f"{pad}{tok}{pad}".join(operands if right else reversed(operands))
+    return f"({s})" if level > prec else s
+
 
 def print_term(t: Term, level=0) -> str:
-    # level 0 = sum position, 1 = product position, 2 = factor position
     base, k = peel(t)
     if base.__class__ is Zero or base.__class__ is One:
         return str(k + (base.__class__ is One))
@@ -424,46 +419,32 @@ def print_term(t: Term, level=0) -> str:
         return f"({s})" if level > 0 else s
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Add):
-        s = f"{print_term(t.left, 0)}+{print_term(t.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(t, Mul):
-        s = f"{print_term(t.left, 1)}*{print_term(t.right, 2)}"
-        return f"({s})" if level > 1 else s
+    op = _INFIX[Term].get(t.__class__)
+    if op is not None:
+        return _print_infix(t, op, level, print_term, "")
     raise TypeError(f"not a term: {t!r}")
-
-
-_LVL_IMP, _LVL_OR, _LVL_AND, _LVL_NEG, _LVL_QUANT = 0, 1, 2, 3, 4
 
 
 def _print(f: Formula, level: int) -> str:
     if isinstance(f, Atom):
         return f"{print_term(f.left)}{f.rel}{print_term(f.right)}"
-    if isinstance(f, Implies):
-        s = f"{_print(f.left, _LVL_OR)} -> {_print(f.right, _LVL_IMP)}"
-        return f"({s})" if level > _LVL_IMP else s
-    if isinstance(f, Or):
-        s = f"{_print(f.left, _LVL_OR)} \\/ {_print(f.right, _LVL_AND)}"
-        return f"({s})" if level > _LVL_OR else s
-    if isinstance(f, And):
-        s = f"{_print(f.left, _LVL_AND)} /\\ {_print(f.right, _LVL_NEG)}"
-        return f"({s})" if level > _LVL_AND else s
+    op = _INFIX[Formula].get(f.__class__)
+    if op is not None:
+        return _print_infix(f, op, level, _print, " ")
     if isinstance(f, Not):
         # A negation is not a valid quantifier body, so parenthesize there.
-        s = f"~{_print(f.body, _LVL_NEG)}"
-        return f"({s})" if level > _LVL_NEG else s
-    if isinstance(f, Forall):
-        return f"A {f.var}. {_print(f.body, _LVL_QUANT)}"
-    if isinstance(f, Exists):
-        return f"E {f.var}. {_print(f.body, _LVL_QUANT)}"
+        s = f"~{_print(f.body, _NOT)}"
+        return f"({s})" if level > _NOT else s
+    if isinstance(f, (Forall, Exists)):
+        return f"{'A' if isinstance(f, Forall) else 'E'} {f.var}. {_print(f.body, _NOT + 1)}"
     if isinstance(f, Box):
-        return f"box {_print(f.body, _LVL_QUANT)}"
+        return f"box {_print(f.body, _NOT + 1)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse(print_formula(f)) == f."""
-    return _print(f, _LVL_IMP)
+    return _print(f, 0)
 
 
 # ---------------------------------------------------------------------------

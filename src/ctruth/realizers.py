@@ -19,6 +19,7 @@ stream combinators.
 """
 
 import itertools
+import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -516,15 +517,26 @@ def normalize(p):
 def _effective(f: Formula, decided: bool = True) -> bool:
     """True when the spine never produces, up to disjunctions that bounded
     evaluation decides if `decided`.  A demand-only statement (decided False)
-    is witnessed by enumerating input paths: its proof certifies truth."""
+    is witnessed by enumerating input paths: its proof certifies truth.
+    The answer is kept on f per mode, so nested statements are each
+    judged once."""
+    memo = f._effective
+    if memo is None:
+        memo = [None, None]  # indexed by decided
+        object.__setattr__(f, "_effective", memo)
+    elif memo[decided] is not None:
+        return memo[decided]
     s = slot(f)
     if s[0] == END:
-        return True
-    if s[0] in (IN_NUM, IN_PREFIX):  # a prefix is never answered, so owes no output
-        return _effective(s[2], decided)
-    if s[0] == IN_SEL:
-        return _effective(s[1], decided) and _effective(s[2], decided)
-    return decided and s[0] == OUT_SEL and _quantifier_free(f)
+        answer = True
+    elif s[0] in (IN_NUM, IN_PREFIX):  # a prefix is never answered, so owes no output
+        answer = _effective(s[2], decided)
+    elif s[0] == IN_SEL:
+        answer = _effective(s[1], decided) and _effective(s[2], decided)
+    else:
+        answer = decided and s[0] == OUT_SEL and _quantifier_free(f)
+    memo[decided] = answer
+    return answer
 
 
 def _enum_pair(f: Formula, k: int, env: dict):
@@ -1092,32 +1104,20 @@ def parse_proof_text(text: str):
     return claimed, proof
 
 
+# one proof token: a parenthesis (group 1), a brace's text up to the
+# first "}" (group 2), a "{" no "}" closes or a stray "}" (group 3), or
+# a word (group 4); blanks between tokens match nothing
+_PROOF_TOKEN = re.compile(r"([()])|\{([^}]*)\}|([{}])|([^\s(){}]+)")
+
+
 def _proof_tokens(text: str):
     toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            toks.append(c)
-            i += 1
-            continue
-        if c == "{":
-            j = text.find("}", i)
-            if j < 0:
-                raise ProofError(f"unclosed {{ at token {len(toks)}")
-            toks.append(("brace", text[i + 1 : j].strip()))
-            i = j + 1
-            continue
-        if c == "}":
-            raise ProofError(f"stray }} at token {len(toks)}")
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "(){}":
-            j += 1
-        toks.append(text[i:j])
-        i = j
+    for m in _PROOF_TOKEN.finditer(text):
+        paren, brace, lone, word = m.groups()
+        if lone:
+            what = "unclosed {" if lone == "{" else "stray }"
+            raise ProofError(f"{what} at token {len(toks)}")
+        toks.append(("brace", brace.strip()) if brace is not None else paren or word)
     return toks
 
 

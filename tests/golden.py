@@ -31,7 +31,7 @@ from ctruth.checker import (  # noqa: E402
     synthesize_sigma03,
 )
 from ctruth.cli import main  # noqa: E402
-from ctruth.formula import parse, print_formula  # noqa: E402
+from ctruth.formula import parse, parse_term, print_formula, print_term  # noqa: E402
 from ctruth.games import (  # noqa: E402
     DesignatedBranchAdversary,
     GenerousAdversary,
@@ -369,6 +369,85 @@ def _synthesis():
                 yield f"synth {kind}/{path.name} rung={rung}: {got}"
 
 
+# ---------------------------------------------------------------------------
+# readings: formula and term text as the reader takes it and the printer
+# gives it back, and proof texts the proof reader refuses
+
+_READINGS = [
+    # (text, free variables)
+    ("", ()),
+    ("E x.", ()),
+    ("0=", ()),
+    ("(0=0", ()),
+    ("0 ? 1", ()),
+    ("A . x=x", ()),
+    ("x=0", ()),
+    ("0=²", ()),
+    ("E x. x=٣", ()),
+    ("x²=0", ("x",)),
+    ("A x<x. x=x", ()),
+    ("A x<x. x=x", ("x",)),
+    ("A x x=x", ()),
+    ("forall x. exists y. y=x", ()),
+    ("forall", ()),
+    ("exists y", ()),
+    ("box", ()),
+    ("box E x. x=1", ()),
+    ("0=0 ,", ()),
+    ("(y=0)", ()),
+    ("x+1+1=0+1+1", ("x", "y")),
+    ("(x+1+1)*2=2*(x*y+1)", ("x", "y")),
+    ("x+(y+1)=(x+y)+1", ("x", "y")),
+    ("x*(y+1)+1<x+y*1+1", ("x", "y")),
+    ("0=0 -> 0=1 -> 1=1", ()),
+    ("(0=0 -> 0=1) -> 1=1", ()),
+    ("0=0 /\\ 0=1 \\/ 1=1 -> 0=0", ()),
+    ("0=0 /\\ (0=1 \\/ 1=1)", ()),
+    ("~~0=0 /\\ ~(0=1 -> 1=0)", ()),
+    ("A x. ~x=0", ()),
+    ("A x. (~x=0)", ()),
+    ("E x < 3. A y<x. x=y", ()),
+    ("((0)=(0))", ()),
+    ("2*3+4*5=x*(y*1)", ("x", "y")),
+    ("0=0 -> ", ()),
+    ("-> 0=0", ()),
+    ("xAy=0", ("x", "y")),
+    ("x_1é=0", ("x_1é",)),
+    ("Z=0", ()),
+    ("0=0 - 1", ()),
+    ("(0=0)+1", ()),
+    ("ⓐ=xⓑ", ("ⓐ", "xⓑ")),
+    ("x٣=12", ("x٣",)),
+    ("0=0\u3000/\\ 1=1", ()),
+]
+
+_TERM_READINGS = [
+    ("x+1", ("x",)),
+    ("(1+1)*x+2", ("x",)),
+    ("x+", ("x",)),
+    ("y", ()),
+]
+
+_PROOF_READINGS = [
+    "A x. x=x\n(ax refl)",
+    "E x. x=1\n(exi {E x. x=1} {1} (inst (ax refl) {1)",
+    "A x. x=x\n(ax refl})",
+    "0=0 -> 0=0\n(lam {0=0} (hyp x))",
+]
+
+
+def _readings():
+    for text, free in _READINGS:
+        label = f"{text} free={','.join(free)}" if free else text
+        yield f"read {label}: {_outcome(lambda: print_formula(parse(text, free=free)))}"
+    for text, free in _TERM_READINGS:
+        label = f"{text} free={','.join(free)}" if free else text
+        yield f"read term {label}: {_outcome(lambda: print_term(parse_term(text, free=free)))}"
+    for text in _PROOF_READINGS:
+        got = _outcome(lambda: print_formula(parse_proof_text(text)[0]))
+        yield f"read proof {text.replace(chr(10), ' | ')}: {got}"
+
+
 def lines():
     rng = random.Random(SEED)
     yield from _tables(rng)
@@ -380,6 +459,7 @@ def lines():
     yield from _clis()
     yield from _extractions()
     yield from _synthesis()
+    yield from _readings()
 
 
 if __name__ == "__main__":

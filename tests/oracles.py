@@ -25,14 +25,17 @@ from ctruth.formula import (
     Not,
     One,
     Or,
+    ParseError,
     Term,
+    UnboundVariable,
     Var,
     Zero,
     instantiate,
+    peel,
     print_term,
 )
 from ctruth.games import DPLL_ATOM_CAP, TooManyAtoms
-from ctruth.realizers import _quantifier_free
+from ctruth.realizers import ProofError, _quantifier_free
 from ctruth.witness import (
     END,
     IN_NUM,
@@ -1501,3 +1504,295 @@ def extraction_code(proof):
         + _CODE_PRELUDE
         + f" (seq {lead}(set i 0) (while 1 (seq (emit {item}) (set i (+ 1 i))))))"
     )
+
+
+# ---------------------------------------------------------------------------
+# formula text, read and printed one method per precedence level
+#
+# The reader and printer as they were before one operator table drove
+# both: a character loop tokenizes, one parser method reads each
+# precedence level (imp, disj, conj, neg, quant, term, summand, factor)
+# and each printer spells every connective's level.  proof_tokens is the
+# proof reader's character loop of that version.
+
+
+_KEYWORDS = {"box", "forall", "exists"}
+
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        two = text[i : i + 2]
+        if two in ("/\\", "\\/", "->"):
+            tokens.append((two, i))
+            i += 2
+            continue
+        if c in "~().=<+*,":
+            tokens.append((c, i))
+            i += 1
+            continue
+        if c in "AE":
+            tokens.append((c, i))
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("num:" + text[i:j], i))
+            i = j
+            continue
+        if c.islower():
+            j = i
+            while j < n and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in _KEYWORDS:
+                tokens.append((word, i))
+            else:
+                tokens.append(("id:" + word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("eof", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, free):
+        self.tokens = tokens
+        self.pos = 0
+        self.bound = []
+        self.free = set(free)
+
+    def _peek(self):
+        return self.tokens[self.pos][0]
+
+    def _here(self):
+        return self.tokens[self.pos][1]
+
+    def _advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok[0]
+
+    def _expect(self, kind):
+        if self._peek() != kind:
+            raise ParseError(f"expected {kind!r}, found {self._peek()!r}", self._here())
+        return self._advance()
+
+    def formula(self):
+        return self.imp()
+
+    def imp(self):
+        left = self.disj()
+        if self._peek() == "->":
+            self._advance()
+            return Implies(left, self.imp())
+        return left
+
+    def disj(self):
+        f = self.conj()
+        while self._peek() == "\\/":
+            self._advance()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.neg()
+        while self._peek() == "/\\":
+            self._advance()
+            f = And(f, self.neg())
+        return f
+
+    def neg(self):
+        if self._peek() == "~":
+            self._advance()
+            return Not(self.neg())
+        return self.quant()
+
+    def quant(self):
+        tok = self._peek()
+        if tok in ("A", "E", "forall", "exists"):
+            self._advance()
+            name = self._ident()
+            bound_term = None
+            if self._peek() == "<":
+                self._advance()
+                bound_term = self.term()
+                if name in term_vars(bound_term):
+                    raise ParseError(f"bound of {name} mentions {name}", self._here())
+            if self._peek() == ".":
+                self._advance()
+            self.bound.append(name)
+            body = self.quant()
+            self.bound.pop()
+            if tok in ("A", "forall"):
+                if bound_term is None:
+                    return Forall(name, body)
+                return Forall(name, Implies(Atom("<", Var(name), bound_term), body))
+            if bound_term is None:
+                return Exists(name, body)
+            return Exists(name, And(Atom("<", Var(name), bound_term), body))
+        if tok == "box":
+            self._advance()
+            return Box(self.quant())
+        return self.atom_or_paren()
+
+    def _ident(self):
+        tok = self._peek()
+        if not tok.startswith("id:"):
+            raise ParseError(f"expected identifier, found {tok!r}", self._here())
+        self._advance()
+        return tok[3:]
+
+    def atom_or_paren(self):
+        save = self.pos
+        try:
+            left = self.term()
+            rel = self._peek()
+            if rel not in ("=", "<"):
+                raise ParseError(f"expected relation, found {rel!r}", self._here())
+            self._advance()
+            right = self.term()
+            return Atom(rel, left, right)
+        except ParseError:
+            self.pos = save
+        self._expect("(")
+        f = self.formula()
+        self._expect(")")
+        return f
+
+    def term(self):
+        t = self.summand()
+        while self._peek() == "+":
+            self._advance()
+            t = Add(t, self.summand())
+        return t
+
+    def summand(self):
+        t = self.factor()
+        while self._peek() == "*":
+            self._advance()
+            t = Mul(t, self.factor())
+        return t
+
+    def factor(self):
+        tok = self._peek()
+        if tok.startswith("num:"):
+            self._advance()
+            return numeral_term(int(tok[4:]))
+        if tok.startswith("id:"):
+            name = tok[3:]
+            if name not in self.bound and name not in self.free:
+                raise UnboundVariable(name)
+            self._advance()
+            return Var(name)
+        if tok == "(":
+            self._advance()
+            t = self.term()
+            self._expect(")")
+            return t
+        raise ParseError(f"expected term, found {tok!r}", self._here())
+
+
+def read_formula(text, free=()):
+    p = _Parser(_tokenize(text), free)
+    f = p.formula()
+    if p._peek() != "eof":
+        raise ParseError(f"trailing input {p._peek()!r}", p._here())
+    return f
+
+
+def read_term(text, free=()):
+    p = _Parser(_tokenize(text), free)
+    p.bound = list(free)
+    t = p.term()
+    if p._peek() != "eof":
+        raise ParseError(f"trailing input {p._peek()!r}", p._here())
+    return t
+
+
+def show_term(t, level=0):
+    # level 0 = sum position, 1 = product position, 2 = factor position
+    base, k = peel(t)
+    if base.__class__ is Zero or base.__class__ is One:
+        return str(k + (base.__class__ is One))
+    if k:
+        s = show_term(base) + "+1" * k
+        return f"({s})" if level > 0 else s
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Add):
+        s = f"{show_term(t.left, 0)}+{show_term(t.right, 1)}"
+        return f"({s})" if level > 0 else s
+    if isinstance(t, Mul):
+        s = f"{show_term(t.left, 1)}*{show_term(t.right, 2)}"
+        return f"({s})" if level > 1 else s
+    raise TypeError(f"not a term: {t!r}")
+
+
+_LVL_IMP, _LVL_OR, _LVL_AND, _LVL_NEG, _LVL_QUANT = 0, 1, 2, 3, 4
+
+
+def _show(f, level):
+    if isinstance(f, Atom):
+        return f"{show_term(f.left)}{f.rel}{show_term(f.right)}"
+    if isinstance(f, Implies):
+        s = f"{_show(f.left, _LVL_OR)} -> {_show(f.right, _LVL_IMP)}"
+        return f"({s})" if level > _LVL_IMP else s
+    if isinstance(f, Or):
+        s = f"{_show(f.left, _LVL_OR)} \\/ {_show(f.right, _LVL_AND)}"
+        return f"({s})" if level > _LVL_OR else s
+    if isinstance(f, And):
+        s = f"{_show(f.left, _LVL_AND)} /\\ {_show(f.right, _LVL_NEG)}"
+        return f"({s})" if level > _LVL_AND else s
+    if isinstance(f, Not):
+        s = f"~{_show(f.body, _LVL_NEG)}"
+        return f"({s})" if level > _LVL_NEG else s
+    if isinstance(f, Forall):
+        return f"A {f.var}. {_show(f.body, _LVL_QUANT)}"
+    if isinstance(f, Exists):
+        return f"E {f.var}. {_show(f.body, _LVL_QUANT)}"
+    if isinstance(f, Box):
+        return f"box {_show(f.body, _LVL_QUANT)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def show_formula(f):
+    return _show(f, _LVL_IMP)
+
+
+def proof_tokens(text):
+    toks = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()":
+            toks.append(c)
+            i += 1
+            continue
+        if c == "{":
+            j = text.find("}", i)
+            if j < 0:
+                raise ProofError(f"unclosed {{ at token {len(toks)}")
+            toks.append(("brace", text[i + 1 : j].strip()))
+            i = j + 1
+            continue
+        if c == "}":
+            raise ProofError(f"stray }} at token {len(toks)}")
+        j = i
+        while j < len(text) and not text[j].isspace() and text[j] not in "(){}":
+            j += 1
+        toks.append(text[i:j])
+        i = j
+    return toks

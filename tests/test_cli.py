@@ -25,6 +25,22 @@ def test_parse_reports_formula(capsys):
     assert "FORMULA A x. E y. y=2*x" in out
 
 
+# A run of one operator is read and printed in a loop, so each of these
+# prints its formula at the default recursion limit.  The check compares
+# text: dataclass equality of such a formula still recurses.
+@pytest.mark.parametrize("text", [
+    " -> ".join(["0=0"] * 3000),
+    " \\/ ".join(["0=0"] * 3400),
+    "E x. " + "+".join(["x"] * 3000) + "=0",
+], ids=["implication chain", "disjunction chain", "long sum"])
+def test_parse_reads_and_prints_a_long_run_of_one_operator(tmp_path, capsys, text):
+    fml = tmp_path / "long.fml"
+    fml.write_text(text + "\n")
+    code, out = run(capsys, "parse", "--formula", str(fml))
+    assert code == 0
+    assert out.splitlines()[-1] == f"FORMULA {text}"
+
+
 def test_parse_needs_an_input(capsys):
     code, out = run(capsys, "parse")
     assert code == 2

@@ -19,6 +19,7 @@ from ctruth.formula import (
     Or,
     ParseError,
     TRUE,
+    Term,
     UNKNOWN,
     UnboundVariable,
     Var,
@@ -447,3 +448,72 @@ def test_solved_binders_reach_far_bounds():
     big = 10**9
     assert eval3(parse("E y. y=x+1", free=("x",)), {"x": big}, 0, big + 1) is TRUE
     assert eval3(parse("A y. (y=x -> x<y)", free=("x",)), {"x": big}, big, 0) is FALSE
+
+
+# ---------------------------------------------------------------------------
+# the reader and printer against the method-per-level copy in oracles
+#
+# Texts are drawn from pieces of the formula alphabet: symbols, keywords,
+# names, Unicode decimals, `²` (a digit but no decimal), `é` and `ⓐ`
+# (lower case; `ⓐ` is no word character of re), blanks and characters no
+# token takes.  Every literal piece but `0` ends in a blank or a
+# non-decimal, so pieces never join into a huge numeral.
+_PIECES = (
+    "0", "1 ", "12 ", "٣ ", "3x", "2²", "x", "y", "z", "x1", "x_", "é", "ⓐ", "²",
+    "Z", "_", "A", "E", "forall", "exists", "box", "~", "(", ")", ".", ",", "=",
+    "<", "+", "*", "->", "\\/", "/\\", "-", "/", "\\", " ", "\t", "　", "?",
+)
+_FREE = st.sets(st.sampled_from(("x", "y", "z", "x1", "é", "ⓐ")))
+
+
+def _read(read, text, free):
+    try:
+        return read(text, free=free)
+    except (ParseError, UnboundVariable) as e:
+        return type(e), str(e), getattr(e, "pos", None)
+
+
+def _texts():
+    pieces = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
+    # a printed sentence with a span replaced by pieces: mostly well formed
+    edited = st.tuples(_sentences().map(print_formula), st.integers(0, 60),
+                       st.integers(0, 8), pieces).map(
+        lambda c: c[0][: c[1]] + c[3] + c[0][c[1] + c[2]:])
+    return pieces | edited
+
+
+@given(_texts(), _FREE)
+@example("A x<x. x=x", {"x"})
+@example("(y=0)", set())
+@example("0=0 -> (0=1 \\/ ~1=1) /\\ 0=0 -> 1=0", set())
+@settings(max_examples=300, deadline=None)
+def test_reading_agrees_with_the_method_per_level_reader(text, free):
+    free = tuple(sorted(free))
+    got = _read(parse, text, free)
+    assert got == _read(oracles.read_formula, text, free)
+    if isinstance(got, Formula):
+        assert repr(got) == repr(oracles.read_formula(text, free=free))
+    got = _read(parse_term, text, free)
+    assert got == _read(oracles.read_term, text, free)
+    if isinstance(got, Term):
+        assert repr(got) == repr(oracles.read_term(text, free=free))
+
+
+def _stepped_terms():
+    """Terms over x and y whose nodes may carry a run of `+1` steps."""
+    leaf = st.sampled_from([Zero(), One(), Var("x"), Var("y")])
+    inner = st.recursive(
+        leaf,
+        lambda ch: st.builds(Add, ch, ch) | st.builds(Mul, ch, ch),
+        max_leaves=6,
+    )
+    return st.tuples(inner, st.integers(0, 3)).map(lambda c: _run(*c))
+
+
+@given(_sentences(), _stepped_terms(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_printing_agrees_with_the_per_level_printer(f, t, level):
+    assert print_formula(f) == oracles.show_formula(f)
+    assert print_term(t, level) == oracles.show_term(t, level)
+    g = Atom("<", t, Mul(t, _run(t, 2)))
+    assert print_formula(g) == oracles.show_formula(g)

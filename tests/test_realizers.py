@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ctruth import realizers
 from ctruth.checker import Budget, Probe, check_realizability, check_witness
 from ctruth.formula import (
     Add,
@@ -95,6 +96,25 @@ def test_proof_errors():
         parse_proof_text("A x. x=x\n(ax refl})")
     with pytest.raises(ProofError, match="expected index at token 2, found 'x'"):
         parse_proof_text("0=0\n(hyp x)")
+
+
+_PROOF_PIECES = ("(", ")", "{", "}", " ", "\n", "\t", "　", "ax", "refl", "hyp", "0", "x",
+                 "{0=0}", "{ E x. x=1 }", "é", "²", "(}", "{}", "}{")
+
+
+def _tokens(tokenize, text):
+    try:
+        return tokenize(text)
+    except ProofError as e:
+        return ProofError, str(e)
+
+
+@given(st.lists(st.sampled_from(_PROOF_PIECES), max_size=20).map("".join))
+@example("(inst (ax refl) {0)")
+@example("(ax refl})")
+@settings(max_examples=300, deadline=None)
+def test_proof_tokens_agree_with_the_character_loop(text):
+    assert _tokens(realizers._proof_tokens, text) == _tokens(oracles.proof_tokens, text)
 
 
 def test_proof_text_follows_the_constructor_fields():
@@ -583,6 +603,29 @@ def test_extraction_infers_each_subproof_once(monkeypatch):
         counts[k] = len(calls)
     assert counts[80] - counts[40] == 2 * (counts[40] - counts[20]) == 4 * (counts[20] - counts[10])
     assert counts[80] <= 2 * 80
+
+
+def _pair_chain(k):
+    """A k-deep left-nested pair chain of exi proofs of E x. x=1."""
+    e = parse("E x. x=1")
+    p = Exi(e, numeral(1), Inst(Ax("refl"), numeral(1)))
+    for _ in range(k):
+        p = Pair(p, Exi(e, numeral(1), Inst(Ax("refl"), numeral(1))))
+    return p
+
+
+def test_extraction_reads_each_statement_spine_once(monkeypatch):
+    # judging each node's statement afresh read 5,756 and 21,506 spine
+    # records at k = 100 and 200
+    calls = []
+    slot_ = realizers.slot
+    monkeypatch.setattr(realizers, "slot", lambda f: calls.append(1) or slot_(f))
+    counts = {}
+    for k in (50, 100, 200):
+        calls.clear()
+        extract(_pair_chain(k))
+        counts[k] = len(calls)
+    assert counts[100] <= 2.2 * counts[50] and counts[200] <= 2.2 * counts[100]
 
 
 # Well-typed proofs, built rule by rule: each rule draws the subproofs it
