@@ -12,8 +12,9 @@ pairs whose inputs agree with its own; the coverage walk then follows
 that trie.  Content is judged under an integer environment binding the
 pair's tokens, never by substituting unary numerals, so a check costs
 close to linear time in the number of pairs.  A refutation is costed on
-the statement's spine before any of its content is built, so a decision
-the allowance declines builds nothing.  Every walk reads the spine
+the statement's spine before any of its content is built, and the costing
+stops once it passes the allowance, so a decision the allowance declines
+builds nothing and prices only what fits.  Every walk reads the spine
 record memoized on each formula node (witness.slot).  The three outcomes:
 
     accepted_up_to   no fault found and all bounded demands answered
@@ -292,35 +293,46 @@ def _walk(g, env, nodes, path, trie, budget, probes):
 _DECISION_ALLOWANCE = 200_000
 
 
-def _decision_cost(f: Formula, budget: Budget) -> int:
-    """Upper bound on the points eval3 would visit deciding f, memoized
-    on f per (numeral_bound, search_bound)."""
+def _decision_cost(f: Formula, budget: Budget, cap: int = _DECISION_ALLOWANCE) -> int:
+    """Upper bound on the points eval3 would visit deciding f, or cap + 1
+    once that bound is known to pass cap: a binder's body may spend what
+    its bound leaves, a connective's right side what its left leaves.
+    Only exact costs are memoized on f, per (numeral_bound, search_bound)."""
     # Spelled out per class, not summed over formula.parts: this runs on
     # every pair's content, where the sum cost 15-20 % more per new node.
+    if cap < 1:
+        return cap + 1  # every formula costs at least 1
     key = (budget.numeral_bound, budget.search_bound)
-    if f._costs is None:
-        object.__setattr__(f, "_costs", {})
-    elif key in f._costs:
-        return f._costs[key]
+    if f._costs is not None and key in f._costs:
+        return min(f._costs[key], cap + 1)
     if isinstance(f, Atom):
         cost = 1
     elif isinstance(f, (Not, Box)):
-        cost = 1 + _decision_cost(f.body, budget)
+        cost = 1 + _decision_cost(f.body, budget, cap - 1)
     elif isinstance(f, (And, Or, Implies)):
-        cost = 1 + _decision_cost(f.left, budget) + _decision_cost(f.right, budget)
+        cost = 1 + _decision_cost(f.left, budget, cap - 1)
+        if cost <= cap:
+            cost += _decision_cost(f.right, budget, cap - cost)
     else:
         bound = budget.numeral_bound if isinstance(f, Forall) else budget.search_bound
-        cost = 1 + (bound + 1) * _decision_cost(f.body, budget)
-    f._costs[key] = cost
+        cost = 1 + (bound + 1) * _decision_cost(f.body, budget, (cap - 1) // (bound + 1))
+    if cost > cap:
+        return cap + 1
+    object.__setattr__(f, "_costs", {**(f._costs or {}), key: cost})
     return cost
 
 
-def _content_cost(parts, budget: Budget) -> int:
+def _content_cost(parts, budget: Budget, cap: int = _DECISION_ALLOWANCE) -> int:
     """_decision_cost of the claim content_parts' parts stand for, read
     off the uninstantiated spine: instantiating keeps a formula's shape,
     and k hypotheses add k - 1 conjunctions and one implication."""
     hyps, rest, _ = parts
-    return _decision_cost(rest, budget) + sum(1 + _content_cost(h, budget) for h in hyps)
+    cost = _decision_cost(rest, budget, cap)
+    for h in hyps:
+        if cost > cap:
+            break
+        cost += 1 + _content_cost(h, budget, cap - cost - 1)
+    return cost
 
 
 def _refuted(parts, budget: Budget) -> bool:

@@ -126,8 +126,8 @@ def numeral_value(t: Term):
 class Formula:
     # eval3's and eval2's closures for this node, filled in by _compile
     _compiled: list = field(default=None, init=False, repr=False, compare=False)
-    # witness.slot's spine record, checker._decision_cost's costs by bounds
-    # and realizers._effective's answers by mode
+    # witness.slot's spine record, checker._decision_cost's exact costs by
+    # bounds (never one cut off at a cap) and realizers._effective's by mode
     _spine: tuple = field(default=None, init=False, repr=False, compare=False)
     _costs: dict = field(default=None, init=False, repr=False, compare=False)
     _effective: list = field(default=None, init=False, repr=False, compare=False)

@@ -27,7 +27,7 @@ Four games live here:
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import vm
 from .checker import Budget, Probe, check_witness
@@ -88,6 +88,8 @@ class TreePresentation:
         for node in self.nodes:
             if node[:-1] not in self.nodes:
                 raise ValueError("presentation must be prefix closed")
+            if any(b not in (0, 1) for b in node):
+                raise ValueError(f"presentation entries must be 0 or 1, not {node}")
 
     @classmethod
     def from_sequences(cls, seqs) -> "TreePresentation":
@@ -101,8 +103,19 @@ class TreePresentation:
     def contains(self, bits) -> bool:
         return tuple(bits) in self.nodes
 
-    def sorted_nodes(self):
-        return sorted(self.nodes, key=lambda n: (len(n), n))
+    @cached_property
+    def _tables(self):
+        """Sorted nodes, incomparable pairs and node codes, once per tree."""
+        nodes = tuple(sorted(self.nodes, key=lambda n: (len(n), n)))
+        pairs = tuple((a, b) for a in nodes for b in nodes if _incomparable(a, b))
+        return nodes, pairs, {node: seq_code(node) for node in nodes}
+
+    def sorted_nodes(self) -> tuple:
+        return self._tables[0]
+
+    def code(self, node) -> int:
+        """seq_code of a node of the tree."""
+        return self._tables[2][node]
 
     def depth(self) -> int:
         return max(len(n) for n in self.nodes)
@@ -120,10 +133,9 @@ class TreePresentation:
             else:
                 return out
 
-    def incomparable_pairs(self):
+    def incomparable_pairs(self) -> tuple:
         """Ordered pairs of nodes neither of which extends the other."""
-        ns = self.sorted_nodes()
-        return [(a, b) for a in ns for b in ns if _incomparable(a, b)]
+        return self._tables[1]
 
     def is_chain(self) -> bool:
         return not self.incomparable_pairs()
@@ -157,21 +169,21 @@ def subtrees_of_depth(depth: int):
 def inlen_table(n_term, s_term, tree):
     """n is a length realized in the tree and s is a node of that length."""
     return disj_all(
-        And(eq(n_term, _num(len(node))), eq(s_term, _num(seq_code(node))))
+        And(eq(n_term, _num(len(node))), eq(s_term, _num(tree.code(node))))
         for node in tree.sorted_nodes()
     )
 
 
 def incomp_table(s_term, u_term, tree):
     return disj_all(
-        And(eq(s_term, _num(seq_code(a))), eq(u_term, _num(seq_code(b))))
+        And(eq(s_term, _num(tree.code(a))), eq(u_term, _num(tree.code(b))))
         for a, b in tree.incomparable_pairs()
     )
 
 
 def label_table(s_term, b_term, tree, labels):
     return disj_all(
-        And(eq(s_term, _num(seq_code(node))), eq(b_term, _num(labels[node])))
+        And(eq(s_term, _num(tree.code(node))), eq(b_term, _num(labels[node])))
         for node in tree.sorted_nodes()
     )
 
@@ -198,7 +210,8 @@ def _statements(tree, label_items):
     """The antecedent, consequent and implication of a play, kept for
     the last tree and labelling only: the plays of a row then share one
     set of nodes, so each node's spine record, compiled closures and
-    decision costs are built once per row."""
+    exact decision costs are built once per row.  A sweep over many trees
+    keeps each tree's node tables, but only the last tree's formulas."""
     labels = dict(label_items)
     a_formula = antecedent_formula(tree, labels)
     c_formula = consequent_formula(tree, labels)
@@ -242,7 +255,7 @@ def delivery_items(tree, labels, n, node):
     index = tree.sorted_nodes().index(node)
     size = len(tree.nodes)
     lead_ins = [Numeral(n)]
-    lead_outs = [Numeral(seq_code(node)), Numeral(labels[node])]
+    lead_outs = [Numeral(tree.code(node)), Numeral(labels[node])]
     return _table_pairs(lead_ins, lead_outs, (0,), size, index) + _table_pairs(
         lead_ins, lead_outs, (1,), size, index
     )
@@ -264,8 +277,8 @@ def claim_items(tree, prefix_items, s_node, u_node, b_val, c_val):
         ip = 0  # claimed pair is not incomparable; any disjunct refutes it
     lead = [Prefix(tuple(prefix_items))]
     outs = [
-        Numeral(seq_code(s_node)),
-        Numeral(seq_code(u_node)),
+        Numeral(tree.code(s_node)),
+        Numeral(tree.code(u_node)),
         Numeral(b_val),
         Numeral(c_val),
     ]
@@ -497,7 +510,12 @@ class GameTrace:
     rounds: int
     antecedent_items: tuple
     defender_items: tuple
-    verdicts: tuple = ()
+    judged: tuple = ()  # the referee's Verdicts, in the order given
+
+    @property
+    def verdicts(self) -> tuple:
+        """The referee's verdict lines, rendered when read."""
+        return tuple(v.line() for v in self.judged)
 
     def accepted(self) -> bool:
         return self.outcome == "accept"
@@ -536,20 +554,20 @@ def play_theorem1(tree, defender, adversary, horizon=10000, budget=None) -> Game
     direct = check_witness(
         d_stream, g_formula, budget, probes=(Probe(a_formula, a_stream, trusted=True),)
     )
-    verdicts = [direct.line()]
+    judged = [direct]
     if direct.status == "rejected":
         outcome, reason = "defeat", "rejected"
     elif _first_incomparable(delivered_nodes(ante)) is None:
         outcome, reason = "accept", "vacuous"  # the consequent is never owed
     else:
         applied = check_witness(apply_implication(d_stream, a_stream), c_formula, budget)
-        verdicts.append(applied.line())
+        judged.append(applied)
         if applied.status == "accepted_up_to":
             outcome, reason = "accept", "effective"
         else:
             outcome, reason = "defeat", "consequent-missing"
     return GameTrace(
-        "theorem1", outcome, reason, rounds, tuple(ante), tuple(mine), tuple(verdicts)
+        "theorem1", outcome, reason, rounds, tuple(ante), tuple(mine), tuple(judged)
     )
 
 
@@ -720,7 +738,7 @@ def pi11_encode(presentation, guess_horizon=64) -> WitnessStream:
         if dead_end is None:
             while True:
                 yield WS
-        codes = [seq_code(n) for n in visited]
+        codes = [presentation.code(n) for n in visited]
         for _ in range(len(codes)):
             yield WS
         yield TRIVIAL
@@ -734,7 +752,7 @@ def pi11_encode(presentation, guess_horizon=64) -> WitnessStream:
             if n + (0,) not in presentation.nodes
             and n + (1,) not in presentation.nodes
         ]
-        lead_out = [Numeral(seq_code(dead_end))]
+        lead_out = [Numeral(presentation.code(dead_end))]
         for p in _table_pairs(
             [], lead_out, (), len(leaves), leaves.index(dead_end), conjunct_pair=False
         ):

@@ -8,7 +8,7 @@ from these functions, written before the assertions that use them.
 
 import itertools
 
-from ctruth import checker, realizers, vm
+from ctruth import checker, combinators, games, realizers, vm
 from ctruth.formula import (
     NEGATIVE,
     POSITIVE,
@@ -1796,3 +1796,46 @@ def proof_tokens(text):
         toks.append(text[i:j])
         i = j
     return toks
+
+
+# ---------------------------------------------------------------------------
+# the game referee before its costs were capped, its tree tables kept and
+# its verdict lines rendered on demand
+
+
+def decision_cost(f: Formula, budget) -> int:
+    """checker._decision_cost without a cap: every node of f priced, by
+    plain recursion with no memo on the nodes."""
+    if isinstance(f, Atom):
+        return 1
+    if isinstance(f, (Not, Box)):
+        return 1 + decision_cost(f.body, budget)
+    if isinstance(f, (And, Or, Implies)):
+        return 1 + decision_cost(f.left, budget) + decision_cost(f.right, budget)
+    bound = budget.numeral_bound if isinstance(f, Forall) else budget.search_bound
+    return 1 + (bound + 1) * decision_cost(f.body, budget)
+
+
+def tree_tables(nodes):
+    """A tree's sorted nodes, incomparable pairs and node codes, computed
+    afresh on each call as TreePresentation once did."""
+    ns = sorted(nodes, key=lambda n: (len(n), n))
+    pairs = [(a, b) for a in ns for b in ns if a[: len(b)] != b and b[: len(a)] != a]
+    return ns, pairs, [vm.list_encode(list(n)) for n in ns]
+
+
+def eager_verdict_lines(tree, labels, ante, mine, budget):
+    """The referee's verdict lines for a played theorem1 game, each
+    rendered as soon as its check returns."""
+    a_formula, c_formula, g_formula = games._statements(tree, tuple(sorted(labels.items())))
+    a_stream = WitnessStream.from_items(ante)
+    d_stream = WitnessStream.from_items(mine)
+    probe = checker.Probe(a_formula, a_stream, trusted=True)
+    direct = checker.check_witness(d_stream, g_formula, budget, probes=(probe,))
+    lines = [direct.line()]
+    if direct.status != "rejected" and games._first_incomparable(
+        games.delivered_nodes(ante)
+    ):
+        applied = combinators.apply_implication(d_stream, a_stream)
+        lines.append(checker.check_witness(applied, c_formula, budget).line())
+    return tuple(lines)

@@ -33,6 +33,7 @@ from ctruth.witness import (
 from golden import _emitter
 from oracles import all_tables, first_conflict, holds, render_table, table_correct
 from test_acceptance import _FAMILY
+from test_formula import _sentences
 from test_witness import _walked_pair
 
 DOUBLING = parse("A x. E y. y=2*x")
@@ -475,6 +476,47 @@ def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
         with mock.patch.object(checker, "content", side_effect=AssertionError), \
                 mock.patch.object(checker, "eval3", side_effect=AssertionError):
             assert not checker._refuted(parts, budget)
+
+
+# The costing stops once it passes its cap: below the cap it is the
+# uncapped price, above it cap + 1, and a cost cut off at a cap is never
+# memoized, so a later call with a larger cap still prices exactly.
+@given(
+    st.sampled_from(_COSTED) | _sentences(),
+    st.integers(min_value=0, max_value=600),
+    st.integers(min_value=0, max_value=600),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_capped_cost_is_the_uncapped_cost_cut_at_the_cap(f, pulls, numerals, data):
+    budget = Budget(pulls, numerals, 100)
+    want = oracles.decision_cost(f, budget)
+    near = st.integers(min_value=max(-2, want - 3), max_value=want + 3)
+    caps = data.draw(st.lists(near | st.integers(min_value=-2, max_value=2 * want)))
+    for cap in caps + [checker._DECISION_ALLOWANCE]:
+        assert checker._decision_cost(f, budget, cap) == min(want, cap + 1)
+    assert checker._decision_cost(f, budget) == min(want, checker._DECISION_ALLOWANCE + 1)
+
+
+@given(
+    st.sampled_from(_COSTED).flatmap(lambda f: st.tuples(st.just(f), _walked_pair(f))),
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=0, max_value=600),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_capped_content_cost_is_the_claims_cost_cut_at_the_cap(case, pulls, numerals, data):
+    f, raw = case
+    try:
+        p = shape_check(f, raw)
+    except (ShapeMismatch, TypeError):
+        assume(False)
+    budget = Budget(pulls, numerals, 100)
+    parts = shape_walk(f, p)[2]
+    want = oracles.decision_cost(semantic_content(f, p), budget)
+    cap = data.draw(st.integers(min_value=max(-2, want - 3), max_value=want + 3)
+                    | st.integers(min_value=-2, max_value=2 * want))
+    assert checker._content_cost(parts, budget, cap) == min(want, cap + 1)
 
 
 def test_long_successor_stream_accepted():

@@ -302,6 +302,30 @@ def test_game_theorem1_effective(capsys):
     assert "OUTCOME accept effective" in out
 
 
+# A tree line names a path by its 0/1 steps.  Any other entry is refused
+# before a table is built: a huge one would build a disjunction table
+# until memory ran out, and a small one would be played as if binary.
+@pytest.mark.parametrize("line", ["0 2", "0999999999999", "1 -1", "2"])
+def test_game_theorem1_rejects_a_non_binary_tree(tmp_path, capsys, line):
+    tree = tmp_path / "bad.tree"
+    tree.write_text(f"0 0\n{line}\n")
+
+    def hang(signum, frame):
+        raise TimeoutError("game theorem1 did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        code, out = run(capsys, "game", "theorem1", "--tree", str(tree))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("ERROR presentation entries must be 0 or 1")
+    assert "Traceback" not in out
+
+
 def test_game_prop3_both_regimes(capsys):
     code, out = run(capsys, "game", "prop3", "--length", "3")
     assert code == 0 and "TAUTOLOGY true" in out

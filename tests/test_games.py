@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ctruth import games
-from ctruth.checker import Budget
+from ctruth import checker, games, vm
+from ctruth.checker import Budget, Verdict
+from ctruth.formula import parts
 from ctruth.games import (
     DesignatedBranchAdversary,
     GenerousAdversary,
@@ -36,6 +39,14 @@ def test_presentation_requires_prefix_closure():
         TreePresentation(frozenset({(), (0, 0)}))
     with pytest.raises(ValueError):
         TreePresentation(frozenset({(0,)}))
+
+
+@pytest.mark.parametrize("entry", [2, -1, 999999999999])
+def test_presentation_entries_are_zero_or_one(entry):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        TreePresentation.from_sequences([(0, 0), (0, entry)])
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        TreePresentation(frozenset({(), (entry,)}))
 
 
 def test_from_sequences_closes_prefixes():
@@ -263,3 +274,75 @@ def test_a_defender_decodes_each_delivery_once(monkeypatch):
     for r, got in enumerate(rounds, 1):
         assert got == delivered_nodes(items[:r])
     assert rounds[-1][0] == (0, (), 1)  # the first delivery wins
+
+
+FULL3 = TreePresentation.from_sequences(product((0, 1), repeat=3))
+_PLAY_BUDGET = Budget(pull_limit=64, numeral_bound=2, vm_steps=200)  # play_theorem1's
+
+
+def test_tree_tables_are_built_once_and_agree_with_the_per_call_computation(monkeypatch):
+    trees = subtrees_of_depth(3)
+    assert len(trees) == 676
+    tables = [oracles.tree_tables(t.nodes) for t in trees]
+    for t, (nodes, pairs, codes) in zip(trees, tables):
+        assert type(t.sorted_nodes()) is tuple and t.sorted_nodes() == tuple(nodes)
+        assert type(t.incomparable_pairs()) is tuple and t.incomparable_pairs() == tuple(pairs)
+        assert [t.code(n) for n in t.sorted_nodes()] == codes
+        assert t.is_chain() == (not pairs)
+    # a second reading of every table computes nothing again
+    monkeypatch.setattr(vm, "list_encode", lambda bits: pytest.fail("a node was coded again"))
+    monkeypatch.setattr(games, "_incomparable", lambda a, b: pytest.fail("pairs rebuilt"))
+    for t, (nodes, pairs, codes) in zip(trees, tables):
+        assert t.sorted_nodes() is t.sorted_nodes()
+        assert t.incomparable_pairs() == tuple(pairs)
+        assert [t.code(n) for n in t.sorted_nodes()] == codes
+
+
+def _nodes(f):
+    """f's distinct formula nodes, shared subformulas counted once."""
+    seen, todo = {}, [f]
+    while todo:
+        g = todo.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            todo.extend(parts(g))
+    return list(seen.values())
+
+
+def test_a_copier_play_prices_only_what_the_allowance_can_decide(monkeypatch):
+    _statements.cache_clear()
+    calls = []
+    cost = checker._decision_cost
+    monkeypatch.setattr(checker, "_decision_cost", lambda *a: calls.append(a) or cost(*a))
+    adversary = GenerousAdversary()
+    trace = play_theorem1(FULL3, WaitingCopier(), adversary)
+    assert (trace.outcome, trace.reason) == ("accept", "effective")
+    # the antecedent passes the allowance after its three binders, so
+    # pricing every node (899 calls, a memo on all 814 nodes) buys nothing
+    assert len(calls) <= 200
+    implication = _statements(FULL3, tuple(sorted(adversary.labels.items())))[2]
+    nodes = _nodes(implication)
+    assert len(nodes) == 814
+    assert sum(bool(g._costs) for g in nodes) <= 10
+
+
+def test_verdict_lines_are_rendered_only_when_read(monkeypatch):
+    trees = [FULL3] + subtrees_of_depth(3)[::45]
+    plays = []
+
+    def never(self):
+        raise AssertionError("a verdict line was rendered during a play")
+
+    with monkeypatch.context() as m:
+        m.setattr(Verdict, "line", never)
+        for t in trees:
+            for defender in defender_library():
+                adversary = DesignatedBranchAdversary()
+                plays.append((t, adversary, play_theorem1(t, defender, adversary)))
+            adversary = GenerousAdversary()
+            plays.append((t, adversary, play_theorem1(t, WaitingCopier(), adversary)))
+            assert len(dichotomy_row(t)) == 6
+    for t, adversary, trace in plays:
+        assert trace.verdicts == oracles.eager_verdict_lines(
+            t, adversary.labels, trace.antecedent_items, trace.defender_items, _PLAY_BUDGET
+        )
