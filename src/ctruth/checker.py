@@ -9,13 +9,13 @@ tokens shapes it and gives both its path of tokens and its content in
 parts (witness.shape_walk).  The discipline is checked in one indexed
 pass that inserts each path into a trie and compares it only with the
 pairs whose inputs agree with its own; the coverage walk then follows
-that trie.  Content is judged under an integer environment binding the
-pair's tokens, never by substituting unary numerals, so a check costs
-close to linear time in the number of pairs.  A refutation is costed on
-the statement's spine before any of its content is built, and the costing
-stops once it passes the allowance, so a decision the allowance declines
-builds nothing and prices only what fits.  Every walk reads the spine
-record memoized on each formula node (witness.slot).  The three outcomes:
+that trie.  Content is judged, for speed, under an integer environment
+binding the pair's tokens, so a check costs close to linear time in the
+number of pairs.  A refutation is costed on the statement's spine before
+any of its content is built, and the costing stops once it passes the
+allowance, so a decision the allowance declines builds nothing and
+prices only what fits.  Every walk reads the spine record memoized on
+each formula node (witness.slot).  The three outcomes:
 
     accepted_up_to   no fault found and all bounded demands answered
     rejected         a pair is malformed, conflicting, or provably wrong

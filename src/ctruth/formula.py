@@ -1,9 +1,10 @@
 """First-order arithmetic formulas: terms, parsing, printing, classification.
 
 The term language has constants 0 and 1, variables, sums and products.
-Decimal literals in source text are sugar for left-nested sums of 1, and
-the printer folds that canonical shape back into a decimal, so `3` and
-`2+1` denote the same term object.
+A closed numeral n >= 2, such as a decimal literal, is one `Num` node that
+holds its int.  It equals and hashes as its unary spelling 1+1+...+1, and
+the printer folds any `+1` run over 0 or 1 back into a decimal, so `3` and
+`2+1` denote equal terms.
 
 Each infix operator's token, precedence and associativity are in one
 table, `_INFIX`, read by both the reader and the printer.  `~` binds
@@ -13,7 +14,7 @@ possible scope, so a quantifier body starting with `~` needs parentheses.
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, eq as eq_, is_, itemgetter, lt as lt_, mul
 
 
@@ -64,7 +65,7 @@ class Add(Term):
     def __eq__(self, other):
         """Structural: both sides' `+1` runs are peeled, then the counts
         and then the bases are compared."""
-        if other.__class__ is not Add:
+        if other.__class__ is not Add and other.__class__ is not Num:
             return NotImplemented
         (a, m), (b, n) = peel(self), peel(other)
         if m != n:
@@ -79,6 +80,15 @@ class Add(Term):
         return hash((steps, t.left, t.right) if t.__class__ is Add else (steps, t))
 
 
+@dataclass(frozen=True, eq=False)
+class Num(Term):
+    """The closed numeral value >= 2 as one node, built by numeral: it
+    peels, compares and hashes as its unary spelling (1+1)+...+1."""
+    value: int
+    __eq__ = Add.__eq__
+    __hash__ = Add.__hash__
+
+
 @dataclass(frozen=True)
 class Mul(Term):
     left: Term
@@ -88,34 +98,30 @@ class Mul(Term):
 def peel(t: Term):
     """(base, k) for t = base+1+...+1 with k `+1` steps, where base does
     not itself end in `+1`: the one loop over a run of `+1` steps, such
-    as a numeral's spine."""
+    as a numeral's spine.  A Num is One() and its value - 1 steps."""
     k = 0
     while t.__class__ is Add and t.right.__class__ is One:
         t = t.left
         k += 1
+    if t.__class__ is Num:
+        return One(), k + t.value - 1
     return t, k
 
 
+@lru_cache(maxsize=4096)
 def numeral(n: int) -> Term:
-    """Canonical term for a natural number: 0, 1, 1+1, (1+1)+1, ..."""
+    """Canonical term for n: Zero(), One() or one Num, shared by calls."""
     if n < 0:
         raise ValueError("numerals are naturals")
-    if n == 0:
-        return Zero()
-    t: Term = One()
-    for _ in range(n - 1):
-        t = Add(t, One())
-    return t
+    if n < 2:
+        return One() if n else Zero()
+    return Num(n)
 
 
 def numeral_value(t: Term):
     """The natural n if t is a canonical numeral shape, else None."""
     base, n = peel(t)
-    if base.__class__ is Zero:
-        return n
-    if base.__class__ is One:
-        return n + 1
-    return None
+    return n + (base.__class__ is One) if base.__class__ in (Zero, One) else None
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +523,8 @@ def subst_term(f: Formula, var: str, repl: Term) -> Formula:
 def instantiate(f: Formula, env: dict) -> Formula:
     """Replace each free variable env binds by the numeral of its value.
 
-    One simultaneous pass, so a large numeral is built once and never
-    walked; f itself comes back when env touches none of its variables.
+    One simultaneous pass, and each numeral is one node whatever its
+    value; f itself comes back when env touches none of its variables.
     """
     if not env:
         return f

@@ -71,11 +71,6 @@ def seq_decode(code: int):
     return tuple(vm.list_decode(code))
 
 
-@lru_cache(maxsize=4096)
-def _num(value: int):
-    return numeral(value)
-
-
 @dataclass(frozen=True)
 class TreePresentation:
     """A finite prefix-closed set of binary sequences, root included."""
@@ -169,21 +164,21 @@ def subtrees_of_depth(depth: int):
 def inlen_table(n_term, s_term, tree):
     """n is a length realized in the tree and s is a node of that length."""
     return disj_all(
-        And(eq(n_term, _num(len(node))), eq(s_term, _num(tree.code(node))))
+        And(eq(n_term, numeral(len(node))), eq(s_term, numeral(tree.code(node))))
         for node in tree.sorted_nodes()
     )
 
 
 def incomp_table(s_term, u_term, tree):
     return disj_all(
-        And(eq(s_term, _num(tree.code(a))), eq(u_term, _num(tree.code(b))))
+        And(eq(s_term, numeral(tree.code(a))), eq(u_term, numeral(tree.code(b))))
         for a, b in tree.incomparable_pairs()
     )
 
 
 def label_table(s_term, b_term, tree, labels):
     return disj_all(
-        And(eq(s_term, _num(tree.code(node))), eq(b_term, _num(labels[node])))
+        And(eq(s_term, numeral(tree.code(node))), eq(b_term, numeral(labels[node])))
         for node in tree.sorted_nodes()
     )
 
@@ -605,8 +600,8 @@ def build_chain(length: int, break_at=None):
         fake = i + 100 if break_at == i else None
         links.append(
             (
-                Exists("y", eq(Var("y"), _num(i if fake is None else fake))),
-                Exists("y", eq(Var("y"), _num(i + 1))),
+                Exists("y", eq(Var("y"), numeral(i if fake is None else fake))),
+                Exists("y", eq(Var("y"), numeral(i + 1))),
                 chain_link_witness(i, fake),
             )
         )
@@ -690,11 +685,11 @@ def prop3_duality(length: int, break_at=None, budget=None):
     links = build_chain(length, break_at)
     stream = WitnessStream.from_items([IOPair((), (Numeral(0),))])
     for i, (_, _, w) in enumerate(links):
-        stage = Exists("y", eq(Var("y"), _num(i + 1)))
+        stage = Exists("y", eq(Var("y"), numeral(i + 1)))
         stream = normalize_strict(apply_implication(w, stream), stage)
-    goal = Exists("y", eq(Var("y"), _num(length)))
+    goal = Exists("y", eq(Var("y"), numeral(length)))
     verdict = check_witness(stream, goal, budget)
-    start = Exists("y", eq(Var("y"), _num(0)))
+    start = Exists("y", eq(Var("y"), numeral(0)))
     combination, n_atoms = extract_combination(links, start, goal)
     return {
         "length": length,

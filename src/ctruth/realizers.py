@@ -37,6 +37,7 @@ from .formula import (
     Implies,
     Mul,
     Not,
+    Num,
     One,
     Or,
     Term,
@@ -287,8 +288,7 @@ def _absurd_atom(f: Formula) -> bool:
 
 def _same(a: Formula, b: Formula) -> bool:
     """Whether a and b agree up to the values of closed terms, the
-    conversion rule of Heyting arithmetic: 0<0+1 is 0<1.  No numeral is
-    built, so a large closed term costs no memory."""
+    conversion rule of Heyting arithmetic: 0<0+1 is 0<1."""
     if a == b:
         return True
     if a.__class__ is not b.__class__:
@@ -874,10 +874,9 @@ def _code(node: _Node, syms: dict, idx: str, d: int) -> str:
 
 
 def _vm_term_env(t: Term, env: dict) -> str:
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
+    if isinstance(t, (Zero, One, Num)):  # unary, as in every CODE line: (+ (+ 1 1) 1)
+        n = numeral_value(t) - 1
+        return "(+ " * n + "1" + " 1)" * n if n >= 0 else "0"
     if isinstance(t, Var):
         if t.name not in env:
             raise ExtractionError(f"term mentions {t.name}, which no loop binds")

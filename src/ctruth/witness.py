@@ -527,8 +527,8 @@ def semantic_content(f: Formula, p: IOPair) -> Formula:
 def content(parts) -> Formula:
     """The formula that shape_walk's content parts (hyps, rest, env)
     stand for: `rest` under `env`, implied by the conjunction of the
-    hypotheses if any.  Judging `rest` under `env` instead leaves large
-    numerals as integers."""
+    hypotheses if any.  Judging `rest` under `env` instead builds no
+    formula."""
     hyps, rest, env = parts
     concl = instantiate(rest, env)
     if not hyps:

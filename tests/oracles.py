@@ -23,6 +23,7 @@ from ctruth.formula import (
     Implies,
     Mul,
     Not,
+    Num,
     One,
     Or,
     ParseError,
@@ -31,6 +32,7 @@ from ctruth.formula import (
     Var,
     Zero,
     instantiate,
+    numeral,
     peel,
     print_term,
 )
@@ -72,6 +74,8 @@ def term_value(t, env):
         return 0
     if isinstance(t, One):
         return 1
+    if isinstance(t, Num):
+        return t.value
     if isinstance(t, Var):
         return env[t.name]
     if isinstance(t, Add):
@@ -1018,7 +1022,7 @@ def term_vars(t: Term) -> set:
     in a loop."""
     while isinstance(t, Add) and isinstance(t.right, One):
         t = t.left
-    if isinstance(t, (Zero, One)):
+    if isinstance(t, (Zero, One, Num)):
         return set()
     if isinstance(t, Var):
         return {t.name}
@@ -1233,10 +1237,13 @@ def add_eq(self, other):
 
 
 def add_hash(self):
-    """Agrees with __eq__; a run of `+1` steps is counted in a loop."""
+    """Agrees with __eq__; a run of `+1` steps is counted in a loop, and
+    a numeral base counts as One() and its value - 1 steps."""
     t, steps = self, 0
     while t.__class__ is Add and t.right.__class__ is One:
         t, steps = t.left, steps + 1
+    if t.__class__ is Num:
+        t, steps = One(), steps + t.value - 1
     return hash((steps, t.left, t.right) if t.__class__ is Add else (steps, t))
 
 
@@ -1687,7 +1694,7 @@ class _Parser:
         tok = self._peek()
         if tok.startswith("num:"):
             self._advance()
-            return numeral_term(int(tok[4:]))
+            return numeral(int(tok[4:]))
         if tok.startswith("id:"):
             name = tok[3:]
             if name not in self.bound and name not in self.free:

@@ -15,6 +15,7 @@ from ctruth.formula import (
     Implies,
     Mul,
     Not,
+    Num,
     One,
     Or,
     ParseError,
@@ -279,6 +280,8 @@ def _fresh(t):
         t, k = t.left, k + 1
     if isinstance(t, (Add, Mul)):
         t = type(t)(_fresh(t.left), _fresh(t.right))
+    elif isinstance(t, Num):
+        t = Num(t.value)
     else:
         t = Var(t.name) if isinstance(t, Var) else type(t)()
     return _run(t, k)

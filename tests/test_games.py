@@ -30,6 +30,7 @@ from ctruth.games import (
 )
 from ctruth.witness import TRIVIAL
 
+from conftest import run_capped
 import oracles
 from oracles import is_tautology
 
@@ -346,3 +347,29 @@ def test_verdict_lines_are_rendered_only_when_read(monkeypatch):
         assert trace.verdicts == oracles.eager_verdict_lines(
             t, adversary.labels, trace.antecedent_items, trace.defender_items, _PLAY_BUDGET
         )
+
+
+_DEPTH5 = """
+from itertools import product
+from ctruth.formula import numeral_value
+from ctruth.games import TreePresentation, antecedent_formula, consequent_formula
+tree = TreePresentation.from_sequences(product((0, 1), repeat=5))
+labels = {node: len(node) % 2 for node in tree.sorted_nodes()}
+a, c = antecedent_formula(tree, labels), consequent_formula(tree, labels)
+codes = [tree.code(node) for node in tree.sorted_nodes()]
+print(len(codes), len(tree.incomparable_pairs()), max(codes))
+# the last disjunct of each statement's label table: node 11111 and its label
+for table in (a.body.body.body.right, c.body.body.body.body.right):
+    print(table.right, numeral_value(table.right.left.right))
+"""
+
+
+def test_the_full_depth5_statements_build_under_a_memory_cap():
+    # every table code is one numeral node; the play over this tree still
+    # recurses over its 3,390-disjunct incomparability table
+    done = run_capped(_DEPTH5)
+    assert done.stdout.splitlines() == [
+        "63 3390 2598059",
+        "s=2598059 /\\ b=1 2598059",
+        "u=2598059 /\\ c=1 2598059",
+    ]
