@@ -9,13 +9,14 @@ tokens shapes it and gives both its path of tokens and its content in
 parts (witness.shape_walk).  The discipline is checked in one indexed
 pass that inserts each path into a trie and compares it only with the
 pairs whose inputs agree with its own; the coverage walk then follows
-that trie.  Content is judged, for speed, under an integer environment
-binding the pair's tokens, so a check costs close to linear time in the
-number of pairs.  A refutation is costed on the statement's spine before
-any of its content is built, and the costing stops once it passes the
-allowance, so a decision the allowance declines builds nothing and
-prices only what fits.  Every walk reads the spine record memoized on
-each formula node (witness.slot).  The three outcomes:
+that trie, recursing only at input slots.  Content is judged, for speed,
+under an integer environment binding the pair's tokens, so a check costs
+close to linear time in the number of pairs.  A refutation is costed on
+the statement's spine before any of its content is built, and the
+costing stops once it passes the allowance, so a decision the allowance
+declines builds nothing and prices only what fits.  Every walk reads the
+spine record memoized on each formula node (witness.slot), and tests its
+kind by identity.  The three outcomes:
 
     accepted_up_to   no fault found and all bounded demands answered
     rejected         a pair is malformed, conflicting, or provably wrong
@@ -137,8 +138,6 @@ def _pending(budget, path):
 # ---------------------------------------------------------------------------
 # output discipline: one indexed pass over the pairs' paths
 
-_OUTPUTS = (OUT_NUM, OUT_SEL, OUT_CODE)
-
 
 def _index(paths) -> tuple:
     """The pairs' paths in one trie, judged for the output discipline
@@ -162,7 +161,8 @@ def _index(paths) -> tuple:
     conflict would have been reported.  Until a pair meets a prefix
     slot, the only node agreeing with it is its own; from then on a
     frontier of agreeing nodes also takes, at prefix slots, the siblings
-    its prefix extends or is extended by.
+    its prefix extends or is extended by, until it is the own node alone
+    or empty with no conflict pending, and the plain walk resumes.
     """
     edges = {}
     said = {}
@@ -171,9 +171,9 @@ def _index(paths) -> tuple:
         own = 0
         frontier = hit = None
         for kind, key in path:
-            if kind == IN_PREFIX and frontier is None:
+            if kind is IN_PREFIX and frontier is None:
                 frontier = [(own, False)]
-            speaks = kind in _OUTPUTS
+            speaks = kind is OUT_SEL or kind is OUT_NUM or kind is OUT_CODE
             if speaks:
                 first = said.setdefault(own, (j, key))
             if frontier is None:
@@ -186,7 +186,7 @@ def _index(paths) -> tuple:
                         i = said[node][0]
                         if hit is None or i < hit[0]:
                             hit = (i, "monotonicity" if ext else "functionality")
-                    elif kind == IN_PREFIX:
+                    elif kind is IN_PREFIX:
                         for pre, child in kids.get(node, ()):
                             if pre == key:
                                 after.append((child, ext))
@@ -200,9 +200,11 @@ def _index(paths) -> tuple:
             child = edges.get((own, key))
             if child is None:
                 child = edges[own, key] = len(edges) + 1
-                if kind == IN_PREFIX:
+                if kind is IN_PREFIX:
                     kids.setdefault(own, []).append((key, child))
             own = child
+            if hit is None and frontier is not None and frontier in ([], [(own, False)]):
+                frontier = None
         if hit is not None:
             return (j,) + hit, edges, said, kids
     return None, edges, said, kids
@@ -219,71 +221,74 @@ def _walk(g, env, nodes, path, trie, budget, probes):
     """First unmet demand or definite fault under g, else None.
 
     Returns (_PEND, path) or (_REJ, j, reason), j being the index of the
-    pair at fault.  `env` holds the values of g's instantiated
-    variables; `nodes` are the trie nodes of the pairs whose tokens so
-    far match `path` and the stream's own outputs, and `trie` is
-    _index's (edges, said, kids).  Every pair at the nodes agrees at an
-    output slot, or the discipline check would already have rejected.
+    pair at fault.  `env` holds the values of g's instantiated variables;
+    `nodes` are the trie nodes of the pairs whose tokens so far match
+    `path` and the stream's own outputs, and `trie` is _index's (edges,
+    said, kids).  Every pair at the nodes agrees at an output slot, or the
+    discipline check would have rejected; the walk follows output slots
+    in a loop and recurses per input slot.
     """
     edges, said, kids = trie
-    s = slot(g)
-    kind = s[0]
-    if kind == END:
-        return None if nodes else (_PEND, path)
-    if kind in (IN_NUM, IN_SEL):
-        if kind == IN_NUM:
-            _, var, body = s
-            choices = (
-                (Numeral(n), n, body, {**env, var: n}) for n in range(budget.numeral_bound + 1)
-            )
+    while True:
+        s = g._spine or slot(g)
+        kind = s[0]
+        if kind is END:
+            return None if nodes else (_PEND, path)
+        if kind is IN_NUM or kind is IN_SEL:
+            if kind is IN_NUM:
+                _, var, body = s
+                top = budget.numeral_bound + 1
+                choices = ((Numeral(n), n, body, {**env, var: n}) for n in range(top))
+            else:
+                choices = ((Selector(c), c, s[1 + c], env) for c in (0, 1))
+            for tok, key, sub, sub_env in choices:
+                branch = [edges[n, key] for n in nodes if (n, key) in edges]
+                if not branch:
+                    return (_PEND, path + [tok])
+                r = _walk(sub, sub_env, branch, path + [tok], trie, budget, probes)
+                if r:
+                    return r
+            return None
+        if kind is IN_PREFIX:
+            ante = instantiate(s[1], env)
+            for probe in probes:
+                if probe.formula != ante:
+                    continue
+                observed = Prefix(probe.stream.pull(budget.pull_limit))
+                branch = [c for n in nodes for pre, c in kids.get(n, ()) if observed.extends(pre)]
+                if not branch:
+                    return (_PEND, path + [observed])
+                r = _walk(s[2], env, branch, path + [observed], trie, budget, probes)
+                if r:
+                    return r
+            return None  # no probe, no demand to meet
+        # output slots: follow the stream's own (unique) choice
+        speaking = [n for n in nodes if n in said and said[n][1] is not None]
+        if not speaking:
+            return (_PEND, path)
+        j, key = min(said[n] for n in speaking)
+        if kind is OUT_CODE:
+            # decode, run, and check the emitted stream against the body
+            try:
+                prog = vm.godel_decode(key)
+            except vm.DecodeError as e:
+                return (_REJ, j, f"code does not decode: {e}")
+            inner = vm.run_stream(prog, {}, budget.vm_steps)
+            try:
+                v = check_witness(inner, instantiate(s[1], env), budget)
+            except vm.VMError as e:
+                return (_REJ, j, f"decoded program fails: {e}")
+            if v.status == "rejected":
+                return (_REJ, j, f"decoded program fails: {v.line()}")
+            if v.status == "pending":
+                return (_PEND, list(v.missing) if v.missing else path)
+            return None
+        nodes = [edges[n, key] for n in speaking]
+        if kind is OUT_NUM:
+            env = {**env, s[1]: key}
+            g = s[2]
         else:
-            choices = ((Selector(c), c, s[1 + c], env) for c in (0, 1))
-        for tok, key, sub, sub_env in choices:
-            branch = [edges[n, key] for n in nodes if (n, key) in edges]
-            if not branch:
-                return (_PEND, path + [tok])
-            r = _walk(sub, sub_env, branch, path + [tok], trie, budget, probes)
-            if r:
-                return r
-        return None
-    if kind == IN_PREFIX:
-        ante = instantiate(s[1], env)
-        for probe in probes:
-            if probe.formula != ante:
-                continue
-            observed = Prefix(probe.stream.pull(budget.pull_limit))
-            branch = [c for n in nodes for pre, c in kids.get(n, ()) if observed.extends(pre)]
-            if not branch:
-                return (_PEND, path + [observed])
-            r = _walk(s[2], env, branch, path + [observed], trie, budget, probes)
-            if r:
-                return r
-        return None  # no probe, no demand to meet
-    # output slots: follow the stream's own (unique) choice
-    speaking = [n for n in nodes if n in said and said[n][1] is not None]
-    if not speaking:
-        return (_PEND, path)
-    j, key = min(said[n] for n in speaking)
-    if kind == OUT_CODE:
-        # decode, run, and check the emitted stream against the body
-        try:
-            prog = vm.godel_decode(key)
-        except vm.DecodeError as e:
-            return (_REJ, j, f"code does not decode: {e}")
-        inner = vm.run_stream(prog, {}, budget.vm_steps)
-        try:
-            v = check_witness(inner, instantiate(s[1], env), budget)
-        except vm.VMError as e:
-            return (_REJ, j, f"decoded program fails: {e}")
-        if v.status == "rejected":
-            return (_REJ, j, f"decoded program fails: {v.line()}")
-        if v.status == "pending":
-            return (_PEND, list(v.missing) if v.missing else path)
-        return None
-    branch = [edges[n, key] for n in speaking]
-    if kind == OUT_NUM:
-        return _walk(s[2], {**env, s[1]: key}, branch, path, trie, budget, probes)
-    return _walk(s[1 + key], env, branch, path, trie, budget, probes)
+            g = s[1 + key]
 
 
 # ---------------------------------------------------------------------------

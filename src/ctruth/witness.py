@@ -306,14 +306,13 @@ IN_NUM, OUT_NUM, IN_SEL, OUT_SEL, IN_PREFIX, OUT_CODE, END = (
 
 
 _INPUTS = (IN_NUM, IN_SEL, IN_PREFIX)
-_CHOICES = (IN_SEL, OUT_SEL)
 
 
 def slot(f: Formula):
     """The next token slot of a statement, walked by decreasing scope.
 
-    The record is built once per node and kept on it, so a walk reads
-    each node's record once per step and never re-derives it.
+    The record is built once per node and kept on it as `_spine`; a walk
+    reads that first, and tests the kind by identity.
     """
     s = getattr(f, "_spine", None)
     if s is not None:
@@ -342,11 +341,6 @@ def input_rooted(f: Formula) -> bool:
     """The statement's first slot is an input, so a witness for it
     leads with the trivial pair."""
     return slot(f)[0] in _INPUTS
-
-
-def _after(s, tok):
-    """The statement past a token given at slot record s."""
-    return s[1 + tok.choice] if s[0] in _CHOICES else s[2]
 
 
 def shape_check(f: Formula, p: IOPair) -> IOPair:
@@ -378,56 +372,63 @@ def shape_walk(f: Formula, p: IOPair):
     instantiate to their values.  A prefix input contributes its
     antecedent as `((), ante, env)` and the parts of each pair it holds,
     put under the env of the slot.  Nothing is instantiated here;
-    `content` builds the formula.  The walk is a loop over offsets i, o
-    into the pair's token tuples.
+    `content` builds the formula.  One loop over offsets i, o into the
+    pair's token tuples reads each token in line; only a prefix calls out.
     """
     ins, outs = p.inputs, p.outputs
+    n_in, n_out = len(ins), len(outs)
     si, so, path, hyps, env = [], [], [], [], {}
     i = o = 0
     g = f
     while True:
-        s = slot(g)
+        s = g._spine or slot(g)
         kind = s[0]
-        if kind == END:
-            if i < len(ins) or o < len(outs):
+        if kind is END:
+            if i < n_in or o < n_out:
                 raise ShapeMismatch("tokens left over past the end of the statement")
             break
-        if kind in _INPUTS:
-            if i == len(ins):
-                if o < len(outs):
+        if kind is IN_NUM or kind is IN_SEL or kind is IN_PREFIX:
+            if i == n_in:
+                if o < n_out:
                     raise ShapeMismatch("output given without the required input")
                 break
             tok, toks = ins[i], si
             i += 1
         else:
-            if o == len(outs):
-                if i < len(ins):
+            if o == n_out:
+                if i < n_in:
                     raise ShapeMismatch("input given past the available output")
-                if ins or outs:
+                if n_in or n_out:
                     path.append((kind, None))
                 break
             tok, toks = outs[o], so
             o += 1
-        if kind == IN_PREFIX:
+        c = tok.__class__
+        if kind is OUT_SEL or kind is IN_SEL:
+            key = tok.value if c is Numeral else tok.choice if c is Selector else -1
+            if key != 0 and key != 1:
+                raise _not_a_selector(tok)
+            tok = _SELECTORS[key]
+            g = s[1 + key]
+        elif kind is IN_PREFIX:
             key = tok
             tok, inner = _prefix_token(s[1], tok)
             hyps.append(((), s[1], dict(env)))
             hyps.extend(_under(env, parts) for parts in inner)
-        elif kind in _CHOICES:
-            tok = _sel_token(tok)
-            key = tok.choice
-        else:
-            tok = _num_token(tok)
+            g = s[2]
+        elif c is Numeral:
             key = tok.value
-            if kind != OUT_CODE:
+            if kind is not OUT_CODE:
                 env[s[1]] = key
+                g = s[2]
+        else:
+            raise ShapeMismatch(f"expected a numeral, found {tok}")
         toks.append(tok)
         path.append((kind, key))
-        if kind == OUT_CODE:
-            if i < len(ins) or o < len(outs):
+        if kind is OUT_CODE:
+            if i < n_in or o < n_out:
                 raise ShapeMismatch("tokens left over past a code")
             break
-        g = s[1 + key] if kind in _CHOICES else s[2]
     return IOPair(tuple(si), tuple(so)), path, (hyps, g, env)
 
 
@@ -438,25 +439,13 @@ def _under(env, parts):
     return type(hyps)(_under(env, h) for h in hyps), rest, {**env, **inner}
 
 
-def _num_token(tok):
-    if isinstance(tok, Numeral):
-        return tok
-    raise ShapeMismatch(f"expected a numeral, found {tok}")
-
-
 _SELECTORS = (Selector(0), Selector(1))
 
 
-def _sel_token(tok):
-    if isinstance(tok, Selector):
-        v = tok.choice
-    elif isinstance(tok, Numeral):
-        v = tok.value
-    else:
-        raise ShapeMismatch(f"expected a selector, found {tok}")
-    if v not in (0, 1):
-        raise ShapeMismatch(f"selector out of range: {v}")
-    return _SELECTORS[v]
+def _not_a_selector(tok):
+    if isinstance(tok, (Numeral, Selector)):
+        return ShapeMismatch(f"selector out of range: {tok}")
+    return ShapeMismatch(f"expected a selector, found {tok}")
 
 
 def _prefix_token(ante, tok):
@@ -487,14 +476,15 @@ def pair_complete(f: Formula, p: IOPair) -> bool:
     """True when the pair's walk reaches the end of its path."""
     ins, outs = p.inputs, p.outputs
     i = o = 0
-    s = slot(f)
+    g = f
     while True:
+        s = g._spine or slot(g)
         kind = s[0]
-        if kind == END:
+        if kind is END:
             return i == len(ins) and o == len(outs)
-        if kind == OUT_CODE:
+        if kind is OUT_CODE:
             return i == len(ins) and o + 1 == len(outs)
-        if kind in _INPUTS:
+        if kind is IN_NUM or kind is IN_SEL or kind is IN_PREFIX:
             if i == len(ins):
                 return False
             tok = ins[i]
@@ -504,9 +494,14 @@ def pair_complete(f: Formula, p: IOPair) -> bool:
                 return False
             tok = outs[o]
             o += 1
-        if kind in _CHOICES:
-            tok = _sel_token(tok)
-        s = slot(_after(s, tok))
+        if kind is OUT_SEL or kind is IN_SEL:
+            c = tok.__class__
+            key = tok.value if c is Numeral else tok.choice if c is Selector else -1
+            if key != 0 and key != 1:
+                raise _not_a_selector(tok)
+            g = s[1 + key]
+        else:
+            g = s[2]
 
 
 # ---------------------------------------------------------------------------

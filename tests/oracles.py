@@ -57,7 +57,7 @@ from ctruth.witness import (
     Whitespace,
     WitnessStream,
     WitnessTextError,
-    _after,
+    _under,
     content,
     is_pair,
     slot,
@@ -399,6 +399,117 @@ def _complete(f, ins, outs):
 
 
 # ---------------------------------------------------------------------------
+# the shape walk by helper calls
+#
+# The package's shape walk and completeness walk as they were before
+# they read each token in line: slot() for every node, tuple membership
+# for the slot kinds and one helper call per selector or numeral.  A
+# prefix's pairs are shaped here on every call, with no memo on the
+# prefix, by this walk itself.
+
+_CHOICES = (IN_SEL, OUT_SEL)
+
+
+def _after(s, tok):
+    """The statement past a token given at slot record s."""
+    return s[1 + tok.choice] if s[0] in _CHOICES else s[2]
+
+
+def slot_shape_walk(f, p):
+    """(shaped, path, parts) of a pair, as witness.shape_walk gives them."""
+    ins, outs = p.inputs, p.outputs
+    si, so, path, hyps, env = [], [], [], [], {}
+    i = o = 0
+    g = f
+    while True:
+        s = slot(g)
+        kind = s[0]
+        if kind == END:
+            if i < len(ins) or o < len(outs):
+                raise ShapeMismatch("tokens left over past the end of the statement")
+            break
+        if kind in _INPUTS:
+            if i == len(ins):
+                if o < len(outs):
+                    raise ShapeMismatch("output given without the required input")
+                break
+            tok, toks = ins[i], si
+            i += 1
+        else:
+            if o == len(outs):
+                if i < len(ins):
+                    raise ShapeMismatch("input given past the available output")
+                if ins or outs:
+                    path.append((kind, None))
+                break
+            tok, toks = outs[o], so
+            o += 1
+        if kind == IN_PREFIX:
+            key = tok
+            tok, inner = _prefix_token(s[1], tok)
+            hyps.append(((), s[1], dict(env)))
+            hyps.extend(_under(env, parts) for parts in inner)
+        elif kind in _CHOICES:
+            tok = _sel_token(tok)
+            key = tok.choice
+        else:
+            tok = _num_token(tok)
+            key = tok.value
+            if kind != OUT_CODE:
+                env[s[1]] = key
+        toks.append(tok)
+        path.append((kind, key))
+        if kind == OUT_CODE:
+            if i < len(ins) or o < len(outs):
+                raise ShapeMismatch("tokens left over past a code")
+            break
+        g = s[1 + key] if kind in _CHOICES else s[2]
+    return IOPair(tuple(si), tuple(so)), path, (hyps, g, env)
+
+
+def _prefix_token(ante, tok):
+    if not isinstance(tok, Prefix):
+        raise ShapeMismatch(f"expected a prefix, found {tok}")
+    seg, inner = [], []
+    for it in tok.items:
+        if is_pair(it):
+            shaped, _, parts = slot_shape_walk(ante, it)
+            seg.append(shaped)
+            inner.append(parts)
+        elif isinstance(it, Whitespace):
+            seg.append(it)
+        else:
+            raise ShapeMismatch(f"not an item inside a prefix: {it!r}")
+    return Prefix(tuple(seg)), inner
+
+
+def slot_pair_complete(f, p):
+    """witness.pair_complete as it was, one slot() call per token."""
+    ins, outs = p.inputs, p.outputs
+    i = o = 0
+    s = slot(f)
+    while True:
+        kind = s[0]
+        if kind == END:
+            return i == len(ins) and o == len(outs)
+        if kind == OUT_CODE:
+            return i == len(ins) and o + 1 == len(outs)
+        if kind in _INPUTS:
+            if i == len(ins):
+                return False
+            tok = ins[i]
+            i += 1
+        else:
+            if o == len(outs):
+                return False
+            tok = outs[o]
+            o += 1
+        if kind in _CHOICES:
+            tok = _sel_token(tok)
+        s = slot(_after(s, tok))
+
+
+# ---------------------------------------------------------------------------
 # output discipline, pair against pair
 #
 # The brute-force scan the checker's indexed pass must agree with: every
@@ -461,6 +572,59 @@ def first_conflict(f, pairs):
             if kind:
                 return j, i, kind
     return None
+
+
+# The checker's indexed pass as it was before a pair dropped back from
+# frontier mode: once a pair meets a prefix slot it walks a frontier of
+# agreeing nodes, token by token, to its end.
+
+_OUTPUTS = (OUT_NUM, OUT_SEL, OUT_CODE)
+
+
+def frontier_index(paths):
+    """(hit, edges, said, kids) as checker._index gives them."""
+    edges = {}
+    said = {}
+    kids = {}
+    for j, path in enumerate(paths):
+        own = 0
+        frontier = hit = None
+        for kind, key in path:
+            if kind == IN_PREFIX and frontier is None:
+                frontier = [(own, False)]
+            speaks = kind in _OUTPUTS
+            if speaks:
+                first = said.setdefault(own, (j, key))
+            if frontier is None:
+                if speaks and first[1] != key:
+                    return (j, first[0], "functionality"), edges, said, kids
+            else:
+                after = []
+                for node, ext in frontier:
+                    if speaks and said[node][1] != key:
+                        i = said[node][0]
+                        if hit is None or i < hit[0]:
+                            hit = (i, "monotonicity" if ext else "functionality")
+                    elif kind == IN_PREFIX:
+                        for pre, child in kids.get(node, ()):
+                            if pre == key:
+                                after.append((child, ext))
+                            elif pre.extends(key) or key.extends(pre):
+                                after.append((child, True))
+                    elif (node, key) in edges:
+                        after.append((edges[node, key], ext))
+                frontier = after
+            if key is None:
+                break  # silent: the pair ends here
+            child = edges.get((own, key))
+            if child is None:
+                child = edges[own, key] = len(edges) + 1
+                if kind == IN_PREFIX:
+                    kids.setdefault(own, []).append((key, child))
+            own = child
+        if hit is not None:
+            return (j,) + hit, edges, said, kids
+    return None, edges, said, kids
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from ctruth.witness import (
     shape_check,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_capped
 from oracles import (
     all_tables,
     holds,
@@ -376,6 +376,37 @@ def test_criterion_7_dichotomy():
             )
     print("PASS criterion 7: copier accepted on all 676 presentations;"
           " no defender beats the designated branch at horizon 10^4")
+
+
+_DEPTH5_PLAY = """
+from itertools import product
+from ctruth.games import GenerousAdversary, TreePresentation, WaitingCopier, dichotomy_row, play_theorem1
+tree = TreePresentation.from_sequences(product((0, 1), repeat=5))
+trace = play_theorem1(tree, WaitingCopier(), GenerousAdversary(), horizon=10000)
+print(trace.outcome, trace.reason, trace.rounds)
+print(*trace.verdicts, sep="\\n")
+for name, outcome, reason in dichotomy_row(tree, horizon=10000):
+    print(name, outcome, reason)
+"""
+
+
+def test_criterion_7_on_the_full_depth5_tree():
+    # 63 nodes and a 3,390-disjunct incomparability table: the coverage
+    # walk follows each selector run in a loop, so a fresh interpreter
+    # plays it at the default recursion limit
+    done = run_capped(_DEPTH5_PLAY)
+    assert done.stdout.splitlines() == [
+        "accept effective 31",
+        "VERDICT accepted_up_to pulls=64 numerals=2",
+        "VERDICT accepted_up_to pulls=64 numerals=2",
+        "WaitingCopier accept vacuous",
+        "DelayedCopier accept vacuous",
+        "SilentDefender accept vacuous",
+        "EagerCommitter defeat rejected",
+        "TableGuesser defeat rejected",
+        "CopierWithGuess defeat rejected",
+    ], done.stderr
+    print("PASS criterion 7 at depth 5: copier accepted effective in 31 rounds")
 
 
 # ---------------------------------------------------------------------------

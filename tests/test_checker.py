@@ -345,6 +345,63 @@ def test_discipline_matches_scan_on_extending_prefixes(case):
     _assert_same_as_scan(f, items, Budget(len(items) + 1, 2, 1000))
 
 
+# the indexed pass against the one that walked a frontier to the end of
+# each pair past its first prefix slot: the pairs sharing a prefix drop
+# back to the plain walk, for an output run or up to the next prefix
+_CHAINS = [
+    (parse("(E x. x=1) -> E y. (y=3 \\/ y=4 \\/ y=5)"), (_ANTE_E,)),
+    (parse("(E x. x=1) -> A z. ((E x. x=1) -> E y. (y=z \\/ y=z+1))"), (_ANTE_E, None, _ANTE_E)),
+    (parse("(E x. x=1) -> (E x. x=1) -> E y. (y=3 \\/ y=4)"), (_ANTE_E, _ANTE_E)),
+]
+
+
+@st.composite
+def _chained_pairs(draw):
+    """Pairs whose prefixes are leads of a few antecedent streams, equal
+    or extending one another, and whose outputs are 0s and 1s, often
+    too few; the pairs that do not fit the statement are left out."""
+    f, sources = draw(st.sampled_from(_CHAINS))
+
+    def token(bases):
+        if bases is None:
+            return Numeral(draw(st.integers(0, 1)))
+        items = WitnessStream.from_text(draw(st.sampled_from(bases))).pull(5)
+        return Prefix(items[: draw(st.integers(0, min(2, len(items))))])
+
+    pool = [
+        IOPair(tuple(token(b) for b in sources),
+               tuple(Numeral(draw(st.integers(0, 1))) for _ in range(draw(st.integers(0, 4)))))
+        for _ in range(draw(st.integers(min_value=1, max_value=8)))
+    ]
+    items = draw(_mixed(pool))
+    return f, [p for p in items if isinstance(p, IOPair) and _walked_or_none(f, [p])]
+
+
+def _chain_case(i, text):
+    return _CHAINS[i][0], list(WitnessStream.from_text(text).pull(8))
+
+
+@given(_chained_pairs())
+# one prefix, then a selector run walked plainly: agreeing, then not
+@example(_chain_case(0, '("(:1)":1,0,1) ("(:1)":1,0,1) ("(:1)":1,0) ("(:1)":1,0,0)'))
+# back to the plain walk at z, and into a frontier again at the second
+# prefix, where the later pair's prefix extends the earlier one's
+@example(_chain_case(1, '("(:1)",0,"(:1)":0,1) ("(:1)",1,"":1,0) ("(:1)",0,"(:1) _":0,0)'))
+# a fresh prefix: the frontier empties and the pair walks on plainly
+@example(_chain_case(2, '("","(:1)":1,1) ("(:1)","(:1)":1,1) ("(:1)","(:1)":1,0)'))
+@settings(max_examples=300, deadline=None)
+def test_the_index_that_drops_back_agrees_with_the_frontier_walk(case):
+    f, pairs = case
+    walked = [shape_walk(f, p) for p in pairs]
+    paths = [path for _, path, _ in walked]
+    got, want = checker._index(paths), oracles.frontier_index(paths)
+    assert got[0] == want[0] == first_conflict(f, [p for p, _, _ in walked])
+    if got[0] is None:
+        # the trie is complete only when the pairs keep the discipline:
+        # at a hit a pair walking plainly stops where a frontier walks on
+        assert got[1:] == want[1:]
+
+
 # the coverage walk over the discipline trie against the cursor walk in
 # oracles.py, on streams the discipline lets through
 

@@ -1,3 +1,4 @@
+import itertools
 import signal
 from pathlib import Path
 
@@ -338,6 +339,22 @@ def test_game_theorem1_effective(capsys):
                     "--horizon", "400", "--seed", "7")
     assert code == 0
     assert "OUTCOME accept effective" in out
+
+
+def test_game_theorem1_plays_the_full_depth5_tree(tmp_path, capsys):
+    # the coverage walk recurses per input slot only, so the 3,390-disjunct
+    # incomparability table no longer overflows the stack
+    tree = tmp_path / "full_depth5.tree"
+    tree.write_text("".join(" ".join(bits) + "\n" for bits in itertools.product("01", repeat=5)))
+    code, out = run(capsys, "game", "theorem1", "--tree", str(tree))
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[1] == "GAME theorem1 nodes=63 defender=copier adversary=generous"
+    assert lines[2].startswith("TRACE ante (:) (0,0,0:0,1,0,")
+    assert lines[3].startswith("TRACE mine (:) _ _ _ _ _ _ _ _ (\"(:) (0,0,0:0,1,0,")
+    assert lines[4:] == ["VERDICT accepted_up_to pulls=32 numerals=8"] * 2 + [
+        "OUTCOME accept effective rounds=31"
+    ]
 
 
 # A tree line names a path by its 0/1 steps.  Any other entry is refused

@@ -365,8 +365,8 @@ for table in (a.body.body.body.right, c.body.body.body.body.right):
 
 
 def test_the_full_depth5_statements_build_under_a_memory_cap():
-    # every table code is one numeral node; the play over this tree still
-    # recurses over its 3,390-disjunct incomparability table
+    # every table code is one numeral node; the play over this tree is
+    # criterion 7 at depth 5 in test_acceptance.py
     done = run_capped(_DEPTH5)
     assert done.stdout.splitlines() == [
         "63 3390 2598059",

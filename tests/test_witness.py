@@ -422,3 +422,87 @@ def test_content_parts_come_from_the_shape_walk(case):
     except ShapeMismatch:
         return
     assert shape_walk(f, twin)[2] == oracles.content_parts(f, shaped)
+
+
+# the in-line shape walk against the helper-call walk it replaced, on
+# spines with every slot kind: a box, implications whose prefix pairs
+# hold prefixes, and choices of both kinds.  Tokens are of any kind, a
+# selector is 0-3 of either class, and tokens may be left over.
+_EVERY_KIND = [
+    parse("((A u. E v. (v=u \\/ ~v=u)) -> E y. y=1) -> A x. (box E z. z=x /\\ E w. (w=x \\/ w=x+1))"),
+    parse("(E x. x=1) -> A z. ((E x. x=1) -> E y. (y=z \\/ y=z+1 \\/ y=z+2))"),
+    parse("A x. ((A y. (E z. z=y /\\ ~y=x)) -> box E w. w=x)"),
+]
+_ANY_TOKEN = st.deferred(
+    lambda: st.one_of(
+        st.integers(min_value=0, max_value=3).map(Numeral),
+        st.integers(min_value=0, max_value=3).map(Selector),
+        st.lists(
+            st.one_of(
+                st.just(WS),
+                st.builds(_pair, st.lists(_ANY_TOKEN, max_size=3), st.lists(_ANY_TOKEN, max_size=3)),
+                st.integers(min_value=0, max_value=1).map(Numeral),  # not an item
+            ),
+            max_size=3,
+        ).map(lambda items: Prefix(tuple(items))),
+    )
+)
+
+
+@st.composite
+def _kind_walked_pair(draw, f):
+    """A pair walked along f's spine: at a choice slot a numeral or a
+    selector 0-3, at a prefix slot the pairs walked along its
+    antecedent; now and then a token of any kind, cut short or with
+    tokens left over."""
+    ins, outs = [], []
+    g = f
+    while not isinstance(g, (Atom, Not)) and draw(st.integers(0, 9)) < 9:
+        if draw(st.integers(0, 9)) == 9:
+            tok = draw(_ANY_TOKEN)
+        elif isinstance(g, Implies):
+            items = st.one_of(st.just(WS), _kind_walked_pair(g.left))
+            tok = Prefix(tuple(draw(st.lists(items, max_size=3))))
+        elif isinstance(g, (And, Or)):
+            tok = draw(st.sampled_from((Numeral, Selector)))(draw(st.integers(0, 3)))
+        else:
+            tok = Numeral(draw(st.integers(0, 3)))
+        (ins if isinstance(g, (Forall, And, Implies)) else outs).append(tok)
+        if isinstance(g, (And, Or)):
+            choice = tok.value if isinstance(tok, Numeral) else getattr(tok, "choice", None)
+            if choice not in (0, 1):
+                break
+            g = (g.left, g.right)[choice]
+        elif isinstance(g, Box):
+            break
+        else:
+            g = g.right if isinstance(g, Implies) else g.body
+    for toks in (ins, outs):
+        while draw(st.integers(0, 3)) == 3:
+            toks.append(draw(_ANY_TOKEN))
+    return _pair(ins, outs)
+
+
+@given(
+    st.sampled_from(_EVERY_KIND + _SPINES).flatmap(
+        lambda f: st.tuples(st.just(f), st.one_of(_kind_walked_pair(f), _kind_walked_pair(f), _loose_pair))
+    )
+)
+@example((_EVERY_KIND[0], _pair([Prefix((_pair([Prefix((_pair([Numeral(0)], [Numeral(0), Selector(1)]),))], [Numeral(1)]),)),
+                                 Numeral(2), Selector(1)], [Numeral(3), Numeral(0)])))
+@example((_EVERY_KIND[1], _pair([Prefix(()), Numeral(0), Prefix((WS,))], [Numeral(1), Selector(3)])))
+@example((_EVERY_KIND[0], _pair([Prefix(()), Numeral(1), Selector(0)], [Numeral(9), Numeral(1)])))  # past a code
+@settings(max_examples=500, deadline=None)
+def test_the_inline_shape_walk_matches_the_helper_call_walk(case):
+    f, p = case
+    got = _outcome(shape_walk, f, p)
+    assert got == _outcome(oracles.slot_shape_walk, f, p)
+    assert _outcome(pair_complete, f, p) == _outcome(oracles.slot_pair_complete, f, p)
+    if got[0] == "ok":
+        shaped = got[1][0]
+        assert pair_complete(f, shaped) == oracles.slot_pair_complete(f, shaped)
+    # the same prefix objects again, now memoized when the first walk
+    # shaped them, under other numerals and one token fewer
+    twin = IOPair(tuple(Numeral(t.value + 1) if isinstance(t, Numeral) else t for t in p.inputs),
+                  p.outputs[:-1])
+    assert _outcome(shape_walk, f, twin) == _outcome(oracles.slot_shape_walk, f, twin)
