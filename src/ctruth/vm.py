@@ -12,9 +12,12 @@ Items cross the machine boundary as numeric codes:
 
 Every evaluation step costs one unit against an externally supplied
 budget; an exhausted budget ends the emitted stream.  A pure block (a
-form of literals, variables and arithmetic only) is charged its form
-count at once and runs as one compiled expression, or form by form at
-the budget's edge and on an error, so every count and error is the same.
+form of literals, variables, arithmetic, `if` with arms of equal count
+and calls of pure definitions, whose bodies are such forms) takes a
+fixed number of steps.  It is charged them at once and runs as one
+compiled expression, each pure definition's body spelt once per
+definition set as a Python function; at the budget's edge and on an
+error it runs form by form, so every count and error is the same.
 The code of a program is the byte string of its canonical printed form
 read base-256.
 """
@@ -99,13 +102,21 @@ def encode_item(item) -> int:
 
 
 def decode_item(code: int):
+    """The item with this code, its two token lists read in one loop each
+    with the token codes taken apart in line: decode_token of each of
+    list_decode's codes."""
     if code == 0:
         return WS
-    ins, outs = uncantor(code - 1)
-    return IOPair(
-        tuple(decode_token(c) for c in list_decode(ins)),
-        tuple(decode_token(c) for c in list_decode(outs)),
-    )
+    sides = ([], [])
+    for code, tokens in zip(uncantor(code - 1), sides):
+        while code:
+            w = (math.isqrt(8 * code - 7) - 1) // 2  # uncantor(code - 1)
+            code -= 1 + w * (w + 1) // 2
+            tok = w - code
+            kind, tok = tok % 3, tok // 3
+            tokens.append(Numeral(tok) if kind == 0 else Selector(tok) if kind == 1
+                          else Prefix(tuple(decode_item(c) for c in list_decode(tok))))
+    return IOPair(tuple(sides[0]), tuple(sides[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +258,11 @@ class VM:
     budget has ended the stream."""
 
     def __init__(self, program: WCode, inputs=None, step_budget: int = 10000):
-        defs = {d[1]: (d[2], d[3]) for d in program.expr[1:-1]}
-        emitters = _emitters(defs)
-        cells = {name: [None] for name in defs}
-        for name, (_, body) in defs.items():
-            cells[name][0] = _compile(body, defs, cells, emitters)[0]
-        self._main, self._emits = _compile(program.expr[-1], defs, cells, emitters)
+        prog = _definitions(program.expr[1:-1])
+        cells = {name: [None] for name in prog.defs}
+        for name, (_, body) in prog.defs.items():
+            cells[name][0] = _compile(body, prog, cells)[0]
+        self._main, self._emits = _compile(program.expr[-1], prog, cells)
         self.inputs = {str(k): v for k, v in (inputs or {}).items()}
         self.cursors = {k: 0 for k in self.inputs}
         self.budget = step_budget
@@ -281,9 +291,9 @@ class VM:
         return encode_item(item)
 
 
-# one step of a form run on its own.  Pure blocks take three quarters of
-# extract_run's steps, in one addition each, so inlining this (BENCH_10's
-# "tick_inlining") would now save only 1.7 % of its wall_s (BENCH_16)
+# one step of a form run on its own.  Pure blocks take 92.6 % of the
+# perfbench extract_run workload's steps: one pass of seed 1 ticks here
+# for 15,963 of its 214,791 steps
 def _tick(vm):
     vm.steps += 1
     if vm.steps > vm.budget:
@@ -325,40 +335,136 @@ _OPS = {
 # A pure block runs as one Python expression over env: _SPELL writes each
 # built-in as a Python operator where one means the same, else as a call
 # of the built-in itself.
-_SPELL = {"+": "({} + {})", "<": "(1 if {} < {} else 0)", "=": "(1 if {} == {} else 0)"}
+_SPELL = {"+": "({} + {})", "<": "(1 if {} < {} else 0)", "=": "(1 if {} == {} else 0)",
+          "if": "({1} if {0} else {2})"}
 _SPELL.update((h, f"_ops[{h!r}]({{}})") for h in ("fst", "snd"))
 _SPELL.update((h, f"_ops[{h!r}]({{}}, {{}})") for h in ("-", "*", "div", "mod", "pair"))
 # compile() refuses an expression nested past about 200 parentheses, and
 # the cache keeps at most 1024 blocks of at most 256 forms each; a larger
-# pure form runs its outer forms one by one and the blocks below fused
+# pure form runs its outer forms one by one and the blocks below fused.
+# A call nests its callee's body below it, so that a block never nests
+# more Python frames than its forms run one by one would.
 _BLOCK_DEPTH, _BLOCK_FORMS = 60, 256
 
 
-def _spell(x, depth, room=_BLOCK_FORMS):
-    """The form x as (Python expression, form count), or None when x is
-    not pure, nests deeper than depth or has an operator past room forms."""
+def _spell(x, prog, depth, room=_BLOCK_FORMS, params=None):
+    """The form x as (Python expression, form count, height), or None when
+    x is not pure, nests deeper than depth or has an operator past room
+    forms.  A pure form is built from literals, variables, the arithmetic
+    built-ins, `if` with arms of equal count and calls of prog's pure
+    definitions.  A variable reads env, or, in a definition's body, the
+    function argument that params names for it."""
     if isinstance(x, int):
-        return str(x), 1
+        return str(x), 1, 0
     if isinstance(x, str):
-        return f"env[{x!r}]", 1
-    if not depth or room < 1 or x[0] not in _OPS:
+        if params is None:
+            return f"env[{x!r}]", 1, 0
+        # a name the definition does not bind fails as a read of env does
+        return params.get(x, f"{{}}[{x!r}]"), 1, 0
+    head = x[0]
+    if not depth or room < 1:
+        return None
+    if head in _SPELL:
+        form, body, height = _SPELL[head], 0, 0
+    elif head in prog.pure and head not in _BUILTIN:
+        fn, arity, body, height = prog.pure[head]
+        if arity != len(x) - 1 or height >= depth:
+            return None
+        form = fn + "(" + ", ".join(["{}"] * arity) + ")"
+    else:
         return None
     parts = []
     for e in x[1:]:
-        parts.append(_spell(e, depth - 1, room - 1 - sum(n for _, n in parts)))
+        parts.append(_spell(e, prog, depth - 1, room - 1 - body - sum(p[1] for p in parts), params))
         if parts[-1] is None:
             return None
-    return _SPELL[x[0]].format(*(s for s, _ in parts)), 1 + sum(n for _, n in parts)
+    count = 1 + body + sum(p[1] for p in parts)
+    if head == "if":
+        if parts[1][1] != parts[2][1]:
+            return None
+        count -= parts[2][1]  # one arm runs
+    return (form.format(*(p[0] for p in parts)), count,
+            1 + max([height] + [p[2] for p in parts]))
+
+
+class _Definitions:
+    """A program's definitions and what is known of them before it runs:
+    `defs` maps a name to (params, body); `emitters` holds the names whose
+    call can reach an emit; `pure` maps the name of each pure definition
+    to (function, arity, count, height).  A definition is pure when its
+    body is a pure form, so it is never recursive.  Its body is spelt once
+    as a Python function of its parameters, kept under the name function
+    in `scope`, the globals of every block; it runs in count steps and
+    nests height forms deep.  A call of it is charged one step, its
+    arguments' and count."""
+
+    def __init__(self, forms):
+        self.defs = {d[1]: (d[2], d[3]) for d in forms}
+        self.pure, self.scope = {}, {"_ops": _OPS}
+        callers = {name: [] for name in self.defs}
+        callees, found = {}, []
+        for name, (_, body) in self.defs.items():
+            callees[name], emits = _calls(body, self.defs)
+            if emits:
+                found.append(name)
+            for callee in callees[name]:
+                callers[callee].append(name)
+        # the emitters: the least set holding each definition whose body
+        # has an emit or calls one in the set
+        self.emitters = set()
+        while found:
+            name = found.pop()
+            if name not in self.emitters:
+                self.emitters.add(name)
+                found += callers[name]
+        # each body is spelt once its callees are, so a definition in a
+        # cycle of calls is never spelt and never pure
+        ready = [name for name in self.defs if not callees[name]]
+        while ready:
+            name = ready.pop()
+            params, body = self.defs[name]
+            args = [f"_{i}" for i in range(len(params))]
+            # a name given twice reads its last argument, as dict(zip()) does
+            spelt = _spell(body, self, _BLOCK_DEPTH - 1, _BLOCK_FORMS, dict(zip(params, args)))
+            if spelt and spelt[1] <= _BLOCK_FORMS:
+                fn = f"_d{len(self.pure)}"
+                code = compile(f"lambda {', '.join(args)}: {spelt[0]}", "<def>", "eval")
+                self.scope[fn] = eval(code, self.scope)
+                self.pure[name] = fn, len(params), spelt[1], spelt[2]
+            for caller in callers[name]:
+                callees[caller].discard(name)
+                if not callees[caller]:
+                    ready.append(caller)
+
+
+# built once per tuple of (def name (params) body) forms, not once per run
+_definitions = functools.lru_cache(maxsize=64)(_Definitions)
+
+
+def _calls(x, defs):
+    """The definitions the form x calls, and whether it holds an emit.  The
+    operands of a form that fails are never run, so they are not read."""
+    callees, emits, todo = set(), False, [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple) and not _fails(x, defs):
+            if x[0] == "emit":
+                emits = True
+            elif x[0] not in _BUILTIN:
+                callees.add(x[0])
+            todo += _operands(x)
+    return callees, emits
 
 
 @functools.lru_cache(maxsize=1024)
-def _block(x):
+def _block(x, prog):
     """The form x as (function of env, form count), or None when it is not
-    a pure block: compiled once per distinct form, not once per run."""
-    spelt = _spell(x, _BLOCK_DEPTH)
+    a pure block: compiled once per distinct form and definition set, not
+    once per run."""
+    spelt = _spell(x, prog, _BLOCK_DEPTH)
     if spelt and spelt[1] <= _BLOCK_FORMS:
         code = compile("lambda env: " + spelt[0], "<block>", "eval")
-        return eval(code, {"_ops": _OPS}), spelt[1]
+        return eval(code, prog.scope), spelt[1]
 
 
 def _fails(x, defs) -> bool:
@@ -366,31 +472,6 @@ def _fails(x, defs) -> bool:
     its argument count: it fails when run, before any operand runs."""
     head = x[0]
     return head not in _BUILTIN and (head not in defs or len(defs[head][0]) != len(x) - 1)
-
-
-def _emitters(defs) -> set:
-    """The definitions whose call can reach an emit: the least set holding
-    each definition whose body has an emit or calls one in the set.  The
-    operands of a form that fails are never run, so they are not read."""
-    callers = {name: set() for name in defs}
-    found = []
-    for name, (_, body) in defs.items():
-        todo = [body]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, tuple) and not _fails(x, defs):
-                if x[0] == "emit":
-                    found.append(name)
-                elif x[0] not in _BUILTIN:
-                    callers[x[0]].add(name)
-                todo += _operands(x)
-    emitters = set()
-    while found:
-        name = found.pop()
-        if name not in emitters:
-            emitters.add(name)
-            found += callers[name]
-    return emitters
 
 
 def _values(parts, vm, env):
@@ -408,13 +489,13 @@ def _restore(env, name, had, old):
         del env[name]
 
 
-def _compile(x, defs, cells, emitters, in_block=False):
+def _compile(x, prog, cells, in_block=False):
     """Compile the validated form x to (closure, emits).
 
     The closure maps (vm, env) to the form's value.  When emits is true
     it is a generator function instead, driven with `yield from`: it
     yields the items the form emits and returns its value.  Only a form
-    that holds an emit, or calls a definition in `emitters`, emits.
+    that holds an emit, or calls a definition in `prog.emitters`, emits.
     Every closure takes one step on entry, before its operands run, and
     runs them left to right.  `cells` maps each definition's name to a
     one-element list that holds its compiled body by the time it runs.
@@ -442,17 +523,18 @@ def _compile(x, defs, cells, emitters, in_block=False):
             _tick(vm)
             return vm._query(name)
         return query, False
-    if _fails(x, defs):
-        message = (f"{head} wants {len(defs[head][0])} arguments" if head in defs
+    if _fails(x, prog.defs):
+        message = (f"{head} wants {len(prog.defs[head][0])} arguments" if head in prog.defs
                    else f"unknown operation {head!r}")
 
         def fail(vm, env):
             _tick(vm)
             raise VMError(message)
         return fail, False
-    if head in _OPS and not in_block and (block := _block(x)):
+    if (not in_block and (head in _SPELL or head in prog.pure)
+            and (block := _block(x, prog))):
         fast, n = block
-        slow = _compile(x, defs, cells, emitters, True)[0]
+        slow = _compile(x, prog, cells, True)[0]
 
         def fused(vm, env):
             if vm.steps + n <= vm.budget:
@@ -464,9 +546,9 @@ def _compile(x, defs, cells, emitters, in_block=False):
                 return val
             return slow(vm, env)
         return fused, False
-    parts = [_compile(e, defs, cells, emitters, in_block) for e in _operands(x)]
+    parts = [_compile(e, prog, cells, in_block) for e in _operands(x)]
     fs = [f for f, _ in parts]
-    callee = head not in _BUILTIN and head in emitters
+    callee = head not in _BUILTIN and head in prog.emitters
     emits = head == "emit" or callee or any(e for _, e in parts)
 
     if head in _OPS:
@@ -597,7 +679,7 @@ def _compile(x, defs, cells, emitters, in_block=False):
         return while_, False
 
     # a call of a definition
-    params, cell = defs[head][0], cells[head]
+    params, cell = prog.defs[head][0], cells[head]
     if emits:
         def call(vm, env):
             _tick(vm)

@@ -4,6 +4,8 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ctruth.formula import parse
+from ctruth.realizers import decider_code
 from ctruth.witness import IOPair, Numeral, Prefix, Selector, TRIVIAL, WS, WitnessStream
 from ctruth.vm import (
     CANTOR,
@@ -56,6 +58,15 @@ def test_item_encoding_frozen():
     assert encode_item(TRIVIAL) == 1
     pair = IOPair((Numeral(1),), (Numeral(2),))
     assert decode_item(encode_item(pair)) == pair
+
+
+@given(st.integers(min_value=1, max_value=10**40))
+@example(encode_item(IOPair((Prefix((TRIVIAL, WS)), Selector(1)), (Numeral(3),))))
+def test_item_decoding_reads_each_token_as_decode_token_does(code):
+    ins, outs = uncantor(code - 1)
+    want = IOPair(tuple(map(decode_token, list_decode(ins))),
+                  tuple(map(decode_token, list_decode(outs))))
+    assert decode_item(code) == want
 
 
 def test_program_parses_and_prints():
@@ -160,6 +171,21 @@ def test_doubling_step_counts_are_frozen():
     assert m.steps == 20001
 
 
+def test_decider_and_successor_step_counts_are_frozen():
+    # every item of both is one fused emit operand, calls of cantor,
+    # lone and mkpair and the decider's (if test 1 4) included
+    decider = decider_code(parse("2*x=12", free=("x",)), "x")
+    m = VM(decider, {}, 400000)
+    items = list(itertools.islice(m.items(), 400))
+    assert len(items) == 400 and m.steps == 36311 and not m.cut
+    assert items[7] == IOPair((Numeral(6),), (Selector(0),))
+    assert (items, m.steps) == vm_run(decider, {}, 400000, 400)[:2]
+    m = VM(successor_program(), {}, 20000)
+    items = list(m.items())
+    assert len(items) == 278 and m.steps == 20001 and m.cut
+    assert (items, m.steps) == vm_run(successor_program(), {}, 20000)[:2]
+
+
 def test_cut_flag_tells_a_spent_budget_apart():
     m = VM(doubling_program(), {}, 400000)
     list(itertools.islice(m.items(), 400))
@@ -188,10 +214,16 @@ def test_recursion_329_deep_runs_at_the_default_limit():
 _VARS = ("a", "n", "b")
 _HEADS = ("+", "-", "div", "mod", "<", "=")
 _INPUTS = {"0": WitnessStream.from_text("(:) (2:3) (1:1)")}
+_ATOMS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(_VARS))
 
 
 def _form(*parts):
     return "(" + " ".join(parts) + ")"
+
+
+# operators over atoms: pure forms that call no definition
+_ARITH = st.recursive(_ATOMS, lambda kids: st.tuples(st.sampled_from(_HEADS), kids, kids)
+                      .map(lambda t: _form(*t)), max_leaves=4)
 
 
 def _compound(kids):
@@ -207,6 +239,9 @@ def _compound(kids):
         .map(lambda t: _form(t[0], f"(mod {t[1]} 16)", f"(mod {t[2]} 16)")),
         st.tuples(st.sampled_from(("fst", "snd", "emit", "emit")), kids).map(lambda t: _form(*t)),
         st.tuples(kids, kids, kids).map(lambda t: _form("if", *t)),
+        # arms of equal count, literals or names, and pure arms of any count
+        st.tuples(kids, _ATOMS, _ATOMS).map(lambda t: _form("if", *t)),
+        st.tuples(kids, _ARITH, _ARITH).map(lambda t: _form("if", *t)),
         st.tuples(st.sampled_from(_VARS), kids, kids).map(lambda t: _form("let", *t)),
         st.tuples(st.sampled_from(_VARS), kids).map(lambda t: _form("set", *t)),
         st.lists(kids, max_size=3).map(lambda t: _form("seq", *t)),
@@ -215,27 +250,28 @@ def _compound(kids):
         st.sampled_from(("0", "9")).map(lambda s: _form("query", s)),
         call("f", 1),
         call("g", 2),
+        call("h", 1),
         kids.map(lambda k: f"(f (- a {k}))"),
         st.tuples(st.sampled_from(("f", "g", "frob")), st.lists(kids, max_size=3))
         .map(lambda t: _form(t[0], *t[1])),
     )
 
 
-_FORMS = st.recursive(
-    st.one_of(st.integers(0, 12).map(str), st.sampled_from(_VARS)), _compound, max_leaves=12
-)
+_FORMS = st.recursive(_ATOMS, _compound, max_leaves=12)
 
 
 @st.composite
 def _programs(draw):
-    """f's body branches on its argument, g's is free, and pair is shadowed
+    """f's body branches on its argument, g's is free, h's calls g and no
+    other definition, so that a pure g makes a chain, and pair is shadowed
     by the built-in of that name."""
     f = f"(def f (a) (if a {draw(_FORMS)} {draw(_FORMS)}))"
     g = f"(def g (a n) {draw(_FORMS)})"
+    h = f"(def h (a) (+ 1 (g {draw(_ARITH)} (- a 1))))"
     shadowed = f"(def pair (a b) {draw(_FORMS)})"
     body = " ".join(draw(_FORMS) for _ in range(2))
     main = f"(seq (set a 3) (set n 0) (set b 7) (emit {draw(_FORMS)}) {body})"
-    return f"(prog {f} {g} {shadowed} {main})"
+    return f"(prog {f} {g} {h} {shadowed} {main})"
 
 
 @given(_programs(), st.integers(1, 400), st.one_of(st.none(), st.integers(0, 6)))
@@ -259,6 +295,21 @@ def _programs(draw):
 @example("(prog (seq (set a 3) (set n 0) (while (< n 19) (seq (set a (* a a)) (set n (+ n 1))))"
          " (emit (+ 1 (* a a)))))", 400, None)
 @example(f"(prog {CANTOR} (seq (emit 1) (emit (cantor 2 3))))", 12, None)
+# the same inside a pure definition's body: a name it does not bind, a
+# product past MAX_BITS, a budget that ends two calls down, and a call
+# with the wrong argument count, which leaves its caller impure
+@example("(prog (def f (a) (+ a x)) (seq (emit 1) (emit (+ 1 (f 2)))))", 400, None)
+@example("(prog (def sq (a) (* a a)) (seq (set a 3) (set n 0)"
+         " (while (< n 19) (seq (set a (sq a)) (set n (+ n 1)))) (emit (+ 1 (sq a)))))", 400, None)
+@example(f"(prog {CANTOR} (def lone (t) (+ 1 (cantor t 0)))"
+         " (seq (emit 1) (emit (+ 1 (lone 5)))))", 20, None)
+@example("(prog (def g (a) (+ a 1)) (def f (a) (+ 1 (g a a))) (seq (emit 1) (emit (f 2))))",
+         400, None)
+# an if whose arms differ in count is no block; it runs its arms fused
+@example("(prog (seq (emit 1) (set n 0) (emit (if 0 (+ 1 2) 5)) (emit (if n 5 (+ 1 2)))))",
+         400, None)
+# a parameter named twice reads the last of its arguments
+@example("(prog (def f (a a) (+ a 1)) (seq (emit 1) (emit (f 2 5))))", 400, None)
 @settings(max_examples=600, deadline=None)
 def test_compiled_machine_agrees_with_the_walker(text, budget, pulls):
     prog = program(text)
@@ -283,6 +334,64 @@ def test_deep_pure_nest_runs_as_the_walker_does(depth, steps):
     m = VM(prog, {}, 10000)
     assert (list(m.items()), m.steps) == vm_run(prog, {}, 10000)[:2]
     assert m.steps == steps
+
+
+def test_a_block_means_what_its_own_program_defines():
+    # one main form, two meanings of f: the block cache keys on both
+    for body, value in (("(+ a 1)", 4), ("(* a 5)", 11)):
+        prog = program(f"(prog (def f (a) {body}) (seq (emit 1) (emit (+ 1 (f 2)))))")
+        m = VM(prog, {}, 1000)
+        items = list(m.items())
+        assert (items, m.steps) == vm_run(prog, {}, 1000)[:2]
+        assert (items, m.steps) == ([TRIVIAL, decode_item(value)], 11)
+
+
+def _chain(links):
+    """Definitions f0 ... f<links>, each adding 1 to the one below, and a
+    main form emitting the trivial pair and then f<links> at 0."""
+    defs = "(def f0 (a) (+ 1 a))" + "".join(
+        f" (def f{k} (a) (+ 1 (f{k - 1} a)))" for k in range(1, links + 1))
+    return program(f"(prog {defs} (seq (emit 1) (emit (f{links} 0))))")
+
+
+def test_a_chain_of_pure_definitions_runs_as_the_walker_does():
+    # the lowest links fuse, each counting its callees' depth, and the
+    # rest run form by form
+    prog = _chain(400)
+    m = VM(prog, {}, 10**6)
+    items = list(m.items())
+    assert (len(items), m.steps) == (2, 1609)
+    assert (items, m.steps) == vm_run(prog, {}, 10**6)[:2]
+
+
+def test_a_chain_too_deep_to_run_fails_where_unfused_closures_do(monkeypatch):
+    # A fused block nests no more Python frames than its forms run one by
+    # one, so a chain that overflows the stack overflows at the same step
+    from ctruth import vm
+
+    def run():
+        m, got = VM(_chain(999), {}, 10**6), []
+        worker = threading.Thread(target=lambda: got.append(_drain(m)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return got[0], m.steps
+
+    fused = run()
+    monkeypatch.setattr(vm, "_block", lambda x, prog: None)
+    assert fused == run()
+    assert fused[0] == (1, RecursionError)
+
+
+def _drain(m):
+    """How many items m yields, and the type of the error that ends it."""
+    n = 0
+    try:
+        for _ in m.items():
+            n += 1
+    except Exception as e:
+        return n, type(e)
+    return n, None
 
 
 def _balanced_sum(lo, depth):
