@@ -288,19 +288,21 @@ def _absurd_atom(f: Formula) -> bool:
 
 def _same(a: Formula, b: Formula) -> bool:
     """Whether a and b agree up to the values of closed terms, the
-    conversion rule of Heyting arithmetic: 0<0+1 is 0<1."""
-    if a == b:
-        return True
-    if a.__class__ is not b.__class__:
-        return False
-    if isinstance(a, Atom):
-        return a.rel == b.rel and all(
+    conversion rule of Heyting arithmetic: 0<0+1 is 0<1.  One loop."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or isinstance(a, (Forall, Exists)) and a.var != b.var:
+            return False
+        if isinstance(a, Atom) and not (a.rel == b.rel and all(
             s == t or not (term_vars(s) or term_vars(t)) and eval_term(s, {}) == eval_term(t, {})
             for s, t in ((a.left, b.left), (a.right, b.right))
-        )
-    if isinstance(a, (Forall, Exists)) and a.var != b.var:
-        return False
-    return all(map(_same, parts(a), parts(b)))
+        )):
+            return False
+        todo += zip(parts(a), parts(b))
+    return True
 
 
 def infer(p, hyps: tuple = ()) -> Formula:

@@ -11,13 +11,14 @@ Items cross the machine boundary as numeric codes:
     item:  whitespace = 0, pair = 1 + cantor(listcode(ins), listcode(outs))
 
 Every evaluation step costs one unit against an externally supplied
-budget; an exhausted budget ends the emitted stream.  A pure block (a
-form of literals, variables, arithmetic, `if` with arms of equal count
-and calls of pure definitions, whose bodies are such forms) takes a
-fixed number of steps.  It is charged them at once and runs as one
-compiled expression, each pure definition's body spelt once per
-definition set as a Python function; at the budget's edge and on an
-error it runs form by form, so every count and error is the same.
+budget; an exhausted budget ends the emitted stream.  Equal texts read
+as one program, which its first run compiles for every run.  A pure block
+(a form of literals, variables, arithmetic, `if` with arms of equal
+count and calls of pure definitions, whose bodies are such forms) takes
+a fixed number of steps.  It is charged them at once and runs as one
+compiled expression, each pure definition's body spelt as a Python
+function; at the budget's edge and on an error it runs form by form,
+so every count and error is the same.
 The code of a program is the byte string of its canonical printed form
 read base-256.
 """
@@ -26,7 +27,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .witness import IOPair, Numeral, Prefix, Selector, Whitespace, WS, WitnessStream
 
@@ -155,11 +156,17 @@ def parse_sexpr(text: str):
 
 
 def print_sexpr(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return x
-    return "(" + " ".join(print_sexpr(e) for e in x) + ")"
+    """x's text, printed in one loop so that deep nesting prints too."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            out.append("(")
+            # the elements last first, a blank between each two, over ")"
+            todo += [")", *[e for y in reversed(x) for e in (y, " ")][:-1]]
+        else:
+            out.append(str(x))
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -167,21 +174,25 @@ class WCode:
     """A machine program: (prog (def name (params) body)* main)."""
 
     expr: tuple
+    # the program compiled by its first run, kept for every later one
+    _compiled: "_Compiled" = field(default=None, init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_text(cls, text: str) -> "WCode":
-        expr = parse_sexpr(text)
-        _validate_program(expr)
-        return cls(expr)
+    def compiled(self) -> "_Compiled":
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", _Compiled(self.expr))
+        return self._compiled
 
     def text(self) -> str:
         return print_sexpr(self.expr)
 
-    def __str__(self):
-        return self.text()
+    __str__ = text
 
 
-def _validate_program(expr):
+@functools.lru_cache(maxsize=256)
+def program(text: str) -> WCode:
+    """The program text spells, read once per distinct text: equal texts
+    give one WCode, so one compiled form."""
+    expr = parse_sexpr(text)
     if not isinstance(expr, tuple) or not expr or expr[0] != "prog":
         raise VMError("a program is (prog def* main)")
     if len(expr) < 2:
@@ -194,6 +205,7 @@ def _validate_program(expr):
             raise VMError("bad definition header")
         _validate_form(d[3])
     _validate_form(expr[-1])
+    return WCode(expr)
 
 
 # the argument count of each built-in form; seq takes any number
@@ -205,20 +217,22 @@ _BUILTIN = frozenset(_ARITY) | {"seq"}
 
 def _validate_form(x):
     """Every form starts with a name, gives a built-in its argument count
-    and gives let and set a name to bind."""
-    if not isinstance(x, tuple):
-        return
-    if not x:
-        raise VMError("empty form")
-    head = x[0]
-    if not isinstance(head, str):
-        raise VMError(f"a form starts with a name, not {print_sexpr(head)}")
-    if head in _ARITY and len(x) - 1 != _ARITY[head]:
-        raise VMError(f"{head} wants {_ARITY[head]} arguments")
-    if head in ("let", "set") and not isinstance(x[1], str):
-        raise VMError(f"{head} binds a name, not {print_sexpr(x[1])}")
-    for e in _operands(x):
-        _validate_form(e)
+    and gives let and set a name to bind: one loop, pre-order from the left."""
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, tuple):
+            continue
+        if not x:
+            raise VMError("empty form")
+        head = x[0]
+        if not isinstance(head, str):
+            raise VMError(f"a form starts with a name, not {print_sexpr(head)}")
+        if head in _ARITY and len(x) - 1 != _ARITY[head]:
+            raise VMError(f"{head} wants {_ARITY[head]} arguments")
+        if head in ("let", "set") and not isinstance(x[1], str):
+            raise VMError(f"{head} binds a name, not {print_sexpr(x[1])}")
+        todo += reversed(_operands(x))
 
 
 def _operands(x):
@@ -241,28 +255,24 @@ def godel_decode(code: int) -> WCode:
     except UnicodeDecodeError as e:
         raise DecodeError(f"code is not program text: {e}") from None
     try:
-        return WCode.from_text(text)
-    except (VMError, RecursionError) as e:
+        return program(text)
+    except VMError as e:
         raise DecodeError(f"code is not a valid program: {e}") from None
 
 
 # ---------------------------------------------------------------------------
-# the machine: each run compiles its program into closures
+# the machine: a program is compiled into closures by its first run
 
 
 class VM:
     """One run of a program over named input streams, budgeted by steps.
 
-    The program is compiled into closures once, when the run is made.
-    `steps` counts the steps taken, and `cut` is true once the step
-    budget has ended the stream."""
+    A VM holds the run's state only: every run shares the closures its
+    program's first run compiled.  `steps` counts the steps taken, and
+    `cut` is true once the step budget has ended the stream."""
 
     def __init__(self, program: WCode, inputs=None, step_budget: int = 10000):
-        prog = _definitions(program.expr[1:-1])
-        cells = {name: [None] for name in prog.defs}
-        for name, (_, body) in prog.defs.items():
-            cells[name][0] = _compile(body, prog, cells)[0]
-        self._main, self._emits = _compile(program.expr[-1], prog, cells)
+        self.program = program
         self.inputs = {str(k): v for k, v in (inputs or {}).items()}
         self.cursors = {k: 0 for k in self.inputs}
         self.budget = step_budget
@@ -271,11 +281,12 @@ class VM:
 
     def items(self):
         """Generator of emitted items; ends when the budget runs out."""
+        prog = self.program.compiled()
         try:
-            if self._emits:
-                yield from self._main(self, {})
+            if prog.emits:
+                yield from prog.main(self, {})
             else:
-                self._main(self, {})
+                prog.main(self, {})
         except _OutOfSteps:
             self.cut = True
 
@@ -340,8 +351,8 @@ _SPELL = {"+": "({} + {})", "<": "(1 if {} < {} else 0)", "=": "(1 if {} == {} e
 _SPELL.update((h, f"_ops[{h!r}]({{}})") for h in ("fst", "snd"))
 _SPELL.update((h, f"_ops[{h!r}]({{}}, {{}})") for h in ("-", "*", "div", "mod", "pair"))
 # compile() refuses an expression nested past about 200 parentheses, and
-# the cache keeps at most 1024 blocks of at most 256 forms each; a larger
-# pure form runs its outer forms one by one and the blocks below fused.
+# a block holds at most 256 forms; a larger pure form runs its outer
+# forms one by one and the blocks below fused.
 # A call nests its callee's body below it, so that a block never nests
 # more Python frames than its forms run one by one would.
 _BLOCK_DEPTH, _BLOCK_FORMS = 60, 256
@@ -387,19 +398,19 @@ def _spell(x, prog, depth, room=_BLOCK_FORMS, params=None):
             1 + max([height] + [p[2] for p in parts]))
 
 
-class _Definitions:
-    """A program's definitions and what is known of them before it runs:
-    `defs` maps a name to (params, body); `emitters` holds the names whose
-    call can reach an emit; `pure` maps the name of each pure definition
-    to (function, arity, count, height).  A definition is pure when its
-    body is a pure form, so it is never recursive.  Its body is spelt once
-    as a Python function of its parameters, kept under the name function
-    in `scope`, the globals of every block; it runs in count steps and
-    nests height forms deep.  A call of it is charged one step, its
-    arguments' and count."""
+class _Compiled:
+    """A program compiled: `main, emits` is its main form and `cells[name]`
+    holds the body of each definition; `defs` maps a name to (params,
+    body), `emitters` holds the names whose call can reach an emit, and
+    `pure` maps each pure definition's name to (function, arity, count,
+    height).  A definition is pure when its body is a pure form, so never
+    recursive: it is spelt as a Python function of its parameters, under
+    the name function in `scope`, the globals of every block, runs in
+    count steps and nests height forms deep.  A call of it is charged one
+    step, its arguments' and count."""
 
-    def __init__(self, forms):
-        self.defs = {d[1]: (d[2], d[3]) for d in forms}
+    def __init__(self, expr):
+        self.defs = {d[1]: (d[2], d[3]) for d in expr[1:-1]}
         self.pure, self.scope = {}, {"_ops": _OPS}
         callers = {name: [] for name in self.defs}
         callees, found = {}, []
@@ -435,10 +446,10 @@ class _Definitions:
                 callees[caller].discard(name)
                 if not callees[caller]:
                     ready.append(caller)
-
-
-# built once per tuple of (def name (params) body) forms, not once per run
-_definitions = functools.lru_cache(maxsize=64)(_Definitions)
+        self.cells = {name: [None] for name in self.defs}
+        for name, (_, body) in self.defs.items():
+            self.cells[name][0] = _compile(body, self)[0]
+        self.main, self.emits = _compile(expr[-1], self)
 
 
 def _calls(x, defs):
@@ -454,17 +465,6 @@ def _calls(x, defs):
                 callees.add(x[0])
             todo += _operands(x)
     return callees, emits
-
-
-@functools.lru_cache(maxsize=1024)
-def _block(x, prog):
-    """The form x as (function of env, form count), or None when it is not
-    a pure block: compiled once per distinct form and definition set, not
-    once per run."""
-    spelt = _spell(x, prog, _BLOCK_DEPTH)
-    if spelt and spelt[1] <= _BLOCK_FORMS:
-        code = compile("lambda env: " + spelt[0], "<block>", "eval")
-        return eval(code, prog.scope), spelt[1]
 
 
 def _fails(x, defs) -> bool:
@@ -489,7 +489,7 @@ def _restore(env, name, had, old):
         del env[name]
 
 
-def _compile(x, prog, cells, in_block=False):
+def _compile(x, prog, in_block=False):
     """Compile the validated form x to (closure, emits).
 
     The closure maps (vm, env) to the form's value.  When emits is true
@@ -497,10 +497,10 @@ def _compile(x, prog, cells, in_block=False):
     yields the items the form emits and returns its value.  Only a form
     that holds an emit, or calls a definition in `prog.emitters`, emits.
     Every closure takes one step on entry, before its operands run, and
-    runs them left to right.  `cells` maps each definition's name to a
-    one-element list that holds its compiled body by the time it runs.
-    A pure block outside any other runs fused, and it keeps its per-form
-    closures for the budget's edge and for errors: a rerun has no effect.
+    runs them left to right; a call reads its callee's body from
+    `prog.cells`.  A pure block outside any other runs fused, and it
+    keeps its per-form closures for the budget's edge and for errors: a
+    rerun has no effect.
     """
     if isinstance(x, int):
         def literal(vm, env):
@@ -531,10 +531,11 @@ def _compile(x, prog, cells, in_block=False):
             _tick(vm)
             raise VMError(message)
         return fail, False
-    if (not in_block and (head in _SPELL or head in prog.pure)
-            and (block := _block(x, prog))):
-        fast, n = block
-        slow = _compile(x, prog, cells, True)[0]
+    spelt = (not in_block and (head in _SPELL or head in prog.pure)
+             and _spell(x, prog, _BLOCK_DEPTH))
+    if spelt and spelt[1] <= _BLOCK_FORMS:
+        fast = eval(compile("lambda env: " + spelt[0], "<block>", "eval"), prog.scope)
+        n, slow = spelt[1], _compile(x, prog, True)[0]
 
         def fused(vm, env):
             if vm.steps + n <= vm.budget:
@@ -546,7 +547,7 @@ def _compile(x, prog, cells, in_block=False):
                 return val
             return slow(vm, env)
         return fused, False
-    parts = [_compile(e, prog, cells, in_block) for e in _operands(x)]
+    parts = [_compile(e, prog, in_block) for e in _operands(x)]
     fs = [f for f, _ in parts]
     callee = head not in _BUILTIN and head in prog.emitters
     emits = head == "emit" or callee or any(e for _, e in parts)
@@ -679,7 +680,7 @@ def _compile(x, prog, cells, in_block=False):
         return while_, False
 
     # a call of a definition
-    params, cell = prog.defs[head][0], cells[head]
+    params, cell = prog.defs[head][0], prog.cells[head]
     if emits:
         def call(vm, env):
             _tick(vm)
@@ -713,10 +714,6 @@ _PRELUDE = (
     "(def ltwo (s t) (+ 1 (cantor s (+ 1 (cantor t 0))))) "
     "(def mkpair (ins outs) (+ 1 (cantor ins outs)))"
 )
-
-
-def program(text: str) -> WCode:
-    return WCode.from_text(text)
 
 
 def trivial_program() -> WCode:

@@ -650,6 +650,28 @@ def test_parse_reads_a_witness_a_proof_and_a_program(tmp_path, capsys):
     ]
 
 
+def test_parse_prints_a_program_5000_forms_deep(tmp_path, capsys):
+    wc = tmp_path / "deep.wc"
+    text = "(prog " + "(seq " * 5000 + "(emit 1)" + ")" * 5000 + ")"
+    wc.write_text(text + "\n")
+    code, out = run(capsys, "parse", "--code", str(wc))
+    assert (code, out.splitlines()[1:]) == (0, ["CODE " + text])
+
+
+def test_parse_reads_a_proof_of_401_conjuncts(tmp_path, capsys):
+    # a pair nested 400 deep on the left: comparing its statement with
+    # the claimed one is one loop
+    unit = "(exi {E x. x=1} {1} (inst (ax refl) {1}))"
+    proof = unit
+    for _ in range(400):
+        proof = f"(pair {proof} {unit})"
+    claimed = " /\\ ".join(["E x. x=1"] * 401)
+    prf = tmp_path / "deep.prf"
+    prf.write_text(claimed + "\n" + proof + "\n")
+    code, out = run(capsys, "parse", "--proof", str(prf))
+    assert (code, out.splitlines()[1:]) == (0, ["THEOREM " + claimed])
+
+
 def test_extract_without_code_exits_one(tmp_path, capsys):
     prf = tmp_path / "fst.prf"
     prf.write_text(_FST)

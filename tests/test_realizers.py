@@ -1,3 +1,4 @@
+import copy
 import itertools
 from pathlib import Path
 
@@ -10,15 +11,22 @@ from ctruth.formula import (
     Add,
     And,
     Atom,
+    Box,
     Exists,
     Forall,
     Implies,
+    Mul,
+    Not,
     One,
     Or,
     UnboundVariable,
     Var,
+    Zero,
+    eval_term,
     numeral,
     parse,
+    parts,
+    term_vars,
 )
 from ctruth.realizers import (
     AXIOMS,
@@ -549,6 +557,74 @@ def test_statements_are_compared_up_to_closed_term_values():
     assert infer(App(Lam(parse("0<1"), Hyp(0)), zero_lt_one)) == parse("0<1")
     with pytest.raises(ProofError, match="argument proves"):
         infer(App(Lam(parse("0<2"), Hyp(0)), zero_lt_one))
+
+
+def _same_recursively(a, b):
+    """The recursive comparison realizers._same's loop replaced."""
+    if a == b:
+        return True
+    if a.__class__ is not b.__class__:
+        return False
+    if isinstance(a, Atom):
+        return a.rel == b.rel and all(
+            s == t or not (term_vars(s) or term_vars(t)) and eval_term(s, {}) == eval_term(t, {})
+            for s, t in ((a.left, b.left), (a.right, b.right))
+        )
+    if isinstance(a, (Forall, Exists)) and a.var != b.var:
+        return False
+    return all(map(_same_recursively, parts(a), parts(b)))
+
+
+# spellings of one term: closed ones of the values 0, 1 and 2, which
+# compare by value, and open ones, which compare as written
+_SPELLINGS = [[Zero(), Add(Zero(), Zero())], [One(), Add(Zero(), One())],
+              [numeral(2), Add(One(), One()), Mul(numeral(2), One())],
+              [Var("x"), Add(Var("x"), Zero())], [Add(Var("x"), One())]]
+_TERM_TWINS = (
+    st.sampled_from(_SPELLINGS).flatmap(lambda g: st.tuples(*[st.sampled_from(g)] * 2))
+    | st.tuples(*[st.sampled_from(sum(_SPELLINGS, []))] * 2))
+
+
+@st.composite
+def _twins(draw, depth=3):
+    """Two statements of much the same shape: each node of the second
+    mostly keeps the first's class, variable, relation and term values;
+    "same" shares one subformula, "equal" rebuilds it."""
+    kind = draw(st.sampled_from(("atom", "same", "equal", "not", "box", "and", "or", "imp",
+                                 "forall", "exists") if depth else ("atom",)))
+    if kind in ("same", "equal"):
+        a = draw(_twins(depth - 1))[0]
+        return a, a if kind == "same" else copy.deepcopy(a)
+    if kind == "atom":
+        rel, (s, s2), (t, t2) = draw(st.sampled_from("=<")), draw(_TERM_TWINS), draw(_TERM_TWINS)
+        return Atom(rel, s, t), Atom(draw(st.sampled_from((rel, rel, "<"))), s2, t2)
+    if kind in ("forall", "exists"):
+        cls, var = Forall if kind == "forall" else Exists, draw(st.sampled_from("xy"))
+        a, b = draw(_twins(depth - 1))
+        return cls(var, a), draw(st.sampled_from((cls, cls, Forall)))(
+            draw(st.sampled_from((var, var, "x"))), b)
+    if kind in ("not", "box"):
+        cls = Not if kind == "not" else Box
+        a, b = draw(_twins(depth - 1))
+        return cls(a), draw(st.sampled_from((cls, cls, Not)))(b)
+    cls = {"and": And, "or": Or, "imp": Implies}[kind]
+    (a, b), (c, d) = draw(_twins(depth - 1)), draw(_twins(depth - 1))
+    return cls(a, c), draw(st.sampled_from((cls, cls, And)))(b, d)
+
+
+@given(_twins())
+@settings(max_examples=400, deadline=None)
+def test_same_agrees_with_the_recursive_comparison(pair):
+    assert _same(*pair) == _same_recursively(*pair)
+
+
+def test_same_compares_a_deep_statement():
+    # 400 conjunctions deep, past what dataclass equality can recurse
+    a = b = parse("E x. x=1")
+    for _ in range(400):
+        a, b = And(a, parse("E x. x=1")), And(b, parse("E x. x=0+1"))
+    assert _same(a, b)
+    assert not _same(a, And(b.left, parse("E x. x=2")))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])

@@ -30,6 +30,7 @@ from ctruth.vm import (
     uncantor,
 )
 
+import ctruth.vm as vm_module
 import oracles
 from oracles import vm_run
 
@@ -337,7 +338,7 @@ def test_deep_pure_nest_runs_as_the_walker_does(depth, steps):
 
 
 def test_a_block_means_what_its_own_program_defines():
-    # one main form, two meanings of f: the block cache keys on both
+    # one main form, two meanings of f: each program compiles its own block
     for body, value in (("(+ a 1)", 4), ("(* a 5)", 11)):
         prog = program(f"(prog (def f (a) {body}) (seq (emit 1) (emit (+ 1 (f 2)))))")
         m = VM(prog, {}, 1000)
@@ -369,17 +370,20 @@ def test_a_chain_too_deep_to_run_fails_where_unfused_closures_do(monkeypatch):
     # one, so a chain that overflows the stack overflows at the same step
     from ctruth import vm
 
-    def run():
-        m, got = VM(_chain(999), {}, 10**6), []
+    def run(prog):
+        m, got = VM(prog, {}, 10**6), []
         worker = threading.Thread(target=lambda: got.append(_drain(m)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
         return got[0], m.steps
 
-    fused = run()
-    monkeypatch.setattr(vm, "_block", lambda x, prog: None)
-    assert fused == run()
+    prog = _chain(999)
+    fused = run(prog)
+    # nothing spelt, nothing fused; a fresh WCode, since the shared one
+    # keeps the closures its first run compiled
+    monkeypatch.setattr(vm, "_spell", lambda *a: None)
+    assert fused == run(vm.WCode(prog.expr))
     assert fused[0] == (1, RecursionError)
 
 
@@ -411,13 +415,106 @@ def test_a_pure_form_past_the_block_cap_is_spelt_once(monkeypatch):
     calls = []
     spell = vm._spell
     monkeypatch.setattr(vm, "_spell", lambda *a: calls.append(1) or spell(*a))
-    vm._block.cache_clear()
     prog = program(f"(prog (emit {_balanced_sum(0, 14)}))")
     m = VM(prog, {}, 40000)
     (item,) = m.items()
     assert len(calls) <= 3 * 32767
     assert m.steps == 32768
     assert item == decode_item(sum(range(1 << 14)))
+
+
+def test_a_program_is_read_once_per_text():
+    text = "(prog (seq (emit 1) (emit 4)))"
+    assert program(text) is program(text)
+
+
+def test_a_second_run_of_a_program_compiles_nothing(monkeypatch):
+    from ctruth import vm
+
+    prog = program(f"(prog {CANTOR} (def lone (t) (+ 1 (cantor t 0))) (seq (emit 1) (set n 0)"
+                   " (while (< n 3) (seq (emit (lone (* 3 n))) (set n (+ n 1))))))")
+    first = list(VM(prog, {}, 10**4).items())
+    calls = []
+    for name in ("_compile", "_spell"):
+        real = getattr(vm, name)
+        monkeypatch.setattr(vm, name, lambda *a, real=real: calls.append(1) or real(*a))
+    again = list(VM(prog, {}, 10**4).items())
+    assert (again, calls) == (first, [])
+    assert len(first) == 4
+
+
+def test_interleaved_runs_of_one_program_keep_their_own_state():
+    # two runs share the compiled closures, each with its own inputs'
+    # cursors, steps and cut: the first is cut by its budget
+    prog = program("(prog (seq (emit 1) (set n 0) (while (< n 12)"
+                   " (seq (emit (+ (query 0) n)) (set n (+ n 1))))))")
+    budgets = (60, 10**4)
+
+    def alone(budget):
+        m = VM(prog, _INPUTS, budget)
+        return list(m.items()), m.steps, m.cut
+
+    want = [alone(b) for b in budgets]
+    runs = [VM(prog, _INPUTS, b) for b in budgets]
+    got = [[], []]
+    for pulled in itertools.zip_longest(*(m.items() for m in runs)):
+        for items, item in zip(got, pulled):
+            if item is not None:
+                items.append(item)
+    assert [(items, m.steps, m.cut) for items, m in zip(got, runs)] == want
+    assert [cut for _, _, cut in want] == [True, False]
+    assert [len(items) for items, _, _ in want] == [5, 13]
+
+
+# the recursive walks vm's validation and printing loops replaced
+def _validate_recursively(x):
+    if not isinstance(x, tuple):
+        return
+    if not x:
+        raise VMError("empty form")
+    head = x[0]
+    if not isinstance(head, str):
+        raise VMError(f"a form starts with a name, not {_print_recursively(head)}")
+    if head in vm_module._ARITY and len(x) - 1 != vm_module._ARITY[head]:
+        raise VMError(f"{head} wants {vm_module._ARITY[head]} arguments")
+    if head in ("let", "set") and not isinstance(x[1], str):
+        raise VMError(f"{head} binds a name, not {_print_recursively(x[1])}")
+    for e in vm_module._operands(x):
+        _validate_recursively(e)
+
+
+def _print_recursively(x):
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return x
+    return "(" + " ".join(_print_recursively(e) for e in x) + ")"
+
+
+def _fault(validate, x):
+    try:
+        validate(x)
+    except VMError as e:
+        return str(e)
+
+
+_SEXPRS = st.recursive(
+    st.one_of(st.integers(0, 3), st.sampled_from(("a", "n", "let", "set", "+", "emit", "seq",
+                                                  "query", "if", "f"))),
+    lambda kids: st.lists(kids, max_size=4).map(tuple), max_leaves=16)
+
+
+@given(_SEXPRS)
+@example(("seq", ("let", ("a",), 1, ()), ("+", 1)))  # the first of three faults
+@settings(max_examples=400, deadline=None)
+def test_validation_and_printing_agree_with_the_recursive_walks(x):
+    assert vm_module.print_sexpr(x) == _print_recursively(x)
+    assert _fault(vm_module._validate_form, x) == _fault(_validate_recursively, x)
+
+
+def test_a_deep_program_reads_validates_and_prints():
+    text = "(prog " + "(seq " * 5000 + "(emit 1)" + ")" * 5000 + ")"
+    assert program(text).text() == text
 
 
 def _reading(read, text, seq):
