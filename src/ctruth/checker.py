@@ -5,16 +5,18 @@ output discipline (equal or extending inputs demand the same outputs),
 rejects any pair whose asserted content is refutable within the budget,
 and then walks the statement's input space to see whether every demand
 the budget can express has been answered.  One walk over each pair's
-tokens shapes it and gives both its path of tokens and its content in
-parts (witness.shape_walk).  The discipline is checked in one indexed
-pass that inserts each path into a trie and compares it only with the
-pairs whose inputs agree with its own; the coverage walk then follows
-that trie, recursing only at input slots.  Content is judged, for speed,
-under an integer environment binding the pair's tokens, so a check costs
-close to linear time in the number of pairs.  A refutation is costed on
-the statement's spine before any of its content is built, and the
-costing stops once it passes the allowance, so a decision the allowance
-declines builds nothing and prices only what fits.  Every walk reads the
+tokens validates its shape and gives both its path of tokens and its
+content in parts (witness.shape_walk); no shaped pair is built.  The
+discipline is checked in one indexed pass that inserts each path into a
+trie and compares it only with the pairs whose inputs agree with its
+own; the coverage walk then follows that trie, recursing only at input
+slots.  Content is judged, for speed, under an integer environment
+binding the pair's tokens, so a check costs close to linear time in the
+number of pairs.  A refutation is costed on the statement's spine before
+any of its content is built, and the costing stops once it passes the
+allowance, so a decision the allowance declines builds nothing and
+prices only what fits; a claim with no hypotheses whose node already
+holds its exact cost is priced from that memo.  Every walk reads the
 spine record memoized on each formula node (witness.slot), and tests its
 kind by identity.  The three outcomes:
 
@@ -340,18 +342,26 @@ def _content_cost(parts, budget: Budget, cap: int = _DECISION_ALLOWANCE) -> int:
     return cost
 
 
-def _refuted(parts, budget: Budget) -> bool:
+def _refuted(parts, budget: Budget, key) -> bool:
     """Definite refutation of a shaped pair's content, given as
     content_parts' parts, declined when deciding it would blow the
     enumeration allowance.  Declining keeps the checker sound: it only
     ever rejects on a decision it completed.
 
     The claim is costed on the spine before any of it is built, and its
-    conclusion is judged under its integer environment.
+    conclusion is judged under its integer environment.  `key` is the
+    budget's cost key (numeral_bound, search_bound): a claim with no
+    hypotheses is priced by the exact cost memoized on its node under
+    that key when there is one.
     """
-    if _content_cost(parts, budget) > _DECISION_ALLOWANCE:
-        return False
     hyps, rest, env = parts
+    costs = rest._costs
+    if hyps or costs is None or key not in costs:
+        cost = _content_cost(parts, budget)
+    else:
+        cost = costs[key]
+    if cost > _DECISION_ALLOWANCE:
+        return False
     claim = Implies(conj_all(map(content, hyps)), rest) if hyps else rest
     return eval3(claim, env, budget.numeral_bound, budget.search_bound) is FALSE
 
@@ -362,7 +372,7 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
     for item in w.pull(budget.pull_limit):
         if is_pair(item):
             try:
-                _, path, parts = shape_walk(f, item)
+                path, parts = shape_walk(f, item)
             except ShapeMismatch as e:
                 return _rejected(budget, item, str(e))
             shaped.append((item, path, parts))
@@ -373,8 +383,9 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
         return _rejected(budget, shaped[j][0], kind, conflict=shaped[i][0])
 
     # per-pair content, rejected only on a definite refutation
+    key = (budget.numeral_bound, budget.search_bound)
     for raw, _, parts in shaped:
-        if _refuted(parts, budget):
+        if _refuted(parts, budget, key):
             return _rejected(budget, raw, content(parts))
         if isinstance(f, Implies) and raw.inputs and isinstance(raw.inputs[0], Prefix):
             # the consequent's parts: the pair's own, less the antecedent
@@ -388,7 +399,7 @@ def check_witness(w: WitnessStream, f: Formula, budget: Budget, probes=()) -> Ve
                 observed = Prefix(probe.stream.pull(len(lead.items)))
                 if not observed.extends(lead):
                     continue
-                if _refuted(after, budget):
+                if _refuted(after, budget, key):
                     return _rejected(budget, raw, content(after))
 
     # the walk starts at the root only if some pair reached it

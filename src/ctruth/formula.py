@@ -241,6 +241,13 @@ def _tokenize(text):
     tokens, pos = [], 0
     for blank, symbol, literal, run, _ in _TOKEN.findall(text):
         pos += len(blank)
+        if literal:
+            # read here, where a fault is not rewound: int() refuses digit
+            # texts past the interpreter's int-string limit
+            try:
+                int(literal)
+            except ValueError:
+                raise ParseError(f"numeral of {len(literal)} digits is too long", pos) from None
         if symbol or literal:
             tokens.append((symbol or "num:" + literal, pos))
             pos += len(symbol or literal)

@@ -6,13 +6,17 @@ for what counts as a prefix) or an input-output pair.  Token roles walk
 the statement top-down by decreasing scope: universal quantifiers and
 left conjuncts consume input tokens, existential quantifiers, disjunct
 choices and box codes produce output tokens, and an implication consumes
-a serialized prefix of a candidate witness for its antecedent.
+a serialized prefix of a candidate witness for its antecedent.  One walk
+(shape_walk) validates a pair against that spine and gives its
+discipline path and content parts; it re-tags no token.  shape_check
+re-tags from the path: a number at a choice slot becomes a selector.
 
 Text format (canonical): items separated by single spaces, `_` for
 whitespace, pairs as `(in,in:out,out)` with no interior spaces, numbers
 in decimal, prefixes double-quoted with backslash escaping.  The reader
 matches a canonical item with one compiled pattern and reads any other
-pair token by token, tolerating blanks inside it.
+pair token by token, tolerating blanks inside it.  Each read makes a
+numeral once per digit text.
 """
 
 import re
@@ -38,16 +42,19 @@ class ShapeMismatch(Exception):
 
 
 class WitnessTextError(Exception):
-    """Malformed witness text; offset is where an unexpected character
-    stands in the text read, None for any other fault."""
+    """Malformed witness text.  `offset` is where the fault stands in the
+    text read (an unexpected character, or the first digit of a numeral
+    too long to read), and the message ends in "at <offset>"; it is None
+    for a fault with no one place, such as an unterminated pair."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message)
+    def __init__(self, fault, offset=None):
+        super().__init__(fault if offset is None else f"{fault} at {offset}")
+        self.fault = fault
         self.offset = offset
 
 
 def _unexpected(text, i):
-    return WitnessTextError(f"unexpected {text[i]!r} at {i}", i)
+    return WitnessTextError(f"unexpected {text[i]!r}", i)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +234,44 @@ _QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
 _ESCAPED = re.compile(r"\\(.)", re.S)
 
 
-def _numerals(text):
-    return tuple(Numeral(int(t)) for t in text.split(",") if t)
+def _numeral(digits, nums, group, at):
+    """The numeral of digits, one of the comma-separated digit texts of
+    group, which the read found at offset `at`, made and put in nums."""
+    try:
+        tok = nums[digits] = Numeral(int(digits))
+    except ValueError:  # past the interpreter's int-string limit
+        at += f",{group},".index(f",{digits},")
+        raise WitnessTextError(f"numeral of {len(digits)} digits is too long", at) from None
+    return tok
 
 
-def _tokens(text, i, stop):
+def _numerals(group, at, nums):
+    """The numerals of a canonical pair's comma-separated group, read at
+    offset `at`; `nums` maps the digit texts read so far to numerals."""
+    toks = []
+    for t in group.split(","):
+        if t:
+            tok = nums.get(t)
+            toks.append(_numeral(t, nums, group, at) if tok is None else tok)
+    return tuple(toks)
+
+
+def _tokens(text, i, stop, nums):
     """The tokens from offset i up to the stop character, and the offset
-    past it."""
+    past it; `nums` as for _numerals."""
     toks = []
     while True:
         m = _TOKEN.match(text, i)
         num, quote, other = m.groups()
         if num is not None:
-            toks.append(Numeral(int(num)))
+            tok = nums.get(num)
+            toks.append(_numeral(num, nums, num, m.start(1)) if tok is None else tok)
         elif quote is not None:
             m = _QUOTED.match(text, m.start(2))
             if m is None:
                 raise WitnessTextError("unterminated quote")
             try:
-                toks.append(Prefix(parse_witness_text(_ESCAPED.sub(r"\1", m.group(1)))))
+                toks.append(Prefix(_items(_ESCAPED.sub(r"\1", m.group(1)), nums)))
             except WitnessTextError as e:
                 if e.offset is None:
                     raise
@@ -254,7 +280,7 @@ def _tokens(text, i, stop):
                 j = m.start(1)
                 for _ in range(e.offset):
                     j += 2 if text[j] == "\\" else 1
-                raise _unexpected(text, j + (text[j] == "\\")) from None
+                raise WitnessTextError(e.fault, j + (text[j] == "\\")) from None
         elif other == stop:
             return tuple(toks), m.end()
         elif other is None:
@@ -268,17 +294,29 @@ def parse_witness_text(text: str) -> tuple:
     """Parse witness text into a tuple of items.
 
     Number tokens come back as numerals; the selector role is assigned
-    later by shape checking against a statement.  A prefix's text is
-    unescaped and read as witness text of its own; the offset in an
-    error inside it is mapped back to the text given.
+    later by shape checking against a statement.  A read makes each
+    numeral once: equal digit texts, in a prefix or out of one, give one
+    numeral object.  A prefix's text is unescaped and read as witness
+    text of its own; the offset in an error inside it is mapped back to
+    the text given.
     """
+    return _items(text, {})
+
+
+def _items(text, nums):
+    """parse_witness_text, `nums` mapping the digit texts read so far to
+    their numerals."""
     items = []
     i = 0
     while True:
         m = _ITEM.match(text, i)
         if m is not None:
             ins, outs = m.groups()
-            items.append(WS if ins is None else IOPair(_numerals(ins), _numerals(outs)))
+            if ins is None:
+                items.append(WS)
+            else:
+                ins = _numerals(ins, m.start(1), nums)
+                items.append(IOPair(ins, _numerals(outs, m.start(2), nums)))
             i = m.end()
             continue
         i = _BLANKS.match(text, i).end()
@@ -286,8 +324,8 @@ def parse_witness_text(text: str) -> tuple:
             return tuple(items)
         if text[i] != "(":
             raise _unexpected(text, i)
-        ins, i = _tokens(text, i + 1, ":")
-        outs, i = _tokens(text, i, ")")
+        ins, i = _tokens(text, i + 1, ":", nums)
+        outs, i = _tokens(text, i, ")", nums)
         items.append(IOPair(ins, outs))
 
 
@@ -344,25 +382,47 @@ def input_rooted(f: Formula) -> bool:
 
 
 def shape_check(f: Formula, p: IOPair) -> IOPair:
-    """The pair validated against a statement's spine, with selector
-    positions re-tagged (text gives only numbers); see shape_walk."""
-    return shape_walk(f, p)[0]
+    """The pair validated against a statement's spine, with its tokens
+    re-tagged (text gives only numbers): shape_walk's path read back as
+    tokens.  A selector key gives a selector, a numeral or code key a
+    numeral, and a prefix its pairs shaped against that slot's own
+    antecedent, which the walk's content parts list in slot order."""
+    path, (hyps, _, _) = shape_walk(f, p)
+    return _retagged(path, hyps)
+
+
+def _retagged(path, hyps):
+    """The shaped pair a walk's path and hyps stand for."""
+    # an antecedent's hyps are (), a pair's a list
+    antes = iter([h[1] for h in hyps if h[0].__class__ is tuple])
+    ins, outs = [], []
+    for kind, key in path:
+        if key is None:
+            break
+        if kind is IN_PREFIX:
+            tok = _prefix_token(next(antes), key)[0]
+        elif kind is IN_SEL or kind is OUT_SEL:
+            tok = _SELECTORS[key]
+        else:
+            tok = Numeral(key)
+        (ins if kind in _INPUTS else outs).append(tok)
+    return IOPair(tuple(ins), tuple(outs))
 
 
 def shape_walk(f: Formula, p: IOPair):
-    """Shape a pair, and give its discipline path and content parts, in
-    the one walk over its tokens.
+    """Validate a pair against a statement's spine, and give its
+    discipline path and content parts, in the one walk over its tokens.
 
     Partial pairs are fine; stray tokens, tokens of the wrong kind and
-    selectors outside {0,1} raise ShapeMismatch.  Returns (shaped, path,
-    parts).  `shaped` is the pair with its selectors re-tagged.  `path`
-    is the pair's discipline key: (kind, key) for each slot its tokens
-    reach, where the key is the prefix as read or the int a numeral,
-    selector or code gives, and (kind, None) where it falls silent at an
-    output slot.  The trivial pair's path is empty: it asserts nothing.
-    A prefix key is compared as read, as a probe's observed items are,
-    so a prefix built in code with Selector tokens does not match one
-    whose selectors are plain numerals.
+    selectors outside {0,1} raise ShapeMismatch.  Returns (path, parts);
+    no token is re-tagged here (shape_check does that from the path).
+    `path` is the pair's discipline key: (kind, key) for each slot its
+    tokens reach, where the key is the prefix as read or the int a
+    numeral, selector or code gives, and (kind, None) where it falls
+    silent at an output slot.  The trivial pair's path is empty: it
+    asserts nothing.  A prefix key is compared as read, as a probe's
+    observed items are, so a prefix built in code with Selector tokens
+    does not match one whose selectors are plain numerals.
 
     `parts` is the pair's semantic content in parts, (hyps, rest, env).
     `rest` is the node where the walk stopped: the end of the statement,
@@ -377,7 +437,7 @@ def shape_walk(f: Formula, p: IOPair):
     """
     ins, outs = p.inputs, p.outputs
     n_in, n_out = len(ins), len(outs)
-    si, so, path, hyps, env = [], [], [], [], {}
+    path, hyps, env = [], [], {}
     i = o = 0
     g = f
     while True:
@@ -392,7 +452,7 @@ def shape_walk(f: Formula, p: IOPair):
                 if o < n_out:
                     raise ShapeMismatch("output given without the required input")
                 break
-            tok, toks = ins[i], si
+            tok = ins[i]
             i += 1
         else:
             if o == n_out:
@@ -401,18 +461,17 @@ def shape_walk(f: Formula, p: IOPair):
                 if n_in or n_out:
                     path.append((kind, None))
                 break
-            tok, toks = outs[o], so
+            tok = outs[o]
             o += 1
         c = tok.__class__
         if kind is OUT_SEL or kind is IN_SEL:
             key = tok.value if c is Numeral else tok.choice if c is Selector else -1
             if key != 0 and key != 1:
                 raise _not_a_selector(tok)
-            tok = _SELECTORS[key]
             g = s[1 + key]
         elif kind is IN_PREFIX:
             key = tok
-            tok, inner = _prefix_token(s[1], tok)
+            inner = _prefix_token(s[1], tok)[1]
             hyps.append(((), s[1], dict(env)))
             hyps.extend(_under(env, parts) for parts in inner)
             g = s[2]
@@ -423,13 +482,12 @@ def shape_walk(f: Formula, p: IOPair):
                 g = s[2]
         else:
             raise ShapeMismatch(f"expected a numeral, found {tok}")
-        toks.append(tok)
         path.append((kind, key))
         if kind is OUT_CODE:
             if i < n_in or o < n_out:
                 raise ShapeMismatch("tokens left over past a code")
             break
-    return IOPair(tuple(si), tuple(so)), path, (hyps, g, env)
+    return path, (hyps, g, env)
 
 
 def _under(env, parts):
@@ -461,8 +519,8 @@ def _prefix_token(ante, tok):
     seg, inner = [], []
     for it in tok.items:
         if is_pair(it):
-            shaped, _, parts = shape_walk(ante, it)
-            seg.append(shaped)
+            path, parts = shape_walk(ante, it)
+            seg.append(_retagged(path, parts[0]))
             inner.append(parts)
         elif isinstance(it, Whitespace):
             seg.append(it)
@@ -516,7 +574,7 @@ def semantic_content(f: Formula, p: IOPair) -> Formula:
     plus the contents of its own pairs as hypotheses.  A partial pair's
     conclusion is the untouched remainder of the statement.
     """
-    return content(shape_walk(f, p)[2])
+    return content(shape_walk(f, p)[1])
 
 
 def content(parts) -> Formula:

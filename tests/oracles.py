@@ -1134,9 +1134,10 @@ def check_witness(w, f, budget, probes=()):
         j, i, kind = hit
         return checker._rejected(budget, shaped[j][0], kind, conflict=shaped[i][0])
 
+    key = (budget.numeral_bound, budget.search_bound)
     for raw, p in shaped:
         parts = content_parts(f, p)
-        if checker._refuted(parts, budget):
+        if checker._refuted(parts, budget, key):
             return checker._rejected(budget, raw, content(parts))
         if isinstance(f, Implies) and p.inputs and isinstance(p.inputs[0], Prefix):
             lead = p.inputs[0]
@@ -1148,7 +1149,7 @@ def check_witness(w, f, budget, probes=()):
                 if not observed.extends(lead):
                     continue
                 parts = content_parts(f.right, rest)
-                if checker._refuted(parts, budget):
+                if checker._refuted(parts, budget, key):
                     return checker._rejected(budget, raw, content(parts))
 
     r = _walk(f, {}, [(p, 0, 0) for _, p in shaped], [], budget, list(probes))

@@ -210,9 +210,15 @@ def _family_tables(text):
     return all_tables(parse(text), list(_DOMAIN), list(range(4)))
 
 
+def _walked(f, p):
+    """(shaped, path, parts) of a pair: shape_check's pair, shape_walk's
+    path and parts."""
+    return (shape_check(f, p), *shape_walk(f, p))
+
+
 def _walked_or_none(f, items):
     try:
-        return [shape_walk(f, it) for it in items if isinstance(it, IOPair)]
+        return [_walked(f, it) for it in items if isinstance(it, IOPair)]
     except ShapeMismatch:
         return None
 
@@ -392,7 +398,7 @@ def _chain_case(i, text):
 @settings(max_examples=300, deadline=None)
 def test_the_index_that_drops_back_agrees_with_the_frontier_walk(case):
     f, pairs = case
-    walked = [shape_walk(f, p) for p in pairs]
+    walked = [_walked(f, p) for p in pairs]
     paths = [path for _, path, _ in walked]
     got, want = checker._index(paths), oracles.frontier_index(paths)
     assert got[0] == want[0] == first_conflict(f, [p for p, _, _ in walked])
@@ -522,7 +528,7 @@ def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
     except (ShapeMismatch, TypeError):
         assume(False)
     budget = Budget(pulls, numerals, 100)
-    parts = shape_walk(f, p)[2]
+    parts = shape_walk(f, p)[1]
     hyps, rest, env = parts
     claim = Implies(conj_all(content(h) for h in hyps), rest) if hyps else rest
     cost = checker._content_cost(parts, budget)
@@ -532,7 +538,8 @@ def test_refutation_is_costed_on_the_spine(case, pulls, numerals):
         # declined before any of the claim is built or judged
         with mock.patch.object(checker, "content", side_effect=AssertionError), \
                 mock.patch.object(checker, "eval3", side_effect=AssertionError):
-            assert not checker._refuted(parts, budget)
+            key = (budget.numeral_bound, budget.search_bound)
+            assert not checker._refuted(parts, budget, key)
 
 
 # The costing stops once it passes its cap: below the cap it is the
@@ -569,11 +576,26 @@ def test_a_capped_content_cost_is_the_claims_cost_cut_at_the_cap(case, pulls, nu
     except (ShapeMismatch, TypeError):
         assume(False)
     budget = Budget(pulls, numerals, 100)
-    parts = shape_walk(f, p)[2]
+    parts = shape_walk(f, p)[1]
     want = oracles.decision_cost(semantic_content(f, p), budget)
     cap = data.draw(st.integers(min_value=max(-2, want - 3), max_value=want + 3)
                     | st.integers(min_value=-2, max_value=2 * want))
     assert checker._content_cost(parts, budget, cap) == min(want, cap + 1)
+
+
+def test_a_check_builds_no_pair_when_no_pair_holds_a_prefix(monkeypatch):
+    # the walk gives each pair's path and parts and re-tags no token; the
+    # parity stream's selectors come as numerals, so a re-tagged pair
+    # would be a new one
+    w = WitnessStream.from_text("(:) (0:0,0) (1:0,1) (2:1,0) (3:1,1)")
+    f = parse("A x. E y. (x=2*y \\/ x=2*y+1)")
+    budget = Budget(8, 3, 100)
+    w.pull(budget.pull_limit)
+    built = []
+    init = IOPair.__init__
+    monkeypatch.setattr(IOPair, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    assert check_witness(w, f, budget).status == "accepted_up_to"
+    assert built == []
 
 
 def test_long_successor_stream_accepted():

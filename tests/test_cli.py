@@ -82,6 +82,27 @@ def test_check_large_numeral_is_refuted(tmp_path, capsys):
     assert rpt.read_text().splitlines()[-1] == "VERDICT rejected pair=(1:5000) reason=5000=2*1"
 
 
+@pytest.mark.parametrize("role", ["witness", "formula"])
+def test_a_numeral_too_long_to_read_is_a_reader_error(tmp_path, capsys, role):
+    # 5,000 digits: past the interpreter's 4,300-digit int-string limit
+    nines = "9" * 5000
+    files = {"formula": fx("formulas", "doubling.fml"), "witness": fx("witnesses", "doubling.wit")}
+    if role == "witness":
+        path = tmp_path / "big.wit"
+        path.write_text(f"(1:{nines})\n")
+        want = "ERROR numeral of 5000 digits is too long at 3"
+    else:
+        path = tmp_path / "big.fml"
+        path.write_text(f"E x. x={nines}\n")
+        want = "ERROR numeral of 5000 digits is too long (at position 7)"
+    files[role] = str(path)
+    code, out = run(capsys, "check", "--formula", files["formula"], "--witness", files["witness"])
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("ERROR")] == [want]
+    assert out.splitlines()[-1] == want
+    assert "set_int_max_str_digits" not in out
+
+
 def test_check_large_literal_in_formula_gets_a_verdict(tmp_path, capsys):
     fml = tmp_path / "big.fml"
     fml.write_text("E x. x=3000\n")

@@ -109,6 +109,29 @@ def test_reader_faults_are_text_errors():
         IOPair((Numeral(3),), (Numeral(42),)), IOPair((Numeral(13),), ()))
 
 
+def test_a_numeral_too_long_to_read_is_a_text_error_at_its_offset():
+    # past the interpreter's 4,300-digit int-string limit, in a canonical
+    # pair, in a pair read token by token and two quotes in
+    big = "9" * 5000
+    for text, at in [(f"(1:{big})", 3), (f"(1,2:3,{big})", 7), (f"( 1 : {big} )", 6),
+                     (f'(:"(\\"({big}:)\\":)")', 7)]:
+        with pytest.raises(WitnessTextError) as e:
+            parse_witness_text(text)
+        assert str(e.value) == f"numeral of 5000 digits is too long at {at}"
+        assert text[at:].startswith(big)
+
+
+def test_a_read_makes_each_numeral_once():
+    # one object per digit text, in and out of a prefix and on both paths
+    (a, b, c) = parse_witness_text('(3,3:3) ( 3 : "(3:)" ) (٣:3)')
+    three = a.inputs[0]
+    assert {id(t) for t in a.inputs + a.outputs + b.inputs + c.outputs} == {id(three)}
+    assert b.outputs[0].items[0].inputs[0] is three
+    assert c.inputs == (three,) and c.inputs[0] is not three
+    # a new read makes its own
+    assert parse_witness_text("(3:)")[0].inputs[0] is not three
+
+
 def _read(parse, text):
     try:
         return "ok", parse(text)
@@ -152,6 +175,11 @@ _TEXTS = st.recursive(
 @example('(0, x:)')  # the offset of a fault past blanks and commas
 @example('("\\\n":)')  # an escaped line end
 @example('("(\\"(\\\\x:)\\":)":)')  # a fault two quotes in, past an escape
+@example("(3,3:3) (3:3,3)")  # one numeral repeated in a text
+@example("(12:12)")  # the same digits as an input and as an output
+@example("(٣:3) (3,٣:)")  # two digit texts of one value
+@example('(2,"(2:3) (3:2)":3)')  # a quoted prefix reusing the outer numerals
+@example("(1:2) ( 1 , 2 : 2 ) (1,2:2)")  # a pair read token by token between canonical ones
 @settings(max_examples=400, deadline=None)
 def test_reader_matches_the_character_reader(text):
     got, want = _read(parse_witness_text, text), _read(oracles.parse_witness_text, text)
@@ -321,6 +349,12 @@ def _outcome(fn, *args):
         return type(e).__name__, str(e)
 
 
+def _shaped_walk(f, p):
+    """shape_check's pair with shape_walk's path and parts, the triple
+    oracles.slot_shape_walk gives."""
+    return (shape_check(f, p), *shape_walk(f, p))
+
+
 _loose_pair = st.builds(_pair, st.lists(_spine_token, max_size=7), st.lists(_spine_token, max_size=7))
 
 
@@ -336,10 +370,12 @@ def test_offset_walks_match_the_recursive_oracle(case):
     f, p = case
     got = _outcome(shape_check, f, p)
     assert got == _outcome(oracles.shape_check, f, p)
+    assert _outcome(_shaped_walk, f, p) == _outcome(oracles.slot_shape_walk, f, p)
     # a second pair holding the same token objects, prefixes included,
     # is shaped after p and so may meet a prefix p already shaped
     twin = IOPair(p.inputs, p.outputs[:-1])
     assert _outcome(shape_check, f, twin) == _outcome(oracles.shape_check, f, twin)
+    assert _outcome(_shaped_walk, f, twin) == _outcome(oracles.slot_shape_walk, f, twin)
     assert _outcome(pair_complete, f, p) == _outcome(oracles.pair_complete, f, p)
     if got[0] == "ok":
         assert pair_complete(f, got[1]) == oracles.pair_complete(f, got[1])
@@ -372,6 +408,19 @@ def test_a_prefix_is_shaped_once_per_antecedent_object():
     assert lead._shaped[0] is twin.left
 
 
+def test_one_prefix_at_two_slots_is_shaped_against_each_antecedent():
+    # (:1) gives a selector against the first antecedent and a numeral
+    # against the second; the walk leaves the prefix's memo holding the
+    # second, so the first slot's shaped prefix must not be read from it
+    f = parse("(0=0 \\/ 0=1) -> ((E y. y=1) -> 0=0)")
+    lead = Prefix((_pair([], [Numeral(1)]),))
+    p = _pair([lead, lead], [])
+    first, second = shape_check(f, p).inputs
+    assert first == Prefix((_pair([], [Selector(1)]),))
+    assert second == Prefix((_pair([], [Numeral(1)]),))
+    assert _outcome(_shaped_walk, f, p) == _outcome(oracles.slot_shape_walk, f, p)
+
+
 def test_long_selector_path_needs_no_recursion():
     # E x. over a left-folded run of 5,001 disjuncts: the leftmost one is
     # 5,000 selectors deep
@@ -381,7 +430,7 @@ def test_long_selector_path_needs_no_recursion():
     assert len(shaped.outputs) == 5001
     assert shaped.outputs[1:] == (Selector(0),) * 5000
     assert pair_complete(f, shaped)
-    _, path, _ = shape_walk(f, p)
+    path, _ = shape_walk(f, p)
     assert checker._index([path, path])[0] is None
     assert oracles.first_conflict(f, [shaped, shaped]) is None
 
@@ -411,7 +460,7 @@ def test_content_parts_come_from_the_shape_walk(case):
     except (ShapeMismatch, TypeError):
         assume(False)
     want = oracles.content_parts(f, shaped)
-    assert shape_walk(f, p)[2] == want
+    assert shape_walk(f, p)[1] == want
     assert semantic_content(f, p) == content(want)
     # the same token objects under other numerals: the prefixes' parts
     # now come from their memo, put under the new bindings
@@ -421,7 +470,7 @@ def test_content_parts_come_from_the_shape_walk(case):
         shaped = shape_check(f, twin)
     except ShapeMismatch:
         return
-    assert shape_walk(f, twin)[2] == oracles.content_parts(f, shaped)
+    assert shape_walk(f, twin)[1] == oracles.content_parts(f, shaped)
 
 
 # the in-line shape walk against the helper-call walk it replaced, on
@@ -495,7 +544,7 @@ def _kind_walked_pair(draw, f):
 @settings(max_examples=500, deadline=None)
 def test_the_inline_shape_walk_matches_the_helper_call_walk(case):
     f, p = case
-    got = _outcome(shape_walk, f, p)
+    got = _outcome(_shaped_walk, f, p)
     assert got == _outcome(oracles.slot_shape_walk, f, p)
     assert _outcome(pair_complete, f, p) == _outcome(oracles.slot_pair_complete, f, p)
     if got[0] == "ok":
@@ -505,4 +554,4 @@ def test_the_inline_shape_walk_matches_the_helper_call_walk(case):
     # shaped them, under other numerals and one token fewer
     twin = IOPair(tuple(Numeral(t.value + 1) if isinstance(t, Numeral) else t for t in p.inputs),
                   p.outputs[:-1])
-    assert _outcome(shape_walk, f, twin) == _outcome(oracles.slot_shape_walk, f, twin)
+    assert _outcome(_shaped_walk, f, twin) == _outcome(oracles.slot_shape_walk, f, twin)
